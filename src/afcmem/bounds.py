@@ -11,7 +11,13 @@ weight gamma on the threshold occupation). When the transmitted part of
 the input is also characterized, the cheat must additionally reproduce
 the transmitted fidelity and transmission, which constrains the
 strategy mix and lowers the achievable benchmark; that optimum is found
-on a feasibility-filtered grid with local refinement.
+on a feasibility-filtered grid with local refinement. The grid is
+evaluated one eta_m1 row at a time, in one numpy pass over all of the
+row's feasible (q, delta) cells, whose Poisson tables are stacked
+zero-padded in one array.
+
+All bounds read their photon-number statistics from one table builder,
+which covers mu up to 600 without truncating the distribution.
 
 Emission matching uses P_emit = 1 - exp(-eta_m mu) by default (the
 memory acts as a loss eta_m before an ideal emitter); the alternative
@@ -27,7 +33,6 @@ import numpy as np
 
 _NAN = float("nan")
 _PMF_REL_CUTOFF = 1e-15
-_PMF_MAX_N = 500
 
 
 @dataclass(frozen=True)
@@ -71,44 +76,54 @@ def massar_popescu(n: int) -> float:
     return (n + 1.0) / (n + 2.0)
 
 
-def _poisson_pmf(mu: float) -> np.ndarray:
-    """Poisson pmf for n = 0..N, truncated where terms drop below
-    1e-15 of the peak, capped at n = 500."""
-    if mu < 0:
+def _poisson_tables(mus) -> tuple:
+    """Zero-padded Poisson tables, one row per mean in mus.
+
+    Returns the pmf, the per-n fidelity (n + 1) / (n + 2) shared by all
+    rows, and the strict upper-tail sums of the pmf and of the
+    fidelity-weighted pmf. Each row runs over n = 0..ceil(mu + 20
+    sqrt(mu + 1) + 25) and is cut after its last term of at least 1e-15
+    of its peak, but never before n = 1; entries past the cut are 0.0, so every row reads as the
+    table of its own mu alone. Means above 600 are refused: exp(-mu),
+    the first term of the recurrence, heads for underflow.
+    """
+    mus = np.atleast_1d(np.asarray(mus, dtype=float))
+    if mus.min() < 0:
         raise ValueError("mu must be nonnegative")
-    if mu > 600:
+    if mus.max() > 600:
         raise ValueError("mu too large for the direct pmf recurrence")
-    n_max = min(_PMF_MAX_N, int(math.ceil(mu + 20.0 * math.sqrt(mu + 1.0) + 25.0)))
-    ratios = np.concatenate([[math.exp(-mu)], mu / np.arange(1.0, n_max + 1.0)])
-    pmf = np.cumprod(ratios)
-    keep = np.nonzero(pmf >= _PMF_REL_CUTOFF * pmf.max())[0]
-    return pmf[: keep[-1] + 1]
-
-
-def _tail_tables(mu: float):
-    """pmf, per-n fidelity, and the strict upper-tail sums of both."""
-    pmf = _poisson_pmf(mu)
-    n = np.arange(pmf.size, dtype=float)
-    mp = (n + 1.0) / (n + 2.0)
-    s_ge = np.cumsum(pmf[::-1])[::-1]
-    w_ge = np.cumsum((mp * pmf)[::-1])[::-1]
-    s_gt = np.concatenate([s_ge[1:], [0.0]])
-    w_gt = np.concatenate([w_ge[1:], [0.0]])
+    n_max = np.ceil(mus + 20.0 * np.sqrt(mus + 1.0) + 25.0)
+    n = np.arange(n_max.max() + 1.0)
+    ratios = mus[:, None] / np.maximum(n, 1.0) * (n <= n_max[:, None])
+    # math.exp, not np.exp: keeps each row bit-identical to a scalar build
+    ratios[:, 0] = [math.exp(-m) for m in mus]
+    pmf = np.cumprod(ratios, axis=1)
+    keep = pmf >= _PMF_REL_CUTOFF * pmf.max(axis=1, keepdims=True)
+    # keep n = 1 even when mu < 1e-15 puts it under the cut: every bound
+    # conditions on at least one photon
+    last = np.maximum(n.size - 1 - np.argmax(keep[:, ::-1], axis=1), 1)
+    width = last.max() + 1
+    pmf = pmf[:, :width] * (n[:width] <= last[:, None])
+    mp = (n[:width] + 1.0) / (n[:width] + 2.0)
+    s_gt = np.zeros_like(pmf)
+    w_gt = np.zeros_like(pmf)
+    s_gt[:, :-1] = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]
+    w_gt[:, :-1] = np.cumsum((mp * pmf)[:, :0:-1], axis=1)[:, ::-1]
     return pmf, mp, s_gt, w_gt
 
 
 def _threshold_eval(tables, p_emit: np.ndarray):
-    """Vectorized threshold bound for several emission probabilities at one mu."""
+    """Threshold bound for emission probabilities p_emit[r, k] on table row r."""
     pmf, mp, s_gt, w_gt = tables
-    p_emit = np.atleast_1d(np.asarray(p_emit, dtype=float))
     # smallest n with tail(n) < p_emit; tail(N) = 0 guarantees a hit
-    n_min = np.argmax(s_gt[None, :] < p_emit[:, None], axis=1)
+    n_min = np.argmax(s_gt[:, None, :] < p_emit[:, :, None], axis=2)
     # flag emission demands exceeding the whole conditioned mass; the
     # slack absorbs the truncation of the pmf table at eta_m = 1
-    degenerate = p_emit > s_gt[0] * (1.0 + 1e-9)
+    degenerate = p_emit > s_gt[:, :1] * (1.0 + 1e-9)
     n_min = np.maximum(n_min, 1)
-    gamma = np.clip(p_emit - s_gt[n_min], 0.0, pmf[n_min])
-    bound = (gamma * mp[n_min] + w_gt[n_min]) / p_emit
+    rows = np.arange(len(pmf))[:, None]
+    gamma = np.clip(p_emit - s_gt[rows, n_min], 0.0, pmf[rows, n_min])
+    bound = (gamma * mp[n_min] + w_gt[rows, n_min]) / p_emit
     return bound, n_min, gamma, degenerate
 
 
@@ -131,8 +146,8 @@ def poisson_conditional_bound(mu: float) -> float:
         raise ValueError(f"mu must be positive, got {mu}")
     denom = -math.expm1(-mu)
     if mu < 1e-4:
-        pmf, mp, _, _ = _tail_tables(mu)
-        return float(np.dot(mp[1:], pmf[1:]) / denom)
+        pmf, mp, _, _ = _poisson_tables(mu)
+        return float(np.dot(mp[1:], pmf[0, 1:]) / denom)
     return float(((denom - mu + mu * mu) / (mu * mu) - math.exp(-mu) / 2.0) / denom)
 
 
@@ -146,17 +161,17 @@ def threshold_bound(mu: float, eta_m: float, *, matching: str = "exp") -> BoundR
     fidelity. P_emit can never exceed the probability that at least one
     photon arrived; at equality the threshold degenerates to n_min = 1
     (flagged, not an error) and the bound equals the plain conditional
-    benchmark.
+    benchmark. Supported mean photon numbers are 0 < mu <= 600; larger
+    mu raises ValueError.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     if not 0.0 < eta_m <= 1.0:
         raise ValueError(f"eta_m must be in (0, 1], got {eta_m}")
-    tables = _tail_tables(mu)
-    p_emit = _p_emit(mu, eta_m, matching)
-    bound, n_min, gamma, degenerate = _threshold_eval(tables, p_emit)
-    params = StrategyParams(eta_m1=eta_m, n_min=int(n_min[0]), gamma=float(gamma[0]))
-    return BoundResult(float(bound[0]), params, bool(degenerate[0]),
+    p_emit = _p_emit(mu, eta_m, matching).reshape(1, 1)
+    bound, n_min, gamma, degenerate = _threshold_eval(_poisson_tables(mu), p_emit)
+    params = StrategyParams(eta_m1=eta_m, n_min=int(n_min[0, 0]), gamma=float(gamma[0, 0]))
+    return BoundResult(float(bound[0, 0]), params, bool(degenerate[0, 0]),
                        description=f"threshold, matching={matching}")
 
 
@@ -173,7 +188,9 @@ def transmitted_constrained_bound(mu: float, f_t: float = 0.972, eta_t: float = 
     measured transmitted fidelity f_t, transmission eta_t and memory
     efficiency eta_m pin p, eta and eta_m2 once (eta_m1, delta, q) are
     chosen, so those three are searched on a grid (eta_m1 log spaced)
-    with feasibility filtering, then refined around the best cell.
+    with feasibility filtering, then refined around the best cell. Each
+    eta_m1 row is evaluated in one batched pass over all its (q, delta)
+    cells.
 
     The always-feasible point p = 0, q = 2 f_t - 1, eta = eta_t seeds
     the search (its emitter must carry the whole output budget, so
@@ -207,44 +224,46 @@ def transmitted_constrained_bound(mu: float, f_t: float = 0.972, eta_t: float = 
     q_lo, q_hi = 0.0, 1.0
     d_lo, d_hi = 1.0 / grid_points, 1.0
 
+    tables1 = _poisson_tables(mu)
+
     def search(eta1_axis, q_axis, delta_axis, incumbent):
         best_local = incumbent
         best_grid = None
-        tables1 = _tail_tables(mu)
-        fm1, nmin1, gamma1, _ = _threshold_eval(tables1, _p_emit(mu, eta1_axis, matching))
+        fm1, nmin1, gamma1, _ = _threshold_eval(tables1, _p_emit(mu, eta1_axis, matching)[None, :])
+        half = 0.5 * (1.0 + q_axis)
         for i, eta1 in enumerate(eta1_axis):
-            f1 = fm1[i]
-            for q in q_axis:
-                half = 0.5 * (1.0 + q)
-                den = half - f1
-                if abs(den) < 1e-14:
-                    continue
+            f1 = fm1[0, i]
+            # feasible q cells of this eta_m1 row; infeasible ones may divide by 0
+            den = half - f1
+            with np.errstate(divide="ignore", invalid="ignore"):
                 p = (eta_t / eta1) * (half - f_t) / den
-                if not 0.0 <= p <= 1.0 - 1e-12:
-                    continue
                 eta = (eta_t - p * eta1) / (1.0 - p)
-                if not 0.0 <= eta <= 1.0 - 1e-12:
-                    continue
-                w1 = p * delta_axis * eta1  # strategy-1 share of the output budget
-                eta_m2 = (eta_m - w1) / ((1.0 - p) * (1.0 - eta))
-                ok = (eta_m2 > 0.0) & (eta_m2 <= 1.0)
-                if not ok.any():
-                    continue
-                mu2 = (1.0 - eta) * mu
-                fm2, nmin2, gamma2, _ = _threshold_eval(_tail_tables(mu2), _p_emit(mu2, eta_m2[ok], matching))
-                obj = (w1[ok] * f1 + (eta_m - w1[ok]) * fm2) / eta_m
-                k = int(np.argmax(obj))
-                if obj[k] > best_local.bound:
-                    deltas = delta_axis[ok]
-                    if p > 0:
-                        n_min, gam = int(nmin1[i]), float(gamma1[i])
-                    else:
-                        n_min, gam = int(nmin2[k]), float(gamma2[k])
-                    params = StrategyParams(p=float(p), eta_bs=float(eta), q=float(q),
-                                            delta=float(deltas[k]), eta_m1=float(eta1),
-                                            eta_m2=float(eta_m2[ok][k]), n_min=n_min, gamma=gam)
-                    best_local = BoundResult(float(obj[k]), params, description=incumbent.description)
-                    best_grid = params
+            cell = ((np.abs(den) >= 1e-14) & (0.0 <= p) & (p <= 1.0 - 1e-12)
+                    & (0.0 <= eta) & (eta <= 1.0 - 1e-12))
+            p, eta, q = p[cell], eta[cell], q_axis[cell]
+            # (cell, delta) block; w1 is strategy 1's share of the output budget
+            w1 = p[:, None] * delta_axis * eta1
+            eta_m2 = (eta_m - w1) / ((1.0 - p) * (1.0 - eta))[:, None]
+            ok = (eta_m2 > 0.0) & (eta_m2 <= 1.0)
+            if not ok.any():
+                continue
+            mu2 = (1.0 - eta) * mu
+            # budgets outside (0, 1] are replaced by 1 and masked out of obj
+            fm2, nmin2, gamma2, _ = _threshold_eval(
+                _poisson_tables(mu2), _p_emit(mu2[:, None], np.where(ok, eta_m2, 1.0), matching))
+            obj = np.where(ok, (w1 * f1 + (eta_m - w1) * fm2) / eta_m, -np.inf)
+            # first maximum in row-major (q, delta) order: earlier cells win exact ties
+            c, k = np.unravel_index(np.argmax(obj), obj.shape)
+            if obj[c, k] > best_local.bound:
+                if p[c] > 0:
+                    n_min, gam = int(nmin1[0, i]), float(gamma1[0, i])
+                else:
+                    n_min, gam = int(nmin2[c, k]), float(gamma2[c, k])
+                params = StrategyParams(p=float(p[c]), eta_bs=float(eta[c]), q=float(q[c]),
+                                        delta=float(delta_axis[k]), eta_m1=float(eta1),
+                                        eta_m2=float(eta_m2[c, k]), n_min=n_min, gamma=gam)
+                best_local = BoundResult(float(obj[c, k]), params, description=incumbent.description)
+                best_grid = params
         return best_local, best_grid
 
     eta1_axis = np.geomspace(eta1_lo, eta1_hi, grid_points)
