@@ -20,7 +20,7 @@ from .memory import (MemoryParams, StorageSchedule, anisotropic_efficiency, clas
 from .montecarlo import (CountHistogram, ExperimentConfig, ParamEstimate, TransmissionEstimate,
                          estimate_params, estimate_transmission, export_histogram,
                          model_conditional_fidelity, model_mode_fidelity, sequence_windows,
-                         simulate_run, simulate_trial_counts)
+                         simulate_run)
 from .polarization import (AnalysisSetting, PolarizationState, STATE_LABELS, expectation,
                            fidelity, orthogonal_label, orthogonal_state, standard_setting,
                            standard_state, trace_distance)
@@ -42,7 +42,7 @@ __all__ = [
     "monte_carlo_errors", "mu1", "multiplexing_gain", "orthogonal_label",
     "orthogonal_state", "poisson_conditional_bound", "predicted_fidelity",
     "process_tomography", "project_process_matrix", "quantumness_verdict",
-    "random_process_matrix", "sequence_windows", "simulate_run", "simulate_trial_counts",
+    "random_process_matrix", "sequence_windows", "simulate_run",
     "spin_decay_factor", "standard_setting", "standard_state", "threshold_bound",
     "trace_distance", "transmitted_constrained_bound", "validate_schedule", "visibility",
 ]

@@ -30,17 +30,22 @@ Times are microseconds, dark_rate is counts per second.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EstimationError
-from .memory import MemoryParams, StorageSchedule, anisotropic_efficiency, spin_decay_factor  # noqa: F401
+from .memory import MemoryParams, StorageSchedule, anisotropic_efficiency
 from .polarization import AnalysisSetting, PolarizationState, expectation, standard_state
-from .tableio import write_csv
+from .tableio import write_csv_lines
 
 _REL_TOL = 1e-9
+# histogram bins are turned into Python floats and ints this many at a time,
+# so the exporter never holds them for the whole histogram at once
+_EXPORT_CHUNK = 64
 
 
 def _as_tuple(value, n: int, name: str) -> tuple:
@@ -141,18 +146,16 @@ class CountHistogram:
     trials: int
     seed: int
 
-    def window_indices(self, window: Window) -> np.ndarray:
-        centers = 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-        return np.nonzero((centers >= window.start) & (centers < window.stop))[0]
+    @cached_property
+    def window_slices(self) -> tuple[slice, ...]:
+        """The bins of each window, in the order of windows."""
+        return _window_slices(self.bin_edges, self.windows)
 
     def window_counts(self, label: str, mode: int | None = None) -> int:
         total = 0
-        for win in self.windows:
-            if win.label != label:
-                continue
-            if mode is not None and win.mode != mode:
-                continue
-            total += int(self.counts[self.window_indices(win)].sum())
+        for win, bins in zip(self.windows, self.window_slices):
+            if win.label == label and (mode is None or win.mode == mode):
+                total += int(self.counts[bins].sum())
         return total
 
     def mode_counts(self, label: str) -> np.ndarray:
@@ -163,6 +166,17 @@ class CountHistogram:
     @property
     def is_noise_run(self) -> bool:
         return all(m == 0.0 for m in self.mu_per_mode)
+
+
+def _window_slices(bin_edges: np.ndarray, windows: Sequence[Window]) -> tuple[slice, ...]:
+    """Bins whose centre lies in [start, stop) of each window.
+
+    The centres are sorted, so each window is one run of bins. bisect_left
+    gives np.searchsorted's index without the ~100 kB that numpy's search
+    machinery adds to peak memory on first use.
+    """
+    centers = 0.5 * (bin_edges[:-1] + bin_edges[1:])
+    return tuple(slice(bisect_left(centers, w.start), bisect_left(centers, w.stop)) for w in windows)
 
 
 def sequence_windows(schedule: StorageSchedule) -> tuple[Window, ...]:
@@ -245,33 +259,20 @@ def simulate_run(config: ExperimentConfig, analysis: AnalysisSetting, *, seed: i
     lam = np.zeros(n_bins)
 
     lam_in, lam_out = _mode_rates(config, analysis)
-    hist = CountHistogram(edges, np.zeros(n_bins, dtype=np.int64), analysis, windows,
-                          config.mu_per_mode, config.trials, used_seed)
-    for win in windows:
-        idx = hist.window_indices(win)
-        if idx.size == 0:
+    for win, bins in zip(windows, _window_slices(edges, windows)):
+        size = bins.stop - bins.start
+        if size <= 0:
             continue
         if win.label == "input":
-            lam[idx] += lam_in[win.mode] / idx.size
+            lam[bins] += lam_in[win.mode] / size
         elif win.label == "output":
-            lam[idx] += lam_out[win.mode] / idx.size
+            lam[bins] += lam_out[win.mode] / size
         elif win.label == "CP2" and config.cp2_leakage > 0:
-            lam[idx] += config.cp2_leakage / idx.size
+            lam[bins] += config.cp2_leakage / size
 
     counts = rng.poisson(lam * config.trials)
     return CountHistogram(edges, counts.astype(np.int64), analysis, windows,
                           config.mu_per_mode, config.trials, used_seed)
-
-
-def simulate_trial_counts(config: ExperimentConfig, analysis: AnalysisSetting,
-                          window: str = "output", *, seed: int | None = None) -> np.ndarray:
-    """Per-trial total counts in one window class, for count statistics checks."""
-    if window not in ("input", "output"):
-        raise ValueError("window must be 'input' or 'output'")
-    lam_in, lam_out = _mode_rates(config, analysis)
-    lam = float((lam_in if window == "input" else lam_out).sum())
-    rng = np.random.default_rng(config.rng_seed if seed is None else seed)
-    return rng.poisson(lam, size=config.trials)
 
 
 @dataclass(frozen=True)
@@ -291,12 +292,14 @@ class ParamEstimate:
     counts_noise: int
 
 
-def _split_runs(histograms: Sequence[CountHistogram], input_state: PolarizationState):
+def _parallel_orthogonal(histograms: Sequence[CountHistogram], input_state: PolarizationState,
+                         missing: str) -> tuple[CountHistogram, CountHistogram]:
+    """The runs analyzed parallel and orthogonal to the input state (the
+    last of each kind wins); noise runs are skipped. Raises ValueError
+    with the message missing if either is absent."""
     parallel = orthogonal = None
-    noise = []
     for h in histograms:
         if h.is_noise_run:
-            noise.append(h)
             continue
         overlap = expectation(input_state, h.analysis)
         if overlap > 1.0 - 1e-6:
@@ -304,10 +307,8 @@ def _split_runs(histograms: Sequence[CountHistogram], input_state: PolarizationS
         elif overlap < 1e-6:
             orthogonal = h
     if parallel is None or orthogonal is None:
-        raise ValueError("need histograms at the analyzer settings parallel and orthogonal to the input state")
-    if not noise:
-        raise ValueError("need a no-input noise run (all mu_per_mode zero) to estimate the noise floor")
-    return parallel, orthogonal, noise
+        raise ValueError(missing)
+    return parallel, orthogonal
 
 
 def estimate_params(histograms: Sequence[CountHistogram], config: ExperimentConfig) -> ParamEstimate:
@@ -320,7 +321,12 @@ def estimate_params(histograms: Sequence[CountHistogram], config: ExperimentConf
     the retrieved state by convention, so it is not subtracted there.
     Errors are Poissonian.
     """
-    parallel, orthogonal, noise = _split_runs(histograms, config.input_state)
+    parallel, orthogonal = _parallel_orthogonal(
+        histograms, config.input_state,
+        "need histograms at the analyzer settings parallel and orthogonal to the input state")
+    noise = [h for h in histograms if h.is_noise_run]
+    if not noise:
+        raise ValueError("need a no-input noise run (all mu_per_mode zero) to estimate the noise floor")
     t_det = config.t_det
     dark = config.dark_per_gate
     n_modes = config.schedule.n_modes
@@ -376,17 +382,8 @@ def estimate_transmission(histograms: Sequence[CountHistogram], config: Experime
     """
     if config.input_window_reference:
         raise ValueError("input windows hold the free-path display trace, not the transmitted state")
-    parallel = orthogonal = None
-    for h in histograms:
-        if h.is_noise_run:
-            continue
-        overlap = expectation(config.input_state, h.analysis)
-        if overlap > 1.0 - 1e-6:
-            parallel = h
-        elif overlap < 1e-6:
-            orthogonal = h
-    if parallel is None or orthogonal is None:
-        raise ValueError("need parallel and orthogonal analyzer runs")
+    parallel, orthogonal = _parallel_orthogonal(histograms, config.input_state,
+                                                "need parallel and orthogonal analyzer runs")
     par_m = parallel.mode_counts("input").astype(float)
     orth_m = orthogonal.mode_counts("input").astype(float)
     if (par_m + orth_m).sum() == 0:
@@ -404,18 +401,32 @@ def estimate_transmission(histograms: Sequence[CountHistogram], config: Experime
     return TransmissionEstimate(trans, trans_err, fid, fid_err)
 
 
+def _histogram_lines(hist: CountHistogram) -> Iterator[str]:
+    """One CSV line per bin, with the text write_csv would give its cells."""
+    labels = [""] * len(hist.counts)
+    for win, bins in zip(hist.windows, hist.window_slices):
+        labels[bins] = [win.label] * (bins.stop - bins.start)
+    tail = hist.analysis.label + "\n"
+    fmt = "{:.12g}".format
+    start = fmt(float(hist.bin_edges[0]))
+    for a in range(0, len(labels), _EXPORT_CHUNK):
+        b = a + _EXPORT_CHUNK
+        ends = map(fmt, hist.bin_edges[a + 1:b + 1].tolist())
+        for end, count, label in zip(ends, hist.counts[a:b].tolist(), labels[a:b]):
+            yield f"{start},{end},{count},{label},{tail}"
+            start = end
+
+
 def export_histogram(hist: CountHistogram, path: str, metadata: Mapping[str, object] | None = None) -> None:
-    """Write a histogram as CSV with one row per bin."""
-    labels = [""] * (len(hist.bin_edges) - 1)
-    for win in hist.windows:
-        for i in hist.window_indices(win):
-            labels[i] = win.label
+    """Write a histogram as CSV with one row per bin.
+
+    The rows go pre-joined to tableio's one writer: each bin edge is
+    formatted once (a row's end is the next row's start) with the %.12g
+    of write_csv, so the bytes are those write_csv would give.
+    """
     meta = dict(metadata or {})
     meta.setdefault("analysis", hist.analysis.label)
     meta.setdefault("trials", hist.trials)
     meta.setdefault("rng_seed", hist.seed)
-    rows = (
-        (float(hist.bin_edges[i]), float(hist.bin_edges[i + 1]), int(hist.counts[i]), labels[i], hist.analysis.label)
-        for i in range(len(hist.counts))
-    )
-    write_csv(path, meta, ["bin_start_us", "bin_end_us", "counts", "window_label", "analysis_label"], rows)
+    write_csv_lines(path, meta, ["bin_start_us", "bin_end_us", "counts", "window_label", "analysis_label"],
+                    _histogram_lines(hist))

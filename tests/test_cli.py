@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import os
 
 import pytest
@@ -28,6 +29,22 @@ def test_config_hash_pinned():
     # reproduction runs stamp this hash into every CSV; changing a default
     # must show up here first
     assert config_hash(default_config()) == "2684be655112"
+
+
+def test_simulate_bytes_pinned(tmp_path):
+    # sha256 of every file `simulate --seed 1` writes; any drift in the
+    # simulation or in the CSV formatting must show up here first
+    out = os.path.join(tmp_path, "s")
+    assert main(["simulate", "--seed", "1", "--out", out]) == 0
+    digests = {name: hashlib.sha256(_read(os.path.join(out, name))).hexdigest()
+               for name in sorted(os.listdir(out))}
+    assert digests == {
+        "estimate.csv": "addf918cc5aef00ce4f1b43ca3fedb05dddc56c24465bb2f72db03ae1a03d4a5",
+        "histogram_noise.csv": "d02a61c3b9f59913b9e732e081deacfd94df0ec9e2de032089f7c5eb9ad3b102",
+        "histogram_orthogonal.csv": "2f104550dd82b901607b949ea0f501599a614c6cd1db40e133bdd823806347a6",
+        "histogram_parallel.csv": "59ca8f2c8585887eab8163de6edc6e2a95019de48cffaccf537790d678c8507b",
+        "transmitted.csv": "240c042e61d456ad34eda4715e5c8c9108646b415555c4931db6f812efb1864b",
+    }
 
 
 def test_config_override_and_types():

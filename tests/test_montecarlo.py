@@ -6,10 +6,13 @@ comfortably wider than the Monte Carlo scatter.
 """
 
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from afcmem.errors import EstimationError
 from afcmem.memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number
@@ -22,10 +25,10 @@ from afcmem.montecarlo import (
     model_mode_fidelity,
     sequence_windows,
     simulate_run,
-    simulate_trial_counts,
 )
-from afcmem.polarization import standard_setting, standard_state
+from afcmem.polarization import STATE_LABELS, standard_setting, standard_state
 from afcmem.refdata import ETA_T_MEAN, F_C_MEAN, F_T_MEAN, MU_SCAN
+from afcmem.tableio import write_csv
 
 
 def _row_config(rec, trials=10**6, **kw):
@@ -97,13 +100,6 @@ def test_noise_run_rate_convention():
     lam = 5.0 * (rec.p_n * exp.t_det + exp.dark_per_gate)
     mean = lam * exp.trials
     assert abs(noise.window_counts("output") - mean) < 4.0 * np.sqrt(mean)
-
-
-def test_trial_counts_poissonian():
-    exp = _row_config(MU_SCAN[1], trials=10**5)
-    counts = simulate_trial_counts(exp, standard_setting("D"), seed=3)
-    assert counts.shape == (10**5,)
-    assert abs(counts.var() - counts.mean()) / counts.mean() < 0.05
 
 
 def test_modes_scale_independently():
@@ -211,6 +207,62 @@ def test_histogram_export(tmp_path):
     assert header == ["bin_start_us,bin_end_us,counts,window_label,analysis_label"]
     data = [l for l in lines if l and not l.startswith(("#", "bin_start_us"))]
     assert len(data) == hist.counts.size
+
+
+def _mask_bins(hist, win):
+    centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
+    return np.nonzero((centers >= win.start) & (centers < win.stop))[0]
+
+
+def _export_per_cell(hist, path, metadata):
+    """The histogram exporter as it was before rows were pre-joined:
+    mask-selected window bins and every cell through write_csv."""
+    labels = [""] * (len(hist.bin_edges) - 1)
+    for win in hist.windows:
+        for i in _mask_bins(hist, win):
+            labels[i] = win.label
+    meta = dict(metadata)
+    meta.setdefault("analysis", hist.analysis.label)
+    meta.setdefault("trials", hist.trials)
+    meta.setdefault("rng_seed", hist.seed)
+    rows = ((float(hist.bin_edges[i]), float(hist.bin_edges[i + 1]), int(hist.counts[i]), labels[i],
+             hist.analysis.label) for i in range(len(hist.counts)))
+    write_csv(path, meta, ["bin_start_us", "bin_end_us", "counts", "window_label", "analysis_label"], rows)
+
+
+_meta_text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_modes=st.integers(1, 6), k=st.integers(1, 8), leakage=st.booleans(), noise=st.booleans(),
+       spin_storage=st.sampled_from([500.0, 40.0, 3.4375]), label=st.sampled_from(STATE_LABELS),
+       mu=st.floats(0.05, 10.0), trials=st.sampled_from([10**3, 10**6]), seed=st.integers(0, 2**32 - 1),
+       metadata=st.dictionaries(_meta_text, st.one_of(st.floats(), st.booleans(), _meta_text,
+                                                      st.integers(-10**6, 10**6)), max_size=4))
+@example(n_modes=5, k=2, leakage=True, noise=False, spin_storage=3.4375, label="D", mu=1.4,
+         trials=10**6, seed=1, metadata={"f": 0.1, "b": True, "s": "x"})
+def test_histogram_export_matches_per_cell_reference(n_modes, k, leakage, noise, spin_storage, label,
+                                                      mu, trials, seed, metadata):
+    # spin_storage = 3.4375 us puts CP2 inside CP1, where the later window's
+    # label wins, and at k = 2 both ends of CP2 fall exactly on bin centres
+    schedule = StorageSchedule(n_modes=n_modes, spin_storage=spin_storage)
+    exp = ExperimentConfig(input_state=standard_state("D"), mu_per_mode=0.0 if noise else mu,
+                           schedule=schedule, bin_width=schedule.mode_duration / k, trials=trials,
+                           cp2_leakage=1e-3 if leakage else 0.0)
+    hist = simulate_run(exp, standard_setting(label), seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        export_histogram(hist, new, metadata)
+        _export_per_cell(hist, old, metadata)
+        with open(new, "rb") as fh_new, open(old, "rb") as fh_old:
+            assert fh_new.read() == fh_old.read()
+    for name in {w.label for w in hist.windows}:
+        wins = [w for w in hist.windows if w.label == name]
+        assert hist.window_counts(name) == sum(int(hist.counts[_mask_bins(hist, w)].sum()) for w in wins)
+        modes = sorted({w.mode for w in wins if w.mode is not None})
+        expected = [sum(int(hist.counts[_mask_bins(hist, w)].sum()) for w in wins if w.mode == m)
+                    for m in modes]
+        assert hist.mode_counts(name).tolist() == expected
 
 
 def test_config_validation():
