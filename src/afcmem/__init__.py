@@ -14,9 +14,8 @@ __version__ = "0.1.0"
 from .bounds import (BoundResult, StrategyParams, massar_popescu, poisson_conditional_bound,
                      quantumness_verdict, threshold_bound, transmitted_constrained_bound)
 from .errors import ConfigError, EstimationError
-from .memory import (MemoryParams, StorageSchedule, anisotropic_efficiency, classical_fidelity,
-                     conversion_efficiency, fidelity_vs_photon_number, mu1, multiplexing_gain,
-                     predicted_fidelity, spin_decay_factor, validate_schedule, visibility)
+from .memory import (MemoryParams, StorageSchedule, anisotropic_efficiency,
+                     fidelity_vs_photon_number, mu1, predicted_fidelity, validate_schedule)
 from .montecarlo import (CountHistogram, ExperimentConfig, ParamEstimate, TransmissionEstimate,
                          estimate_params, estimate_transmission, export_histogram,
                          model_conditional_fidelity, model_mode_fidelity, sequence_windows,
@@ -35,14 +34,14 @@ __all__ = [
     "ParamEstimate", "PolarizationState", "ProcessMatrix", "SETTING_LABELS",
     "STATE_LABELS", "StorageSchedule", "StrategyParams", "TomographyData",
     "TransmissionEstimate", "anisotropic_efficiency", "apply_process", "chi_to_choi",
-    "choi_to_chi", "classical_fidelity", "conversion_efficiency", "estimate_params",
+    "choi_to_chi", "estimate_params",
     "estimate_transmission", "expectation", "export_histogram", "export_process_matrix",
     "fidelity", "fidelity_vs_photon_number", "massar_popescu", "mle_state",
     "model_conditional_fidelity", "model_mode_fidelity",
-    "monte_carlo_errors", "mu1", "multiplexing_gain", "orthogonal_label",
+    "monte_carlo_errors", "mu1", "orthogonal_label",
     "orthogonal_state", "poisson_conditional_bound", "predicted_fidelity",
     "process_tomography", "project_process_matrix", "quantumness_verdict",
     "random_process_matrix", "sequence_windows", "simulate_run",
-    "spin_decay_factor", "standard_setting", "standard_state", "threshold_bound",
-    "trace_distance", "transmitted_constrained_bound", "validate_schedule", "visibility",
+    "standard_setting", "standard_state", "threshold_bound",
+    "trace_distance", "transmitted_constrained_bound", "validate_schedule",
 ]

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .refdata import ETA_M_BENCH, ETA_T_MEAN, F_T_MEAN
+
 _NAN = float("nan")
 _PMF_REL_CUTOFF = 1e-15
 
@@ -175,8 +177,8 @@ def threshold_bound(mu: float, eta_m: float, *, matching: str = "exp") -> BoundR
                        description=f"threshold, matching={matching}")
 
 
-def transmitted_constrained_bound(mu: float, f_t: float = 0.972, eta_t: float = 0.296,
-                                  eta_m: float = 0.0385, *, grid_points: int = 50,
+def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float = ETA_T_MEAN,
+                                  eta_m: float = ETA_M_BENCH, *, grid_points: int = 50,
                                   refine_rounds: int = 2, matching: str = "exp") -> BoundResult:
     """Classical benchmark when the transmitted input is also verified.
 

@@ -6,6 +6,12 @@ their '#' preamble, and a re-run with the same arguments is byte
 identical. Commands that draw random numbers refuse to run without an
 explicit --seed.
 
+reproduce-paper runs one stage per reference table: table1 (with fig2),
+tableA1, tableB1 (with fig3b), tableC1, fig3a, figD1 and verdicts. Each
+writes its CSV and appends its comparisons to the one summary.csv list.
+The bound and verdict rows, the six-setting tomography and the mu1 band
+are the same helpers that bounds, tomography and predict use.
+
 Exit codes: 0 success, 2 configuration/validation error, 3 runtime or
 estimation failure.
 """
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -23,10 +30,10 @@ import numpy as np
 from . import __version__
 from .bounds import poisson_conditional_bound, quantumness_verdict, threshold_bound, \
     transmitted_constrained_bound
-from .config import build_experiment_config, build_memory_params, build_schedule, \
-    canonical_text, config_hash, default_config, load_config
+from .config import build_experiment_config, canonical_text, config_hash, default_config, \
+    detection_kwargs, load_config
 from .errors import ConfigError, EstimationError
-from .memory import fidelity_vs_photon_number, validate_schedule
+from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number, validate_schedule
 from .montecarlo import ExperimentConfig, estimate_params, estimate_transmission, \
     export_histogram, model_conditional_fidelity, model_mode_fidelity, simulate_run
 from .polarization import STATE_LABELS, fidelity, orthogonal_label, standard_setting, standard_state
@@ -37,6 +44,8 @@ from .tomography import SETTING_LABELS, TomographyData, export_process_matrix, m
     monte_carlo_errors, process_tomography
 
 _STOCHASTIC = ("simulate", "tomography", "reproduce-paper")
+_VERDICT_HEADER = ["mu", "fidelity", "fidelity_err", "threshold_bound", "verdict",
+                   "transmitted_bound", "verdict_transmitted"]
 
 
 def _derived_seed(*parts: int) -> int:
@@ -65,6 +74,69 @@ def _mu_grid(section, mu_list):
     return mus
 
 
+def _mu1_band(p, mus):
+    """(mu, low, model, high) rows of the fidelity model for mu1 -+ mu1_err."""
+    mu1, mu1_err, f_c = p["mu1"], p["mu1_err"], p["f_c"]
+    if mu1 < 0 or mu1_err < 0:
+        raise ConfigError("mu1 and mu1_err must be nonnegative")
+    band = (mu1 + mu1_err, mu1, max(mu1 - mu1_err, 0.0))
+    return [(float(mu), *(fidelity_vs_photon_number(mu, m, f_c) for m in band)) for mu in mus]
+
+
+def _bounds_at(b, grid, mu):
+    """Threshold and transmitted bounds at mu; grid is [bounds] or [reproduce]."""
+    thr = threshold_bound(mu, b["eta_m"], matching=b["matching"])
+    tra = transmitted_constrained_bound(mu, b["f_t"], b["eta_t"], b["eta_m"],
+                                        grid_points=grid["grid_points"],
+                                        refine_rounds=grid["refine_rounds"],
+                                        matching=b["matching"])
+    return thr, tra
+
+
+def _bound_curve(b, grid, mus):
+    """(mu, plain bound, threshold result, transmitted result) at each mu."""
+    return [(mu, poisson_conditional_bound(mu), *_bounds_at(b, grid, mu)) for mu in map(float, mus)]
+
+
+def _verdict_rows(b, grid):
+    """Verdict rows at the measured working points of the photon-number scan."""
+    rows = []
+    for rec in MU_SCAN:
+        thr, tra = _bounds_at(b, grid, rec.mu)
+        rows.append((rec.mu, rec.fidelity, rec.fidelity_err,
+                     thr.bound, quantumness_verdict(rec.fidelity, rec.fidelity_err, thr.bound, b["k_sigma"]),
+                     tra.bound, quantumness_verdict(rec.fidelity, rec.fidelity_err, tra.bound, b["k_sigma"])))
+    return rows
+
+
+def _six_settings(exp: ExperimentConfig, seed: int, stream: int) -> TomographyData:
+    """Output-window counts in the six analyzer settings, with their dark backgrounds."""
+    counts, backgrounds = {}, {}
+    bg = exp.trials * exp.dark_per_gate * exp.schedule.n_modes
+    for j, s in enumerate(SETTING_LABELS):
+        hist = simulate_run(exp, standard_setting(s), seed=_derived_seed(seed, stream, j))
+        counts[s] = hist.window_counts("output")
+        backgrounds[s] = bg
+    return TomographyData.from_counts(counts, backgrounds=backgrounds)
+
+
+def _fit_state(data: TomographyData, label: str, resamples: int, seed: int):
+    """MLE state, its fidelity to the ideal input and the bootstrap sigma of that fidelity."""
+    est = mle_state(data)
+    sigma = monte_carlo_errors(data, target=standard_state(label),
+                               resamples=resamples, seed=seed)["fidelity"]
+    return est, fidelity(est.state, standard_state(label)), sigma
+
+
+def _export_chi(labels, states, project: bool, path: str, meta):
+    """Process matrix from the ideal inputs and the fitted states, written to path."""
+    proc = process_tomography([standard_state(l) for l in labels], states, project=project)
+    export_process_matrix(proc.chi, path, projected=proc.projected,
+                          metadata={**meta, "chi00": proc.chi00, "tp_defect": proc.tp_defect(),
+                                    "min_eigenvalue": proc.min_eigenvalue()})
+    return proc
+
+
 def cmd_show_defaults() -> int:
     sys.stdout.write(canonical_text(default_config()))
     return 0
@@ -72,17 +144,9 @@ def cmd_show_defaults() -> int:
 
 def cmd_predict(cfg, seed, out, mu_list) -> int:
     p = cfg["predict"]
-    mus = _mu_grid(p, mu_list)
-    mu1, mu1_err, f_c = p["mu1"], p["mu1_err"], p["f_c"]
-    if mu1 < 0 or mu1_err < 0:
-        raise ConfigError("mu1 and mu1_err must be nonnegative")
-    lo1, hi1 = mu1 + mu1_err, max(mu1 - mu1_err, 0.0)
-    rows = [(float(mu),
-             fidelity_vs_photon_number(mu, lo1, f_c),
-             fidelity_vs_photon_number(mu, mu1, f_c),
-             fidelity_vs_photon_number(mu, hi1, f_c)) for mu in mus]
+    rows = _mu1_band(p, _mu_grid(p, mu_list))
     path = os.path.join(out, "predict_fidelity.csv")
-    write_csv(path, _metadata("predict", seed, cfg, mu1=mu1, mu1_err=mu1_err, f_c=f_c),
+    write_csv(path, _metadata("predict", seed, cfg, mu1=p["mu1"], mu1_err=p["mu1_err"], f_c=p["f_c"]),
               ["mu", "band_low", "fidelity", "band_high"], rows)
     print(f"predict: wrote {path} ({len(rows)} points)")
     return 0
@@ -104,9 +168,8 @@ def cmd_simulate(cfg, seed, out, mu_list, trials) -> int:
     par, orth, noise = _triple_run(exp, label, seed, 0)
     est = estimate_params([par, orth, noise], exp)
     meta = _metadata("simulate", seed, cfg)
-    export_histogram(par, os.path.join(out, "histogram_parallel.csv"), meta)
-    export_histogram(orth, os.path.join(out, "histogram_orthogonal.csv"), meta)
-    export_histogram(noise, os.path.join(out, "histogram_noise.csv"), meta)
+    for name, hist in (("parallel", par), ("orthogonal", orth), ("noise", noise)):
+        export_histogram(hist, os.path.join(out, f"histogram_{name}.csv"), meta)
     rows = [("eta", est.eta_hat, est.eta_err),
             ("p_n", est.p_n_hat, est.p_n_err),
             ("fidelity", est.fidelity_hat, est.fidelity_err)]
@@ -165,44 +228,30 @@ def cmd_tomography(cfg, seed, out) -> int:
         raise ConfigError("input_labels do not span the state space; process tomography needs 4 independent inputs")
     meta = _metadata("tomography", seed, cfg)
 
-    datasets: dict[str, TomographyData] = {}
     if tomo["counts_file"]:
         table = _read_counts_file(tomo["counts_file"])
         missing = [l for l in labels if l not in table]
         if missing:
             raise ConfigError(f"counts file lacks input states {missing}")
-        for l in labels:
-            datasets[l] = TomographyData.from_counts(table[l])
+        datasets = [TomographyData.from_counts(table[l]) for l in labels]
     else:
+        datasets = []
         for i, l in enumerate(labels):
             exp = build_experiment_config(cfg, seed, input_state=l,
                                           mu_per_mode=tomo["mu"], trials=tomo["trials"])
-            counts, backgrounds = {}, {}
-            bg = exp.trials * exp.dark_per_gate * exp.schedule.n_modes
-            for j, s in enumerate(SETTING_LABELS):
-                hist = simulate_run(exp, standard_setting(s), seed=_derived_seed(seed, 10 + i, j))
-                counts[s] = hist.window_counts("output")
-                backgrounds[s] = bg
-            datasets[l] = TomographyData.from_counts(counts, backgrounds=backgrounds)
+            datasets.append(_six_settings(exp, seed, 10 + i))
 
-    rows, ideals, states = [], [], []
-    for i, l in enumerate(labels):
-        est = mle_state(datasets[l])
-        errs = monte_carlo_errors(datasets[l], target=standard_state(l),
-                                  resamples=tomo["resamples"], seed=_derived_seed(seed, 500, i))
-        f_hat = fidelity(est.state, standard_state(l))
-        ideals.append(standard_state(l))
+    rows, states = [], []
+    for i, (l, data) in enumerate(zip(labels, datasets)):
+        est, f_hat, sigma = _fit_state(data, l, tomo["resamples"], _derived_seed(seed, 500, i))
         states.append(est.state)
-        rows.append((l, f_hat, errs["fidelity"], est.state.purity,
+        rows.append((l, f_hat, sigma, est.state.purity,
                      est.log_likelihood, est.iterations, est.converged, est.low_rank))
     write_csv(os.path.join(out, "state_fidelity.csv"), meta,
               ["input", "fidelity", "fidelity_err", "purity",
                "log_likelihood", "iterations", "converged", "low_rank"], rows)
 
-    proc = process_tomography(ideals, states, project=tomo["project"])
-    export_process_matrix(proc.chi, os.path.join(out, "chi.csv"), projected=proc.projected,
-                          metadata={**meta, "chi00": proc.chi00, "tp_defect": proc.tp_defect(),
-                                    "min_eigenvalue": proc.min_eigenvalue()})
+    proc = _export_chi(labels, states, tomo["project"], os.path.join(out, "chi.csv"), meta)
     print(f"tomography: chi00={proc.chi00:.4f}; state fidelities " +
           " ".join(f"{l}={r[1]:.4f}" for l, r in zip(labels, rows)))
     return 0
@@ -213,45 +262,166 @@ def cmd_bounds(cfg, seed, out, mu_list) -> int:
     mus = _mu_grid(b, mu_list)
     meta = _metadata("bounds", seed, cfg, eta_m=b["eta_m"], f_t=b["f_t"], eta_t=b["eta_t"],
                      matching=b["matching"])
-    rows = []
-    for mu in mus:
-        mu = float(mu)
-        plain = poisson_conditional_bound(mu)
-        thr = threshold_bound(mu, b["eta_m"], matching=b["matching"])
-        tra = transmitted_constrained_bound(mu, b["f_t"], b["eta_t"], b["eta_m"],
-                                            grid_points=b["grid_points"],
-                                            refine_rounds=b["refine_rounds"],
-                                            matching=b["matching"])
-        rows.append((mu, plain, thr.bound, tra.bound, thr.params.n_min, thr.params.gamma,
-                     tra.params.p, tra.params.q, tra.params.delta,
-                     tra.params.eta_m1, tra.params.eta_m2))
+    rows = [(mu, plain, thr.bound, tra.bound, thr.params.n_min, thr.params.gamma,
+             tra.params.p, tra.params.q, tra.params.delta, tra.params.eta_m1, tra.params.eta_m2)
+            for mu, plain, thr, tra in _bound_curve(b, b, mus)]
     write_csv(os.path.join(out, "bound_curve.csv"), meta,
               ["mu", "plain", "threshold", "transmitted", "threshold_n_min", "threshold_gamma",
                "strategy_p", "strategy_q", "strategy_delta", "strategy_eta_m1", "strategy_eta_m2"],
               rows)
-
-    vrows, verdicts = [], []
-    for rec in MU_SCAN:
-        thr = threshold_bound(rec.mu, b["eta_m"], matching=b["matching"])
-        tra = transmitted_constrained_bound(rec.mu, b["f_t"], b["eta_t"], b["eta_m"],
-                                            grid_points=b["grid_points"],
-                                            refine_rounds=b["refine_rounds"],
-                                            matching=b["matching"])
-        v = quantumness_verdict(rec.fidelity, rec.fidelity_err, thr.bound, b["k_sigma"])
-        v_tra = quantumness_verdict(rec.fidelity, rec.fidelity_err, tra.bound, b["k_sigma"])
-        vrows.append((rec.mu, rec.fidelity, rec.fidelity_err, thr.bound, v, tra.bound, v_tra))
-        verdicts.append(f"mu={rec.mu:g}: {v}")
-    write_csv(os.path.join(out, "verdicts.csv"), meta,
-              ["mu", "fidelity", "fidelity_err", "threshold_bound", "verdict",
-               "transmitted_bound", "verdict_transmitted"], vrows)
-    print("bounds: " + "; ".join(verdicts))
+    vrows = _verdict_rows(b, b)
+    write_csv(os.path.join(out, "verdicts.csv"), meta, _VERDICT_HEADER, vrows)
+    print("bounds: " + "; ".join(f"mu={r[0]:g}: {r[4]}" for r in vrows))
     return 0
 
 
+def _experiment(cfg, seed, label: str, mu, params, **detection) -> ExperimentConfig:
+    """A reproduce-paper run: [reproduce] trials, the configured schedule and detection."""
+    return ExperimentConfig(input_state=standard_state(label), mu_per_mode=mu,
+                            schedule=StorageSchedule(**cfg["schedule"]), params=params,
+                            trials=cfg["reproduce"]["trials"], rng_seed=seed,
+                            **{**detection_kwargs(cfg), **detection})
+
+
+def _stage_table1(cfg, seed, out, meta, check):
+    """Photon-number scan: closure of the generator/estimator pair per row; fig2 is row 2's histogram."""
+    mem = MemoryParams(**cfg["memory"])
+    rows = []
+    for i, rec in enumerate(MU_SCAN):
+        exp = _experiment(cfg, seed, "D", rec.mu, replace(mem, eta=rec.eta, p_n=rec.p_n))
+        par, orth, noise = _triple_run(exp, "D", seed, 100 + 10 * i)
+        est = estimate_params([par, orth, noise], exp)
+        if i == 1:
+            export_histogram(par, os.path.join(out, "fig2_histogram.csv"), meta)
+        mu1_row = rec.p_n / rec.eta
+        f_row = fidelity_vs_photon_number(rec.mu, mu1_row, mem.f_c)
+        f_model = model_conditional_fidelity(exp, par.analysis, orth.analysis)
+        f_glob = fidelity_vs_photon_number(rec.mu, MU1_MEAN, F_C_MEAN)
+        rows.append((rec.mu, rec.eta, est.eta_hat, est.eta_err, rec.p_n, est.p_n_hat,
+                     est.p_n_err, mu1_row, rec.mu1, rec.mu1_err, rec.fidelity,
+                     est.fidelity_hat, est.fidelity_err, f_row, f_glob))
+        check("table1", f"eta(mu={rec.mu:g})", est.eta_hat, rec.eta, 3 * est.eta_err)
+        check("table1", f"p_n(mu={rec.mu:g})", est.p_n_hat, rec.p_n, 3 * est.p_n_err)
+        check("table1", f"fidelity(mu={rec.mu:g})", est.fidelity_hat, f_model, 3 * est.fidelity_err)
+        check("table1", f"predicted_fidelity(mu={rec.mu:g})", f_glob, rec.fidelity, 0.02)
+        check("table1", f"mu1(mu={rec.mu:g})", mu1_row, rec.mu1, rec.mu1_err)
+    write_csv(os.path.join(out, "table1.csv"), meta,
+              ["mu", "eta_ref", "eta_hat", "eta_err", "p_n_ref", "p_n_hat", "p_n_err",
+               "mu1", "mu1_ref", "mu1_ref_err", "fidelity_ref", "fidelity_hat",
+               "fidelity_err", "fidelity_row_model", "fidelity_global_model"], rows)
+
+
+def _stage_table_a1(cfg, seed, out, meta, check):
+    """Mode-resolved run: five modes with their own efficiencies and noise floors."""
+    mem = MemoryParams(**cfg["memory"])
+    exp = _experiment(cfg, seed, "D", tuple(r.mu for r in MODE_SCAN),
+                      tuple(replace(mem, eta=r.eta, p_n=r.p_n) for r in MODE_SCAN))
+    par, orth, noise = _triple_run(exp, "D", seed, 200)
+    est = estimate_params([par, orth, noise], exp)
+    f_model = model_mode_fidelity(exp, par.analysis, orth.analysis)
+    rows = []
+    for m, r in enumerate(MODE_SCAN):
+        mu1_row = r.p_n / r.eta
+        f_row = fidelity_vs_photon_number(r.mu, mu1_row, mem.f_c)
+        f_hat = float(est.mode_fidelity[m])
+        f_err = float(est.mode_fidelity_err[m])
+        rows.append((m + 1, r.mu, r.eta, r.p_n, mu1_row, r.mu1, r.mu1_err,
+                     r.fidelity, r.fidelity_err, f_hat, f_err, f_row))
+        check("tableA1", f"mu1(mode {m + 1})", mu1_row, r.mu1, r.mu1_err)
+        check("tableA1", f"fidelity_closure(mode {m + 1})", f_hat, float(f_model[m]), 3 * f_err)
+        check("tableA1", f"fidelity(mode {m + 1})", f_hat, r.fidelity,
+              3 * float(np.hypot(f_err, r.fidelity_err)))
+    write_csv(os.path.join(out, "tableA1.csv"), meta,
+              ["mode", "mu", "eta_ref", "p_n_ref", "mu1", "mu1_ref", "mu1_ref_err",
+               "fidelity_ref", "fidelity_ref_err", "fidelity_hat", "fidelity_err",
+               "fidelity_row_model"], rows)
+
+
+def _stage_table_b1(cfg, seed, out, meta, check):
+    """Per-input-state tomography and the fig3b process matrix. The noise floor is matched
+    to the measured fidelity (it stays inside the quoted p_n uncertainty for every state)."""
+    mem = MemoryParams(**cfg["memory"])
+    rows, states = [], []
+    for i, rec in enumerate(STATE_SCAN):
+        p_match = matched_noise_floor(rec.eta, rec.fidelity, rec.mu, mem.f_c)
+        exp = _experiment(cfg, seed, rec.label, rec.mu, replace(mem, eta=rec.eta, p_n=p_match), dark_rate=0.0)
+        est, f_hat, sigma = _fit_state(_six_settings(exp, seed, 300 + 10 * i), rec.label,
+                                       cfg["reproduce"]["resamples"], _derived_seed(seed, 400, i))
+        states.append(est.state)
+        rows.append((rec.label, rec.mu, rec.eta, p_match, rec.p_n, rec.p_n_err,
+                     rec.fidelity, rec.fidelity_err, f_hat, sigma, est.converged))
+        check("tableB1", f"fidelity({rec.label})", f_hat, rec.fidelity,
+              3 * float(np.hypot(sigma, rec.fidelity_err)))
+        check("tableB1", f"matched_p_n({rec.label})", p_match, rec.p_n, rec.p_n_err)
+    write_csv(os.path.join(out, "tableB1.csv"), meta,
+              ["input", "mu", "eta_ref", "p_n_matched", "p_n_ref", "p_n_ref_err",
+               "fidelity_ref", "fidelity_ref_err", "fidelity_hat", "fidelity_err",
+               "mle_converged"], rows)
+    proc = _export_chi([rec.label for rec in STATE_SCAN], states, True,
+                       os.path.join(out, "fig3b_chi.csv"), meta)
+    check("fig3b", "chi00", proc.chi00, CHI00_MEASURED, 0.04)
+
+
+def _stage_table_c1(cfg, seed, out, meta, check):
+    """Transmitted-state characterization: R input, per-mode transmissions."""
+    mem = MemoryParams(**cfg["memory"])
+    rrec = STATE_SCAN[3]
+    exp = _experiment(cfg, seed, "R", rrec.mu,
+                      tuple(replace(mem, eta=rrec.eta, p_n=rrec.p_n, eta_t=t.transmission, f_t=t.fidelity)
+                            for t in TRANSMITTED_MODES))
+    par = simulate_run(exp, standard_setting("R"), seed=_derived_seed(seed, 250))
+    orth = simulate_run(exp, standard_setting("L"), seed=_derived_seed(seed, 251))
+    tr = estimate_transmission([par, orth], exp)
+    par_in, orth_in = par.mode_counts("input"), orth.mode_counts("input")
+    rows = []
+    for m, t in enumerate(TRANSMITTED_MODES):
+        snr = float(par_in[m]) / max(float(orth_in[m]), 1.0)
+        rows.append((m + 1, t.transmission, float(tr.transmission[m]), float(tr.transmission_err[m]),
+                     t.fidelity, t.fidelity_err, float(tr.fidelity[m]), float(tr.fidelity_err[m]), snr))
+        check("tableC1", f"transmission(mode {m + 1})", tr.transmission[m], t.transmission,
+              3 * float(tr.transmission_err[m]))
+        check("tableC1", f"transmitted_fidelity(mode {m + 1})", tr.fidelity[m], t.fidelity,
+              3 * float(np.hypot(tr.fidelity_err[m], t.fidelity_err)))
+    write_csv(os.path.join(out, "tableC1.csv"), meta,
+              ["mode", "transmission_ref", "transmission_hat", "transmission_err",
+               "fidelity_ref", "fidelity_ref_err", "fidelity_hat", "fidelity_err",
+               "parallel_to_orthogonal_ratio"], rows)
+
+
+def _stage_fig3a(cfg, seed, out, meta, check):
+    """Fidelity prediction vs photon number, with the mu1 band and the threshold bound."""
+    b = cfg["bounds"]
+    rows = [(mu, lo, mid, hi, threshold_bound(mu, b["eta_m"], matching=b["matching"]).bound)
+            for mu, lo, mid, hi in _mu1_band(cfg["predict"], np.linspace(0.5, 10.0, 39))]
+    write_csv(os.path.join(out, "fig3a.csv"), meta,
+              ["mu", "band_low", "predicted", "band_high", "threshold_bound"], rows)
+    check("fig3a", "band_ordering_violations", sum(not lo <= mid <= hi for _, lo, mid, hi, _ in rows), 0, 0)
+
+
+def _stage_fig_d1(cfg, seed, out, meta, check):
+    """The three classical benchmarks over a log photon-number grid."""
+    rp = cfg["reproduce"]
+    rows = [(mu, plain, thr.bound, tra.bound) for mu, plain, thr, tra in
+            _bound_curve(cfg["bounds"], rp, np.geomspace(0.5, 10.0, rp["bound_points"]))]
+    write_csv(os.path.join(out, "figD1_bounds.csv"), meta,
+              ["mu", "plain", "threshold", "transmitted"], rows)
+    arr = np.asarray(rows)
+    check("figD1", "plain_le_threshold_violations", int((arr[:, 1] > arr[:, 2] + 1e-12).sum()), 0, 0)
+    check("figD1", "transmitted_le_threshold_violations", int((arr[:, 3] > arr[:, 2] + 1e-12).sum()), 0, 0)
+    check("figD1", "bound_floor_deficit", max(0.0, 2.0 / 3.0 - float(arr[:, 1:].min())), 0.0, 0.0)
+
+
+def _stage_verdicts(cfg, seed, out, meta, check):
+    """Quantumness verdicts at the measured working points, against the published ones."""
+    rows = []
+    for row, expected in zip(_verdict_rows(cfg["bounds"], cfg["reproduce"]), EXPECTED_VERDICTS):
+        rows.append((*row, expected))
+        check("verdicts", f"verdict_matches(mu={row[0]:g})", float(row[4] == expected), 1.0, 0.0)
+    write_csv(os.path.join(out, "verdicts.csv"), meta, _VERDICT_HEADER + ["expected"], rows)
+
+
 def cmd_reproduce_paper(cfg, seed, out) -> int:
-    rp, det = cfg["reproduce"], cfg["detection"]
-    mem = build_memory_params(cfg)
-    schedule = build_schedule(cfg)
+    schedule = StorageSchedule(**cfg["schedule"])
     problems = validate_schedule(schedule)
     if problems:
         raise ConfigError("; ".join(problems))
@@ -261,196 +431,24 @@ def cmd_reproduce_paper(cfg, seed, out) -> int:
     def check(table, quantity, value, reference, tol):
         value, reference, tol = float(value), float(reference), float(tol)
         err = abs(value - reference)
-        summary.append((table, quantity, value, reference, tol, err, err <= tol))
+        summary.append((table, quantity, value, reference, tol, err, "ok" if err <= tol else "FAIL"))
 
     check("schedule", "total_storage_us", schedule.total_storage, 515.0, 1e-9)
-
-    detkw = dict(detector_efficiency=det["detector_efficiency"], dark_rate=det["dark_rate"],
-                 transmission_to_detector=det["transmission_to_detector"],
-                 bin_width=det["bin_width"] or None, dark_gate_width=det["dark_gate_width"] or None)
-
-    # photon-number scan: closure of the generator/estimator pair per row
-    t1rows, fig2_hist = [], None
-    for i, rec in enumerate(MU_SCAN):
-        params = replace(mem, eta=rec.eta, p_n=rec.p_n)
-        exp = ExperimentConfig(input_state=standard_state("D"), mu_per_mode=rec.mu,
-                               schedule=schedule, params=params, trials=rp["trials"],
-                               rng_seed=seed, **detkw)
-        par, orth, noise = _triple_run(exp, "D", seed, 100 + 10 * i)
-        est = estimate_params([par, orth, noise], exp)
-        if i == 1:
-            fig2_hist = par
-        mu1_row = rec.p_n / rec.eta
-        f_row = fidelity_vs_photon_number(rec.mu, mu1_row, mem.f_c)
-        f_model = model_conditional_fidelity(exp, par.analysis, orth.analysis)
-        f_glob = fidelity_vs_photon_number(rec.mu, MU1_MEAN, F_C_MEAN)
-        t1rows.append((rec.mu, rec.eta, est.eta_hat, est.eta_err, rec.p_n, est.p_n_hat,
-                       est.p_n_err, mu1_row, rec.mu1, rec.mu1_err, rec.fidelity,
-                       est.fidelity_hat, est.fidelity_err, f_row, f_glob))
-        check("table1", f"eta(mu={rec.mu:g})", est.eta_hat, rec.eta, 3 * est.eta_err)
-        check("table1", f"p_n(mu={rec.mu:g})", est.p_n_hat, rec.p_n, 3 * est.p_n_err)
-        check("table1", f"fidelity(mu={rec.mu:g})", est.fidelity_hat, f_model, 3 * est.fidelity_err)
-        check("table1", f"predicted_fidelity(mu={rec.mu:g})", f_glob, rec.fidelity, 0.02)
-        check("table1", f"mu1(mu={rec.mu:g})", mu1_row, rec.mu1, rec.mu1_err)
-    write_csv(os.path.join(out, "table1.csv"), meta,
-              ["mu", "eta_ref", "eta_hat", "eta_err", "p_n_ref", "p_n_hat", "p_n_err",
-               "mu1", "mu1_ref", "mu1_ref_err", "fidelity_ref", "fidelity_hat",
-               "fidelity_err", "fidelity_row_model", "fidelity_global_model"], t1rows)
-
-    # mode-resolved run: five modes with their own efficiencies and noise floors
-    paramsA = tuple(replace(mem, eta=r.eta, p_n=r.p_n) for r in MODE_SCAN)
-    expA = ExperimentConfig(input_state=standard_state("D"),
-                            mu_per_mode=tuple(r.mu for r in MODE_SCAN),
-                            schedule=schedule, params=paramsA, trials=rp["trials"],
-                            rng_seed=seed, **detkw)
-    parA, orthA, noiseA = _triple_run(expA, "D", seed, 200)
-    estA = estimate_params([parA, orthA, noiseA], expA)
-    f_modelA = model_mode_fidelity(expA, parA.analysis, orthA.analysis)
-    arows = []
-    for m, r in enumerate(MODE_SCAN):
-        mu1_row = r.p_n / r.eta
-        f_row = fidelity_vs_photon_number(r.mu, mu1_row, mem.f_c)
-        f_hat = float(estA.mode_fidelity[m])
-        f_err = float(estA.mode_fidelity_err[m])
-        arows.append((m + 1, r.mu, r.eta, r.p_n, mu1_row, r.mu1, r.mu1_err,
-                      r.fidelity, r.fidelity_err, f_hat, f_err, f_row))
-        check("tableA1", f"mu1(mode {m + 1})", mu1_row, r.mu1, r.mu1_err)
-        check("tableA1", f"fidelity_closure(mode {m + 1})", f_hat, float(f_modelA[m]), 3 * f_err)
-        check("tableA1", f"fidelity(mode {m + 1})", f_hat, r.fidelity,
-              3 * float(np.hypot(f_err, r.fidelity_err)))
-    write_csv(os.path.join(out, "tableA1.csv"), meta,
-              ["mode", "mu", "eta_ref", "p_n_ref", "mu1", "mu1_ref", "mu1_ref_err",
-               "fidelity_ref", "fidelity_ref_err", "fidelity_hat", "fidelity_err",
-               "fidelity_row_model"], arows)
-
-    # per-input-state tomography; noise floor matched to the measured
-    # fidelity (stays inside the quoted p_n uncertainty for every state)
-    detkw_tomo = dict(detkw, dark_rate=0.0)
-    brows, ideals, states = [], [], []
-    for i, rec in enumerate(STATE_SCAN):
-        p_match = matched_noise_floor(rec.eta, rec.fidelity, rec.mu, mem.f_c)
-        params = replace(mem, eta=rec.eta, p_n=p_match)
-        exp = ExperimentConfig(input_state=standard_state(rec.label), mu_per_mode=rec.mu,
-                               schedule=schedule, params=params, trials=rp["trials"],
-                               rng_seed=seed, **detkw_tomo)
-        counts = {}
-        for j, s in enumerate(SETTING_LABELS):
-            hist = simulate_run(exp, standard_setting(s), seed=_derived_seed(seed, 300 + 10 * i, j))
-            counts[s] = hist.window_counts("output")
-        data = TomographyData.from_counts(counts)
-        est = mle_state(data)
-        sigma = monte_carlo_errors(data, target=standard_state(rec.label),
-                                   resamples=rp["resamples"],
-                                   seed=_derived_seed(seed, 400, i))["fidelity"]
-        f_hat = fidelity(est.state, standard_state(rec.label))
-        ideals.append(standard_state(rec.label))
-        states.append(est.state)
-        brows.append((rec.label, rec.mu, rec.eta, p_match, rec.p_n, rec.p_n_err,
-                      rec.fidelity, rec.fidelity_err, f_hat, sigma, est.converged))
-        check("tableB1", f"fidelity({rec.label})", f_hat, rec.fidelity,
-              3 * float(np.hypot(sigma, rec.fidelity_err)))
-        check("tableB1", f"matched_p_n({rec.label})", p_match, rec.p_n, rec.p_n_err)
-    write_csv(os.path.join(out, "tableB1.csv"), meta,
-              ["input", "mu", "eta_ref", "p_n_matched", "p_n_ref", "p_n_ref_err",
-               "fidelity_ref", "fidelity_ref_err", "fidelity_hat", "fidelity_err",
-               "mle_converged"], brows)
-
-    proc = process_tomography(ideals, states, project=True)
-    export_process_matrix(proc.chi, os.path.join(out, "fig3b_chi.csv"), projected=True,
-                          metadata={**meta, "chi00": proc.chi00, "tp_defect": proc.tp_defect(),
-                                    "min_eigenvalue": proc.min_eigenvalue()})
-    check("fig3b", "chi00", proc.chi00, CHI00_MEASURED, 0.04)
-
-    # transmitted-state characterization, R input, per-mode transmissions
-    rrec = STATE_SCAN[3]
-    paramsC = tuple(replace(mem, eta=rrec.eta, p_n=rrec.p_n, eta_t=t.transmission, f_t=t.fidelity)
-                    for t in TRANSMITTED_MODES)
-    expC = ExperimentConfig(input_state=standard_state("R"), mu_per_mode=rrec.mu,
-                            schedule=schedule, params=paramsC, trials=rp["trials"],
-                            rng_seed=seed, **detkw)
-    parC = simulate_run(expC, standard_setting("R"), seed=_derived_seed(seed, 250))
-    orthC = simulate_run(expC, standard_setting("L"), seed=_derived_seed(seed, 251))
-    tr = estimate_transmission([parC, orthC], expC)
-    par_in, orth_in = parC.mode_counts("input"), orthC.mode_counts("input")
-    crows = []
-    for m, t in enumerate(TRANSMITTED_MODES):
-        snr = float(par_in[m]) / max(float(orth_in[m]), 1.0)
-        crows.append((m + 1, t.transmission, float(tr.transmission[m]), float(tr.transmission_err[m]),
-                      t.fidelity, t.fidelity_err, float(tr.fidelity[m]), float(tr.fidelity_err[m]), snr))
-        check("tableC1", f"transmission(mode {m + 1})", tr.transmission[m], t.transmission,
-              3 * float(tr.transmission_err[m]))
-        check("tableC1", f"transmitted_fidelity(mode {m + 1})", tr.fidelity[m], t.fidelity,
-              3 * float(np.hypot(tr.fidelity_err[m], t.fidelity_err)))
-    write_csv(os.path.join(out, "tableC1.csv"), meta,
-              ["mode", "transmission_ref", "transmission_hat", "transmission_err",
-               "fidelity_ref", "fidelity_ref_err", "fidelity_hat", "fidelity_err",
-               "parallel_to_orthogonal_ratio"], crows)
-
-    export_histogram(fig2_hist, os.path.join(out, "fig2_histogram.csv"), meta)
-
-    # fidelity prediction vs photon number, with the mu1 uncertainty band
-    p = cfg["predict"]
-    mu_grid = np.linspace(0.5, 10.0, 39)
-    f3rows, band_violations = [], 0
-    for mu in mu_grid:
-        lo = fidelity_vs_photon_number(mu, p["mu1"] + p["mu1_err"], p["f_c"])
-        mid = fidelity_vs_photon_number(mu, p["mu1"], p["f_c"])
-        hi = fidelity_vs_photon_number(mu, max(p["mu1"] - p["mu1_err"], 0.0), p["f_c"])
-        thr = threshold_bound(float(mu), cfg["bounds"]["eta_m"]).bound
-        band_violations += int(not lo <= mid <= hi)
-        f3rows.append((float(mu), lo, mid, hi, thr))
-    write_csv(os.path.join(out, "fig3a.csv"), meta,
-              ["mu", "band_low", "predicted", "band_high", "threshold_bound"], f3rows)
-    check("fig3a", "band_ordering_violations", band_violations, 0, 0)
-
-    # the three classical benchmarks over a log photon-number grid
-    b = cfg["bounds"]
-    muD = np.geomspace(0.5, 10.0, rp["bound_points"])
-    drows = []
-    for mu in muD:
-        mu = float(mu)
-        plain = poisson_conditional_bound(mu)
-        thr = threshold_bound(mu, b["eta_m"], matching=b["matching"]).bound
-        tra = transmitted_constrained_bound(mu, b["f_t"], b["eta_t"], b["eta_m"],
-                                            grid_points=rp["grid_points"],
-                                            refine_rounds=rp["refine_rounds"],
-                                            matching=b["matching"]).bound
-        drows.append((mu, plain, thr, tra))
-    write_csv(os.path.join(out, "figD1_bounds.csv"), meta,
-              ["mu", "plain", "threshold", "transmitted"], drows)
-    arr = np.asarray(drows)
-    check("figD1", "plain_le_threshold_violations", int((arr[:, 1] > arr[:, 2] + 1e-12).sum()), 0, 0)
-    check("figD1", "transmitted_le_threshold_violations", int((arr[:, 3] > arr[:, 2] + 1e-12).sum()), 0, 0)
-    check("figD1", "bound_floor_deficit", max(0.0, 2.0 / 3.0 - float(arr[:, 1:].min())), 0.0, 0.0)
-
-    # quantumness verdicts at the measured working points
-    vrows = []
-    for rec, expected in zip(MU_SCAN, EXPECTED_VERDICTS):
-        thr = threshold_bound(rec.mu, b["eta_m"], matching=b["matching"])
-        tra = transmitted_constrained_bound(rec.mu, b["f_t"], b["eta_t"], b["eta_m"],
-                                            grid_points=rp["grid_points"],
-                                            refine_rounds=rp["refine_rounds"],
-                                            matching=b["matching"])
-        v = quantumness_verdict(rec.fidelity, rec.fidelity_err, thr.bound, b["k_sigma"])
-        v_tra = quantumness_verdict(rec.fidelity, rec.fidelity_err, tra.bound, b["k_sigma"])
-        vrows.append((rec.mu, rec.fidelity, rec.fidelity_err, thr.bound, v, tra.bound, v_tra, expected))
-        check("verdicts", f"verdict_matches(mu={rec.mu:g})", float(v == expected), 1.0, 0.0)
-    write_csv(os.path.join(out, "verdicts.csv"), meta,
-              ["mu", "fidelity", "fidelity_err", "threshold_bound", "verdict",
-               "transmitted_bound", "verdict_transmitted", "expected"], vrows)
-
-    srows = [(t, q, v, r, tol, err, "ok" if ok else "FAIL")
-             for t, q, v, r, tol, err, ok in summary]
+    for stage in (_stage_table1, _stage_table_a1, _stage_table_b1, _stage_table_c1,
+                  _stage_fig3a, _stage_fig_d1, _stage_verdicts):
+        stage(cfg, seed, out, meta, check)
     write_csv(os.path.join(out, "summary.csv"), meta,
-              ["table", "quantity", "value", "reference", "tolerance", "abs_error", "status"], srows)
+              ["table", "quantity", "value", "reference", "tolerance", "abs_error", "status"], summary)
     with open(os.path.join(out, "effective_config.ini"), "w", newline="\n") as fh:
         fh.write(canonical_text(cfg))
-    n_fail = sum(1 for row in summary if not row[6])
+    n_fail = sum(1 for row in summary if row[6] == "FAIL")
     print(f"reproduce-paper: {len(summary)} comparisons, {n_fail} out of tolerance; outputs in {out}")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later main() call."""
     parser = argparse.ArgumentParser(prog="afcmem",
                                      description="Simulation and analysis of a multimode spin-wave "
                                                  "quantum memory for polarization qubits.")

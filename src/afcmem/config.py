@@ -11,97 +11,90 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
+from dataclasses import fields
 from typing import Any, Mapping
 
 from .errors import ConfigError
 from .memory import MemoryParams, StorageSchedule
 from .montecarlo import ExperimentConfig
 from .polarization import STATE_LABELS, standard_state
+from .refdata import ETA_M_BENCH, ETA_T_MEAN, F_C_MEAN, F_T_MEAN, MU1_ERR, MU1_MEAN
 
-# (type tag, default); tags: float int bool str floatlist strlist
-_SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
-    "memory": {
-        "eta": ("float", 0.036),
-        "p_n": ("float", 0.0101),
-        "f_c": ("float", 0.991),
-        "eta_t": ("float", 0.296),
-        "f_t": ("float", 0.972),
-        "eta_pol_spread": ("float", 0.09),
-    },
-    "schedule": {
-        "comb_delay": ("float", 15.0),
-        "spin_storage": ("float", 500.0),
-        "mode_duration": ("float", 1.25),
-        "n_modes": ("int", 5),
-        "control_duration": ("float", 5.0),
-        "rf_pulse_duration": ("float", 120.0),
-        "rf_pulse_count": ("int", 4),
-        "n_rep": ("int", 18),
-    },
-    "detection": {
-        "detector_efficiency": ("float", 0.57),
-        "dark_rate": ("float", 15.0),
-        "transmission_to_detector": ("float", 0.07),
-        # 0 means "derive from the schedule" (bin: mode/5, gate: mode)
-        "bin_width": ("float", 0.0),
-        "dark_gate_width": ("float", 0.0),
-    },
+# Defaults; each key's type tag (float int bool str floatlist strlist) is
+# taken from its default's type. The working-point values come from the
+# dataclasses and from refdata, so each is stated once.
+_EXPERIMENT = {f.name: f.default for f in fields(ExperimentConfig)}
+
+_SCHEMA: dict[str, dict[str, Any]] = {
+    "memory": {f.name: f.default for f in fields(MemoryParams)},
+    "schedule": {f.name: f.default for f in fields(StorageSchedule)},
+    # 0 widths mean "derive from the schedule" (bin: mode/5, gate: mode)
+    "detection": {k: _EXPERIMENT[k] or 0.0 for k in (
+        "detector_efficiency", "dark_rate", "transmission_to_detector", "bin_width",
+        "dark_gate_width")},
     "simulate": {
-        "input_state": ("str", "D"),
-        "mu_per_mode": ("floatlist", (1.4,)),
-        "trials": ("int", 1_000_000),
-        "pol_anisotropy": ("bool", False),
-        "input_window_reference": ("bool", False),
-        "cp2_leakage": ("float", 0.0),
+        "input_state": "D",
+        "mu_per_mode": (_EXPERIMENT["mu_per_mode"],),
+        **{k: _EXPERIMENT[k] for k in (
+            "trials", "pol_anisotropy", "input_window_reference", "cp2_leakage")},
     },
     "predict": {
-        "mu_min": ("float", 0.1),
-        "mu_max": ("float", 10.0),
-        "n_points": ("int", 100),
-        "mu1": ("float", 0.29),
-        "mu1_err": ("float", 0.04),
-        "f_c": ("float", 0.991),
+        "mu_min": 0.1,
+        "mu_max": 10.0,
+        "n_points": 100,
+        "mu1": MU1_MEAN,
+        "mu1_err": MU1_ERR,
+        "f_c": F_C_MEAN,
     },
     "tomography": {
-        "trials": ("int", 200_000),
-        "resamples": ("int", 200),
-        "input_labels": ("strlist", ("H", "V", "D", "R")),
-        "project": ("bool", True),
-        "mu": ("float", 1.4),
-        "counts_file": ("str", ""),
+        "trials": 200_000,
+        "resamples": 200,
+        "input_labels": ("H", "V", "D", "R"),
+        "project": True,
+        "mu": 1.4,
+        "counts_file": "",
     },
     "bounds": {
-        "mu_min": ("float", 0.5),
-        "mu_max": ("float", 10.0),
-        "n_points": ("int", 20),
-        "eta_m": ("float", 0.0385),
-        "f_t": ("float", 0.972),
-        "eta_t": ("float", 0.296),
-        "grid_points": ("int", 50),
-        "refine_rounds": ("int", 2),
-        "matching": ("str", "exp"),
-        "k_sigma": ("float", 1.0),
+        "mu_min": 0.5,
+        "mu_max": 10.0,
+        "n_points": 20,
+        "eta_m": ETA_M_BENCH,
+        "f_t": F_T_MEAN,
+        "eta_t": ETA_T_MEAN,
+        "grid_points": 50,
+        "refine_rounds": 2,
+        "matching": "exp",
+        "k_sigma": 1.0,
     },
     "reproduce": {
-        "trials": ("int", 300_000),
-        "resamples": ("int", 120),
-        "grid_points": ("int", 50),
-        "refine_rounds": ("int", 2),
-        "bound_points": ("int", 12),
+        "trials": 300_000,
+        "resamples": 120,
+        "grid_points": 50,
+        "refine_rounds": 2,
+        "bound_points": 12,
     },
 }
+
+
+def _tag(default) -> str:
+    if isinstance(default, tuple):
+        return "floatlist" if all(isinstance(v, float) for v in default) else "strlist"
+    return type(default).__name__
 
 
 def _parse_value(tag: str, raw: str, where: str):
     raw = raw.strip()
     try:
         if tag == "float":
-            return float(raw)
+            return _finite(float(raw))
         if tag == "int":
-            v = float(raw)
-            if v != int(v):
-                raise ValueError("not an integer")
-            return int(v)
+            # an integer literal, as --trials takes it; a detour through
+            # float would turn 2**53 + 1 into 2**53
+            value = int(raw)
+            if abs(value) >= 2 ** 63:
+                raise ValueError("outside the 64-bit integer range")
+            return value
         if tag == "bool":
             low = raw.lower()
             if low in ("1", "true", "yes", "on"):
@@ -112,12 +105,18 @@ def _parse_value(tag: str, raw: str, where: str):
         if tag == "str":
             return raw
         if tag == "floatlist":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+            return tuple(_finite(float(tok)) for tok in raw.split(",") if tok.strip())
         if tag == "strlist":
             return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {tag}: {exc}") from None
     raise AssertionError(f"unknown schema tag {tag}")
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _render_value(tag: str, value) -> str:
@@ -131,7 +130,7 @@ def _render_value(tag: str, value) -> str:
 
 
 def default_config() -> dict[str, dict[str, Any]]:
-    return {sec: {k: v for k, (_, v) in keys.items()} for sec, keys in _SCHEMA.items()}
+    return {sec: dict(keys) for sec, keys in _SCHEMA.items()}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, dict[str, Any]]:
@@ -148,7 +147,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, dict[str
         for key, raw in cp.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{source}: unknown key {key!r} in [{section}]")
-            tag = _SCHEMA[section][key][0]
+            tag = _tag(_SCHEMA[section][key])
             cfg[section][key] = _parse_value(tag, raw, f"{source} [{section}] {key}")
     return cfg
 
@@ -169,8 +168,8 @@ def canonical_text(cfg: Mapping[str, Mapping[str, Any]]) -> str:
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, (tag, _) in keys.items():
-            lines.append(f"{key} = {_render_value(tag, cfg[section][key])}")
+        for key, default in keys.items():
+            lines.append(f"{key} = {_render_value(_tag(default), cfg[section][key])}")
         lines.append("")
     return "\n".join(lines)
 
@@ -179,25 +178,17 @@ def config_hash(cfg: Mapping[str, Mapping[str, Any]]) -> str:
     return hashlib.sha256(canonical_text(cfg).encode()).hexdigest()[:12]
 
 
-def build_memory_params(cfg: Mapping[str, Mapping[str, Any]]) -> MemoryParams:
-    m = cfg["memory"]
-    return MemoryParams(eta=m["eta"], p_n=m["p_n"], f_c=m["f_c"],
-                        eta_t=m["eta_t"], f_t=m["f_t"], eta_pol_spread=m["eta_pol_spread"])
-
-
-def build_schedule(cfg: Mapping[str, Mapping[str, Any]]) -> StorageSchedule:
-    s = cfg["schedule"]
-    return StorageSchedule(comb_delay=s["comb_delay"], spin_storage=s["spin_storage"],
-                           mode_duration=s["mode_duration"], n_modes=s["n_modes"],
-                           control_duration=s["control_duration"],
-                           rf_pulse_duration=s["rf_pulse_duration"],
-                           rf_pulse_count=s["rf_pulse_count"], n_rep=s["n_rep"])
+def detection_kwargs(cfg: Mapping[str, Mapping[str, Any]]) -> dict[str, Any]:
+    """[detection] as ExperimentConfig keyword arguments, 0 widths as None."""
+    det = cfg["detection"]
+    return {**det, "bin_width": det["bin_width"] or None,
+            "dark_gate_width": det["dark_gate_width"] or None}
 
 
 def build_experiment_config(cfg: Mapping[str, Mapping[str, Any]], seed: int, *,
                             input_state: str | None = None,
                             mu_per_mode=None, trials: int | None = None) -> ExperimentConfig:
-    sim, det = cfg["simulate"], cfg["detection"]
+    sim = cfg["simulate"]
     label = sim["input_state"] if input_state is None else input_state
     if label not in STATE_LABELS:
         raise ConfigError(f"input_state must be one of {STATE_LABELS}, got {label!r}")
@@ -207,16 +198,12 @@ def build_experiment_config(cfg: Mapping[str, Mapping[str, Any]], seed: int, *,
     return ExperimentConfig(
         input_state=standard_state(label),
         mu_per_mode=mus,
-        schedule=build_schedule(cfg),
-        params=build_memory_params(cfg),
-        detector_efficiency=det["detector_efficiency"],
-        dark_rate=det["dark_rate"],
-        transmission_to_detector=det["transmission_to_detector"],
-        bin_width=det["bin_width"] or None,
+        schedule=StorageSchedule(**cfg["schedule"]),
+        params=MemoryParams(**cfg["memory"]),
         trials=sim["trials"] if trials is None else int(trials),
         rng_seed=int(seed),
-        dark_gate_width=det["dark_gate_width"] or None,
         pol_anisotropy=sim["pol_anisotropy"],
         input_window_reference=sim["input_window_reference"],
         cp2_leakage=sim["cp2_leakage"],
+        **detection_kwargs(cfg),
     )

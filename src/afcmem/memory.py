@@ -17,10 +17,10 @@ per retrieval gate, and F_c the noise-free conditional fidelity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .polarization import PolarizationState
+from .refdata import ETA_T_MEAN, F_C_MEAN, F_T_MEAN
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,9 @@ class MemoryParams:
 
     eta: float = 0.036
     p_n: float = 0.0101
-    f_c: float = 0.991
-    eta_t: float = 0.296
-    f_t: float = 0.972
+    f_c: float = F_C_MEAN
+    eta_t: float = ETA_T_MEAN
+    f_t: float = F_T_MEAN
     eta_pol_spread: float = 0.09
 
     def __post_init__(self):
@@ -114,24 +114,6 @@ def validate_schedule(schedule: StorageSchedule) -> list[str]:
     return violations
 
 
-def visibility(s_max: float, s_min: float) -> float:
-    """Two-port visibility (S_max - S_min) / (S_max + S_min)."""
-    if s_min < 0 or s_max < 0:
-        raise ValueError("count rates must be nonnegative")
-    if s_max < s_min:
-        raise ValueError(f"s_max = {s_max} smaller than s_min = {s_min}")
-    if s_max + s_min == 0:
-        raise ValueError("degenerate input, s_max + s_min = 0")
-    return (s_max - s_min) / (s_max + s_min)
-
-
-def classical_fidelity(vis: float) -> float:
-    """Conditional fidelity (1 + V) / 2 of a measured visibility."""
-    if not -1.0 <= vis <= 1.0:
-        raise ValueError(f"visibility {vis} outside [-1, 1]")
-    return (1.0 + vis) / 2.0
-
-
 def mu1(params: MemoryParams) -> float:
     """Input photon number at which the retrieved signal-to-noise ratio is 1."""
     if params.eta <= 0:
@@ -156,21 +138,6 @@ def predicted_fidelity(mu: float, params: MemoryParams) -> float:
     return fidelity_vs_photon_number(mu, mu1(params), params.f_c)
 
 
-def conversion_efficiency(absorption_prob: float, transfer_prob: float) -> float:
-    """Input-conversion efficiency, absorption times spin transfer."""
-    for name, val in (("absorption_prob", absorption_prob), ("transfer_prob", transfer_prob)):
-        if not 0.0 <= val <= 1.0:
-            raise ValueError(f"{name} = {val} outside [0, 1]")
-    return absorption_prob * transfer_prob
-
-
-def multiplexing_gain(n_modes: int) -> float:
-    """Duty-cycle gain of storing n temporal modes per cycle."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    return float(n_modes)
-
-
 def anisotropic_efficiency(eta: float, state: PolarizationState, spread: float) -> float:
     """Efficiency seen by a given input polarization.
 
@@ -181,21 +148,3 @@ def anisotropic_efficiency(eta: float, state: PolarizationState, spread: float) 
     if not 0.0 <= spread < 1.0:
         raise ValueError("spread outside [0, 1)")
     return eta * (1.0 + spread * float(state.bloch[2]))
-
-
-def spin_decay_factor(schedule: StorageSchedule, linewidth_khz: float = 27.0, t2_dd: float | None = None) -> float:
-    """Multiplicative efficiency factor from spin dephasing at readout.
-
-    The inhomogeneous (Gaussian) dephasing set by the spin linewidth is
-    refocused at the echo time by the decoupling train, so it contributes
-    a factor of 1 regardless of linewidth_khz; the argument is kept so the
-    working point stays in one place. A finite t2_dd (us) models the
-    residual decay under decoupling as exp(-spin_storage / t2_dd).
-    """
-    if linewidth_khz < 0:
-        raise ValueError("linewidth must be nonnegative")
-    if t2_dd is None:
-        return 1.0
-    if t2_dd <= 0:
-        raise ValueError("t2_dd must be positive")
-    return math.exp(-schedule.spin_storage / t2_dd)

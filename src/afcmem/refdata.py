@@ -57,8 +57,6 @@ STATE_SCAN = (
     RunRecord(1.4, 0.1, 0.031, 0.002, 0.0113, 0.0016, 0.36, 0.06, 0.826, 0.001, "R"),
 )
 
-TOMOGRAPHY_INPUT_LABELS = ("H", "V", "D", "R")
-
 
 @dataclass(frozen=True)
 class TransmittedRecord:
@@ -79,7 +77,6 @@ TRANSMITTED_MODES = (
 
 # whole-train averages and derived working points
 F_C_MEAN = 0.991
-F_C_ERR = 0.004
 MU1_MEAN = 0.29
 MU1_ERR = 0.04
 CHI00_MEASURED = 0.762
@@ -88,15 +85,6 @@ CHI00_MEASURED = 0.762
 F_T_MEAN = 0.972
 ETA_T_MEAN = 0.296
 ETA_M_BENCH = 0.0385
-
-# input conversion budget
-ABSORPTION_PROB = 0.70
-TRANSFER_PROB = 0.70
-
-# detection chain
-DETECTOR_EFFICIENCY = 0.57
-TRANSMISSION_TO_DETECTOR = 0.07
-DARK_RATE_HZ = 15.0
 
 # benchmark outcomes of the photon-number scan, in MU_SCAN order
 EXPECTED_VERDICTS = ("inconclusive", "quantum", "quantum", "quantum")

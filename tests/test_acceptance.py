@@ -13,6 +13,7 @@ narrower than the scatter of that row.
 """
 
 import filecmp
+import hashlib
 import os
 from dataclasses import replace
 
@@ -192,3 +193,20 @@ def test_reproduction_is_byte_identical(tmp_path):
     assert "summary.csv" in names
     summary = open(os.path.join(out_a, "summary.csv")).read()
     assert ",FAIL" not in summary
+    # sha256 of every output; any drift in a stage, a shared helper or a
+    # default must show up here first
+    digests = {name: hashlib.sha256(open(os.path.join(out_a, name), "rb").read()).hexdigest()
+               for name in names}
+    assert digests == {
+        "effective_config.ini": "2684be65511298b44d33268fe520e8a82909e44b4d746031da6f3153cafe5353",
+        "fig2_histogram.csv": "0ec0e4507d04ce9af7ce2bae1050219b5ff322556b847e6acf1a4ce3f8f59fbd",
+        "fig3a.csv": "1e96703a18b9580e2711023a3b5933a100ab15dbca35ee4bff19ea472f388e58",
+        "fig3b_chi.csv": "e897cc6fd89805430c134c52c8330dcab943a1b8585af53156353ba2c76ec4d7",
+        "figD1_bounds.csv": "44e8abbbcc280a206ad5b92aa3430d97ec10a2d75b9a0ff5f99d4299707945f3",
+        "summary.csv": "8d043ff715d36266b62787d82be1f951c6b2e79cc1f768031af7cb92dec7dd75",
+        "table1.csv": "574bee00358ca9d2fd21eae635ba47ad0e0aa0b3e0403863ab8ad9ad3f1692ae",
+        "tableA1.csv": "f1b8d5b6d2338904cdfc92ad9418afcf2e5587fdd80779c7cf80430db3267add",
+        "tableB1.csv": "0115b2272e3df2e45979af9d68767635bff6181dee3ad6dcc6dcbea0021ecfee",
+        "tableC1.csv": "89e447a463e85a07907c281dd001e6849fcff931a370c1019f53e7fdd305b266",
+        "verdicts.csv": "9ecbe6bfd54f85f2b798b3c55a87c5e2bda2f38d6d4996c595f0713147362e0e",
+    }

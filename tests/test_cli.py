@@ -3,8 +3,11 @@ import hashlib
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from afcmem.cli import main
+from afcmem.bounds import threshold_bound
+from afcmem.cli import build_parser, main
 from afcmem.config import (
     ConfigError,
     canonical_text,
@@ -12,6 +15,7 @@ from afcmem.config import (
     default_config,
     parse_config_text,
 )
+from afcmem.refdata import ETA_M_BENCH
 
 
 def _read(path):
@@ -65,6 +69,63 @@ def test_config_rejects_unknown_names():
         parse_config_text("[simulate]\ntrials = lots\n")
 
 
+def test_config_parses_ints_exactly():
+    # 2**53 + 1 has no float; a float detour would give 2**53
+    assert parse_config_text("[simulate]\ntrials = 9007199254740993\n")["simulate"]["trials"] \
+        == 9007199254740993
+    assert parse_config_text("[simulate]\ntrials = 1_000_000\n")["simulate"]["trials"] == 1_000_000
+    # float notation is rejected, as by --trials: 9007199254740993.0 would round
+    for bad in ("2.5", "1e6", "2.0", "9007199254740993.0", "nan", "inf", str(2 ** 63)):
+        with pytest.raises(ConfigError):
+            parse_config_text(f"[simulate]\ntrials = {bad}\n")
+
+
+def test_config_rejects_non_finite_floats(tmp_path):
+    for text in ("[memory]\neta = nan\n", "[bounds]\nk_sigma = inf\n",
+                 "[predict]\nmu_max = -Infinity\n", "[memory]\np_n = 1e400\n",
+                 "[simulate]\nmu_per_mode = 1.4, nan\n"):
+        with pytest.raises(ConfigError):
+            parse_config_text(text)
+    # a NaN mu1_err used to pass every range check and write a NaN band
+    cfg = os.path.join(tmp_path, "nan.ini")
+    with open(cfg, "w") as fh:
+        fh.write("[predict]\nmu1_err = nan\n")
+    assert main(["predict", "--config", cfg, "--out", os.path.join(tmp_path, "p")]) == 2
+
+
+def _ini_text(min_size=0):
+    # what an INI value can carry: no list separator, comment prefix or
+    # line break, and no surrounding whitespace
+    chars = st.characters(blacklist_categories=("Cs",), blacklist_characters=",#;\n\r")
+    return st.text(chars, min_size=min_size, max_size=12).filter(lambda s: s == s.strip())
+
+
+def _values_like(default):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-(2 ** 63) + 1, 2 ** 63 - 1)
+    if isinstance(default, float):
+        return finite
+    if isinstance(default, str):
+        return _ini_text()
+    if all(isinstance(v, float) for v in default):
+        return st.lists(finite, max_size=4).map(tuple)
+    return st.lists(_ini_text(min_size=1), max_size=4).map(tuple)
+
+
+_RANDOM_CONFIGS = st.fixed_dictionaries({
+    section: st.fixed_dictionaries({key: _values_like(v) for key, v in keys.items()})
+    for section, keys in default_config().items()})
+
+
+@settings(deadline=None, max_examples=150)
+@given(_RANDOM_CONFIGS)
+def test_canonical_text_round_trips_any_config(cfg):
+    assert parse_config_text(canonical_text(cfg)) == cfg
+
+
 def test_show_defaults_round_trips(capsys):
     assert main(["show-defaults"]) == 0
     printed = capsys.readouterr().out
@@ -80,6 +141,11 @@ def test_predict_writes_band(tmp_path):
     assert len(rows) == 3
     lo, mid, hi = map(float, rows[1].split(",")[1:])
     assert lo < mid < hi
+
+
+def test_parser_built_once():
+    # a parser per main() call left ~200 objects in reference cycles each time
+    assert build_parser() is build_parser()
 
 
 def test_stochastic_commands_require_seed(tmp_path, capsys):
@@ -198,6 +264,12 @@ def test_bounds_command_outputs(tmp_path):
     assert len(curve) == 3
     verdicts = _read(os.path.join(out, "verdicts.csv")).decode()
     assert "quantum" in verdicts
+    digests = {name: hashlib.sha256(_read(os.path.join(out, name))).hexdigest()
+               for name in sorted(os.listdir(out))}
+    assert digests == {
+        "bound_curve.csv": "06b6336dcc07a8d51767c04c9b05057684d6a7a33fad3ed9878cee6cfee48bf7",
+        "verdicts.csv": "6a8a6a06f7c5e7de75fbadce3146b70629f591ed33414df67bcc148a9e15abf1",
+    }
 
 
 def test_output_tree_comparable_across_runs(tmp_path):
@@ -210,3 +282,21 @@ def test_output_tree_comparable_across_runs(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", b, "--seed", "5"]) == 0
     cmp = filecmp.dircmp(a, b)
     assert not cmp.diff_files and not cmp.left_only and not cmp.right_only
+
+
+def test_fig3a_threshold_uses_configured_matching(tmp_path):
+    cfg = os.path.join(tmp_path, "linear.ini")
+    with open(cfg, "w") as fh:
+        fh.write("[bounds]\nmatching = linear\n"
+                 "[reproduce]\ntrials = 20000\nresamples = 100\ngrid_points = 4\n"
+                 "refine_rounds = 1\nbound_points = 2\n")
+    out = os.path.join(tmp_path, "r")
+    assert main(["reproduce-paper", "--config", cfg, "--out", out, "--seed", "3"]) == 0
+    rows = [l.split(",") for l in _read(os.path.join(out, "fig3a.csv")).decode().splitlines()
+            if l and not l.startswith("#")]
+    assert rows[0][-1] == "threshold_bound" and len(rows) == 40
+    for row in rows[1:]:
+        bound = threshold_bound(float(row[0]), ETA_M_BENCH, matching="linear").bound
+        assert row[-1] == f"{bound:.12g}"
+    # the default exp matching gives 0.791023 at mu = 0.5, the linear one 0.801631
+    assert rows[1][0] == "0.5" and rows[1][-1] == "0.80163107274"

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,50 +5,13 @@ from afcmem.memory import (
     MemoryParams,
     StorageSchedule,
     anisotropic_efficiency,
-    classical_fidelity,
-    conversion_efficiency,
     fidelity_vs_photon_number,
     mu1,
-    multiplexing_gain,
     predicted_fidelity,
-    spin_decay_factor,
     validate_schedule,
-    visibility,
 )
 from afcmem.polarization import standard_state
 from afcmem.refdata import F_C_MEAN, MODE_SCAN, MU_SCAN
-
-
-def test_visibility_examples():
-    assert visibility(1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert visibility(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert visibility(0.9911, 0.0089) == pytest.approx(0.9822, abs=1e-12)
-
-
-def test_visibility_rejects_bad_rates():
-    with pytest.raises(ValueError):
-        visibility(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        visibility(0.1, 0.2)
-    with pytest.raises(ValueError):
-        visibility(0.0, 0.0)
-
-
-def test_classical_fidelity_examples():
-    assert classical_fidelity(0.9822) == pytest.approx(0.9911, abs=1e-12)
-    assert classical_fidelity(0.0) == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        classical_fidelity(1.2)
-
-
-def test_classical_fidelity_composition():
-    # (1 + (a-b)/(a+b)) / 2 = a / (a + b)
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        b = rng.uniform(0.0, 1.0)
-        a = b + rng.uniform(0.0, 2.0)
-        f = classical_fidelity(visibility(a, b))
-        assert f == pytest.approx(a / (a + b), abs=1e-12)
 
 
 def test_mu1_from_params():
@@ -118,20 +79,6 @@ def test_memory_params_validation():
         MemoryParams(eta_pol_spread=1.0)
 
 
-def test_conversion_efficiency():
-    assert conversion_efficiency(0.7, 0.7) == pytest.approx(0.49, abs=1e-12)
-    with pytest.raises(ValueError):
-        conversion_efficiency(1.3, 0.5)
-
-
-def test_multiplexing_gain():
-    assert multiplexing_gain(5) == 5.0
-    assert multiplexing_gain(1) == 1.0
-    assert multiplexing_gain(3) == 3.0
-    with pytest.raises(ValueError):
-        multiplexing_gain(0)
-
-
 def test_schedule_defaults_valid():
     s = StorageSchedule()
     assert validate_schedule(s) == []
@@ -150,19 +97,6 @@ def test_schedule_capacity_violations():
 def test_schedule_reports_all_violations():
     bad = validate_schedule(StorageSchedule(n_modes=0, n_rep=0))
     assert len(bad) == 2
-
-
-def test_spin_decay_factor():
-    s = StorageSchedule()
-    # inhomogeneous dephasing is refocused by the decoupling train
-    assert spin_decay_factor(s) == pytest.approx(1.0, abs=1e-15)
-    assert spin_decay_factor(s, linewidth_khz=1000.0) == pytest.approx(1.0, abs=1e-15)
-    assert spin_decay_factor(s, t2_dd=2000.0) == pytest.approx(math.exp(-0.25), abs=1e-12)
-    assert spin_decay_factor(StorageSchedule(spin_storage=0.0), t2_dd=2000.0) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        spin_decay_factor(s, linewidth_khz=-1.0)
-    with pytest.raises(ValueError):
-        spin_decay_factor(s, t2_dd=0.0)
 
 
 def test_anisotropic_efficiency():
