@@ -71,13 +71,6 @@ class BoundResult:
     description: str = "analytic"
 
 
-def massar_popescu(n: int) -> float:
-    """Optimal measure-and-prepare fidelity on n copies, (n + 1) / (n + 2)."""
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return (n + 1.0) / (n + 2.0)
-
-
 def _poisson_tables(mus) -> tuple:
     """Zero-padded Poisson tables, one row per mean in mus.
 

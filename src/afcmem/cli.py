@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .bounds import poisson_conditional_bound, quantumness_verdict, threshold_bound, \
     transmitted_constrained_bound
-from .config import build_experiment_config, canonical_text, config_hash, default_config, \
-    detection_kwargs, load_config
+from .config import _finite, build_experiment_config, canonical_text, config_hash, \
+    default_config, detection_kwargs, load_config
 from .errors import ConfigError, EstimationError
 from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number, validate_schedule
 from .montecarlo import ExperimentConfig, estimate_params, estimate_transmission, \
@@ -83,26 +83,26 @@ def _mu1_band(p, mus):
     return [(float(mu), *(fidelity_vs_photon_number(mu, m, f_c) for m in band)) for mu in mus]
 
 
-def _bounds_at(b, grid, mu):
-    """Threshold and transmitted bounds at mu; grid is [bounds] or [reproduce]."""
+def _bounds_at(b, mu):
+    """Threshold and transmitted bounds at mu under the [bounds] section b."""
     thr = threshold_bound(mu, b["eta_m"], matching=b["matching"])
     tra = transmitted_constrained_bound(mu, b["f_t"], b["eta_t"], b["eta_m"],
-                                        grid_points=grid["grid_points"],
-                                        refine_rounds=grid["refine_rounds"],
+                                        grid_points=b["grid_points"],
+                                        refine_rounds=b["refine_rounds"],
                                         matching=b["matching"])
     return thr, tra
 
 
-def _bound_curve(b, grid, mus):
+def _bound_curve(b, mus):
     """(mu, plain bound, threshold result, transmitted result) at each mu."""
-    return [(mu, poisson_conditional_bound(mu), *_bounds_at(b, grid, mu)) for mu in map(float, mus)]
+    return [(mu, poisson_conditional_bound(mu), *_bounds_at(b, mu)) for mu in map(float, mus)]
 
 
-def _verdict_rows(b, grid):
+def _verdict_rows(b):
     """Verdict rows at the measured working points of the photon-number scan."""
     rows = []
     for rec in MU_SCAN:
-        thr, tra = _bounds_at(b, grid, rec.mu)
+        thr, tra = _bounds_at(b, rec.mu)
         rows.append((rec.mu, rec.fidelity, rec.fidelity_err,
                      thr.bound, quantumness_verdict(rec.fidelity, rec.fidelity_err, thr.bound, b["k_sigma"]),
                      tra.bound, quantumness_verdict(rec.fidelity, rec.fidelity_err, tra.bound, b["k_sigma"])))
@@ -176,13 +176,12 @@ def cmd_simulate(cfg, seed, out, mu_list, trials) -> int:
     rows += [(f"fidelity_mode_{m + 1}", float(est.mode_fidelity[m]), float(est.mode_fidelity_err[m]))
              for m in range(exp.schedule.n_modes)]
     write_csv(os.path.join(out, "estimate.csv"), meta, ["quantity", "value", "error"], rows)
-    if not exp.input_window_reference:
-        tr = estimate_transmission([par, orth], exp)
-        trows = [(m + 1, float(tr.transmission[m]), float(tr.transmission_err[m]),
-                  float(tr.fidelity[m]), float(tr.fidelity_err[m]))
-                 for m in range(exp.schedule.n_modes)]
-        write_csv(os.path.join(out, "transmitted.csv"), meta,
-                  ["mode", "transmission", "transmission_err", "fidelity", "fidelity_err"], trows)
+    tr = estimate_transmission([par, orth], exp)
+    trows = [(m + 1, float(tr.transmission[m]), float(tr.transmission_err[m]),
+              float(tr.fidelity[m]), float(tr.fidelity_err[m]))
+             for m in range(exp.schedule.n_modes)]
+    write_csv(os.path.join(out, "transmitted.csv"), meta,
+              ["mode", "transmission", "transmission_err", "fidelity", "fidelity_err"], trows)
     print(f"simulate: eta_hat={est.eta_hat:.5f}+-{est.eta_err:.5f} "
           f"p_n_hat={est.p_n_hat:.5f}+-{est.p_n_err:.5f} "
           f"fidelity={est.fidelity_hat:.4f}+-{est.fidelity_err:.4f}")
@@ -264,12 +263,12 @@ def cmd_bounds(cfg, seed, out, mu_list) -> int:
                      matching=b["matching"])
     rows = [(mu, plain, thr.bound, tra.bound, thr.params.n_min, thr.params.gamma,
              tra.params.p, tra.params.q, tra.params.delta, tra.params.eta_m1, tra.params.eta_m2)
-            for mu, plain, thr, tra in _bound_curve(b, b, mus)]
+            for mu, plain, thr, tra in _bound_curve(b, mus)]
     write_csv(os.path.join(out, "bound_curve.csv"), meta,
               ["mu", "plain", "threshold", "transmitted", "threshold_n_min", "threshold_gamma",
                "strategy_p", "strategy_q", "strategy_delta", "strategy_eta_m1", "strategy_eta_m2"],
               rows)
-    vrows = _verdict_rows(b, b)
+    vrows = _verdict_rows(b)
     write_csv(os.path.join(out, "verdicts.csv"), meta, _VERDICT_HEADER, vrows)
     print("bounds: " + "; ".join(f"mu={r[0]:g}: {r[4]}" for r in vrows))
     return 0
@@ -400,9 +399,8 @@ def _stage_fig3a(cfg, seed, out, meta, check):
 
 def _stage_fig_d1(cfg, seed, out, meta, check):
     """The three classical benchmarks over a log photon-number grid."""
-    rp = cfg["reproduce"]
     rows = [(mu, plain, thr.bound, tra.bound) for mu, plain, thr, tra in
-            _bound_curve(cfg["bounds"], rp, np.geomspace(0.5, 10.0, rp["bound_points"]))]
+            _bound_curve(cfg["bounds"], np.geomspace(0.5, 10.0, cfg["reproduce"]["bound_points"]))]
     write_csv(os.path.join(out, "figD1_bounds.csv"), meta,
               ["mu", "plain", "threshold", "transmitted"], rows)
     arr = np.asarray(rows)
@@ -414,17 +412,13 @@ def _stage_fig_d1(cfg, seed, out, meta, check):
 def _stage_verdicts(cfg, seed, out, meta, check):
     """Quantumness verdicts at the measured working points, against the published ones."""
     rows = []
-    for row, expected in zip(_verdict_rows(cfg["bounds"], cfg["reproduce"]), EXPECTED_VERDICTS):
+    for row, expected in zip(_verdict_rows(cfg["bounds"]), EXPECTED_VERDICTS):
         rows.append((*row, expected))
         check("verdicts", f"verdict_matches(mu={row[0]:g})", float(row[4] == expected), 1.0, 0.0)
     write_csv(os.path.join(out, "verdicts.csv"), meta, _VERDICT_HEADER + ["expected"], rows)
 
 
 def cmd_reproduce_paper(cfg, seed, out) -> int:
-    schedule = StorageSchedule(**cfg["schedule"])
-    problems = validate_schedule(schedule)
-    if problems:
-        raise ConfigError("; ".join(problems))
     meta = _metadata("reproduce-paper", seed, cfg)
     summary = []
 
@@ -433,7 +427,7 @@ def cmd_reproduce_paper(cfg, seed, out) -> int:
         err = abs(value - reference)
         summary.append((table, quantity, value, reference, tol, err, "ok" if err <= tol else "FAIL"))
 
-    check("schedule", "total_storage_us", schedule.total_storage, 515.0, 1e-9)
+    check("schedule", "total_storage_us", StorageSchedule(**cfg["schedule"]).total_storage, 515.0, 1e-9)
     for stage in (_stage_table1, _stage_table_a1, _stage_table_b1, _stage_table_c1,
                   _stage_fig3a, _stage_fig_d1, _stage_verdicts):
         stage(cfg, seed, out, meta, check)
@@ -475,9 +469,9 @@ def _parse_mu_flag(raw):
     if raw is None:
         return None
     try:
-        values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        values = tuple(_finite(float(tok)) for tok in raw.split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(f"--mu expects comma-separated numbers, got {raw!r}") from None
+        raise ConfigError(f"--mu expects comma-separated finite numbers, got {raw!r}") from None
     if not values:
         raise ConfigError("--mu given but empty")
     return values
@@ -489,6 +483,9 @@ def main(argv=None) -> int:
         if args.command == "show-defaults":
             return cmd_show_defaults()
         cfg = load_config(args.config)
+        problems = validate_schedule(StorageSchedule(**cfg["schedule"]))
+        if problems:
+            raise ConfigError("; ".join(problems))
         seed = args.seed
         if seed is not None and not 0 <= seed < 2 ** 64:
             raise ConfigError("--seed must fit in an unsigned 64-bit integer")

@@ -29,15 +29,13 @@ _EXPERIMENT = {f.name: f.default for f in fields(ExperimentConfig)}
 _SCHEMA: dict[str, dict[str, Any]] = {
     "memory": {f.name: f.default for f in fields(MemoryParams)},
     "schedule": {f.name: f.default for f in fields(StorageSchedule)},
-    # 0 widths mean "derive from the schedule" (bin: mode/5, gate: mode)
+    # bin_width 0 means "derive from the schedule" (a fifth of a mode)
     "detection": {k: _EXPERIMENT[k] or 0.0 for k in (
-        "detector_efficiency", "dark_rate", "transmission_to_detector", "bin_width",
-        "dark_gate_width")},
+        "detector_efficiency", "dark_rate", "transmission_to_detector", "bin_width")},
     "simulate": {
         "input_state": "D",
         "mu_per_mode": (_EXPERIMENT["mu_per_mode"],),
-        **{k: _EXPERIMENT[k] for k in (
-            "trials", "pol_anisotropy", "input_window_reference", "cp2_leakage")},
+        "trials": _EXPERIMENT["trials"],
     },
     "predict": {
         "mu_min": 0.1,
@@ -70,8 +68,6 @@ _SCHEMA: dict[str, dict[str, Any]] = {
     "reproduce": {
         "trials": 300_000,
         "resamples": 120,
-        "grid_points": 50,
-        "refine_rounds": 2,
         "bound_points": 12,
     },
 }
@@ -179,10 +175,9 @@ def config_hash(cfg: Mapping[str, Mapping[str, Any]]) -> str:
 
 
 def detection_kwargs(cfg: Mapping[str, Mapping[str, Any]]) -> dict[str, Any]:
-    """[detection] as ExperimentConfig keyword arguments, 0 widths as None."""
+    """[detection] as ExperimentConfig keyword arguments, a 0 bin_width as None."""
     det = cfg["detection"]
-    return {**det, "bin_width": det["bin_width"] or None,
-            "dark_gate_width": det["dark_gate_width"] or None}
+    return {**det, "bin_width": det["bin_width"] or None}
 
 
 def build_experiment_config(cfg: Mapping[str, Mapping[str, Any]], seed: int, *,
@@ -202,8 +197,5 @@ def build_experiment_config(cfg: Mapping[str, Mapping[str, Any]], seed: int, *,
         params=MemoryParams(**cfg["memory"]),
         trials=sim["trials"] if trials is None else int(trials),
         rng_seed=int(seed),
-        pol_anisotropy=sim["pol_anisotropy"],
-        input_window_reference=sim["input_window_reference"],
-        cp2_leakage=sim["cp2_leakage"],
         **detection_kwargs(cfg),
     )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polarization import PolarizationState
 from .refdata import ETA_T_MEAN, F_C_MEAN, F_T_MEAN
 
 
@@ -27,13 +26,12 @@ from .refdata import ETA_T_MEAN, F_C_MEAN, F_T_MEAN
 class MemoryParams:
     """Memory working point.
 
-    eta            recall efficiency after the full storage time
-    p_n            noise floor, detection probability in one analyzer port
-                   per retrieval gate with no input pulse
-    f_c            conditional fidelity of the retrieved polarization
-    eta_t          transmission of the unabsorbed input through the crystal
-    f_t            conditional fidelity of the transmitted polarization
-    eta_pol_spread relative efficiency anisotropy between the H and V axes
+    eta    recall efficiency after the full storage time
+    p_n    noise floor, detection probability in one analyzer port per
+           retrieval gate with no input pulse
+    f_c    conditional fidelity of the retrieved polarization
+    eta_t  transmission of the unabsorbed input through the crystal
+    f_t    conditional fidelity of the transmitted polarization
     """
 
     eta: float = 0.036
@@ -41,7 +39,6 @@ class MemoryParams:
     f_c: float = F_C_MEAN
     eta_t: float = ETA_T_MEAN
     f_t: float = F_T_MEAN
-    eta_pol_spread: float = 0.09
 
     def __post_init__(self):
         for name in ("eta", "p_n", "eta_t"):
@@ -52,8 +49,6 @@ class MemoryParams:
             val = getattr(self, name)
             if not 0.5 <= val <= 1.0:
                 raise ValueError(f"{name} = {val} outside [1/2, 1]")
-        if not 0.0 <= self.eta_pol_spread < 1.0:
-            raise ValueError("eta_pol_spread outside [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,6 @@ class StorageSchedule:
     control_duration: float = 5.0
     rf_pulse_duration: float = 120.0
     rf_pulse_count: int = 4
-    n_rep: int = 18
 
     @property
     def total_storage(self) -> float:
@@ -97,8 +91,6 @@ def validate_schedule(schedule: StorageSchedule) -> list[str]:
         violations.append(f"n_modes must be >= 1, got {s.n_modes}")
     if s.rf_pulse_count < 0:
         violations.append(f"rf_pulse_count must be >= 0, got {s.rf_pulse_count}")
-    if s.n_rep < 1:
-        violations.append(f"n_rep must be >= 1, got {s.n_rep}")
     if violations:
         return violations
     train = s.n_modes * s.mode_duration + s.control_duration
@@ -137,14 +129,3 @@ def predicted_fidelity(mu: float, params: MemoryParams) -> float:
     """Conditional fidelity of the memory at input photon number mu."""
     return fidelity_vs_photon_number(mu, mu1(params), params.f_c)
 
-
-def anisotropic_efficiency(eta: float, state: PolarizationState, spread: float) -> float:
-    """Efficiency seen by a given input polarization.
-
-    The crystal axes are mapped onto H and V, so the efficiency is scaled
-    by (1 + spread * <sigma_z>); H and V sit at the two extremes and the
-    equator states are unaffected.
-    """
-    if not 0.0 <= spread < 1.0:
-        raise ValueError("spread outside [0, 1)")
-    return eta * (1.0 + spread * float(state.bloch[2]))

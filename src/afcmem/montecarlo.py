@@ -5,8 +5,7 @@ input modes, a transfer pulse into the spin state (CP1), the decoupled
 spin storage, the retrieval pulse (CP2) and the echo train one comb
 delay plus one spin storage time after the input. The detector is gated
 on only during the input and output mode windows; the CP windows are
-blanked (an optional leakage term can paint the retrieval pulse
-breakthrough into CP2 for display realism).
+blanked.
 
 Detected mean counts per trial and mode, at analyzer port P:
 
@@ -14,9 +13,10 @@ Detected mean counts per trial and mode, at analyzer port P:
     input:   mu eta_t [F_t <P>_sig + (1 - F_t) <P>_flip] T_det + d
 
 with T_det = transmission_to_detector * detector_efficiency and
-d = dark_rate * gate_width * detector_efficiency. The noise floor p_n is
-unpolarized, so every analyzer port sees the same p_n; this matches the
-convention in which the conditional fidelity of the retrieved qubit is
+d = dark_rate * mode_duration * detector_efficiency, the dark counts of
+one mode-long gate. The noise floor p_n is unpolarized, so every
+analyzer port sees the same p_n; this matches the convention in which
+the conditional fidelity of the retrieved qubit is
 S_max / (S_max + S_min) = (mu eta F_c + p_n) / (mu eta + 2 p_n).
 
 Counts are Poissonian and independent between trials, so the histogram
@@ -38,7 +38,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import EstimationError
-from .memory import MemoryParams, StorageSchedule, anisotropic_efficiency
+from .memory import MemoryParams, StorageSchedule
 from .polarization import AnalysisSetting, PolarizationState, expectation, standard_state
 from .tableio import write_csv_lines
 
@@ -64,7 +64,7 @@ class ExperimentConfig:
 
     mu_per_mode and params accept either one value for all modes or one
     per mode. bin_width must divide the mode duration; it defaults to a
-    fifth of it. dark_gate_width defaults to one mode duration.
+    fifth of it.
     """
 
     input_state: PolarizationState = field(default_factory=lambda: standard_state("D"))
@@ -77,10 +77,6 @@ class ExperimentConfig:
     bin_width: float | None = None
     trials: int = 1_000_000
     rng_seed: int = 0
-    dark_gate_width: float | None = None
-    pol_anisotropy: bool = False
-    input_window_reference: bool = False
-    cp2_leakage: float = 0.0
 
     def __post_init__(self):
         n = self.schedule.n_modes
@@ -92,8 +88,8 @@ class ExperimentConfig:
         for name in ("detector_efficiency", "transmission_to_detector"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} outside [0, 1]")
-        if self.dark_rate < 0 or self.cp2_leakage < 0:
-            raise ValueError("rates must be nonnegative")
+        if self.dark_rate < 0:
+            raise ValueError("dark_rate must be nonnegative")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         bw = self.schedule.mode_duration / 5.0 if self.bin_width is None else float(self.bin_width)
@@ -103,10 +99,6 @@ class ExperimentConfig:
         if abs(ratio - round(ratio)) > _REL_TOL * ratio:
             raise ValueError(f"bin_width {bw} does not divide the mode duration {self.schedule.mode_duration}")
         object.__setattr__(self, "bin_width", bw)
-        gw = self.schedule.mode_duration if self.dark_gate_width is None else float(self.dark_gate_width)
-        if gw < 0:
-            raise ValueError("dark_gate_width must be nonnegative")
-        object.__setattr__(self, "dark_gate_width", gw)
 
     @property
     def t_det(self) -> float:
@@ -115,8 +107,8 @@ class ExperimentConfig:
 
     @property
     def dark_per_gate(self) -> float:
-        """Mean dark counts per gate window (dark_rate is per second, gate in us)."""
-        return self.dark_rate * self.dark_gate_width * 1e-6 * self.detector_efficiency
+        """Mean dark counts per gate window of one mode (dark_rate is per second, mode in us)."""
+        return self.dark_rate * self.schedule.mode_duration * 1e-6 * self.detector_efficiency
 
     @property
     def total_mu(self) -> float:
@@ -200,17 +192,10 @@ def _mode_rates(config: ExperimentConfig, analysis: AnalysisSetting) -> tuple[np
     lam_in = np.empty(config.schedule.n_modes)
     lam_out = np.empty(config.schedule.n_modes)
     for m, (mu, par) in enumerate(zip(config.mu_per_mode, config.params)):
-        eta = par.eta
-        if config.pol_anisotropy:
-            eta = anisotropic_efficiency(eta, config.input_state, par.eta_pol_spread)
         contrast_out = par.f_c * e_sig + (1.0 - par.f_c) * (1.0 - e_sig)
-        lam_out[m] = (mu * eta * contrast_out + par.p_n) * t_det + dark
-        if config.input_window_reference:
-            # input pulse on the free path, no memory in the way; display only
-            lam_in[m] = mu * e_sig * t_det + dark
-        else:
-            contrast_t = par.f_t * e_sig + (1.0 - par.f_t) * (1.0 - e_sig)
-            lam_in[m] = mu * par.eta_t * contrast_t * t_det + dark
+        lam_out[m] = (mu * par.eta * contrast_out + par.p_n) * t_det + dark
+        contrast_t = par.f_t * e_sig + (1.0 - par.f_t) * (1.0 - e_sig)
+        lam_in[m] = mu * par.eta_t * contrast_t * t_det + dark
     return lam_in, lam_out
 
 
@@ -267,8 +252,6 @@ def simulate_run(config: ExperimentConfig, analysis: AnalysisSetting, *, seed: i
             lam[bins] += lam_in[win.mode] / size
         elif win.label == "output":
             lam[bins] += lam_out[win.mode] / size
-        elif win.label == "CP2" and config.cp2_leakage > 0:
-            lam[bins] += config.cp2_leakage / size
 
     counts = rng.poisson(lam * config.trials)
     return CountHistogram(edges, counts.astype(np.int64), analysis, windows,
@@ -375,13 +358,7 @@ class TransmissionEstimate:
 
 
 def estimate_transmission(histograms: Sequence[CountHistogram], config: ExperimentConfig) -> TransmissionEstimate:
-    """Characterize the unabsorbed, transmitted input from the input windows.
-
-    Requires runs simulated with the physical input window (not the
-    reference display variant).
-    """
-    if config.input_window_reference:
-        raise ValueError("input windows hold the free-path display trace, not the transmitted state")
+    """Characterize the unabsorbed, transmitted input from the input windows."""
     parallel, orthogonal = _parallel_orthogonal(histograms, config.input_state,
                                                 "need parallel and orthogonal analyzer runs")
     par_m = parallel.mode_counts("input").astype(float)

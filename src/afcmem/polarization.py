@@ -107,15 +107,6 @@ def standard_setting(label: str) -> AnalysisSetting:
     return AnalysisSetting(label, standard_state(label).rho)
 
 
-def orthogonal_state(state: PolarizationState) -> PolarizationState:
-    """State with the complementary spectrum, I - rho.
-
-    For a pure input this is the orthogonal pure state, which is what a
-    polarization flip error maps the signal onto.
-    """
-    return PolarizationState(I2 - state.rho)
-
-
 def orthogonal_label(label: str) -> str:
     pairs = {"H": "V", "V": "H", "D": "A", "A": "D", "R": "L", "L": "R"}
     return pairs[label]

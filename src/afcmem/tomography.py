@@ -244,12 +244,11 @@ _FRAME = np.stack([np.kron(s, np.eye(2)) @ _OMEGA for s in PAULIS], axis=1)
 class ProcessMatrix:
     """Process matrix chi in the Pauli basis (I, X, Y, Z).
 
-    chi holds the physical (projected) matrix when projected is True;
-    chi_raw keeps the plain linear inversion for diagnostics.
+    chi holds the physical (projected) matrix when projected is True,
+    and the Hermitian part of the plain linear inversion otherwise.
     """
 
     chi: np.ndarray
-    chi_raw: np.ndarray | None = None
     projected: bool = True
     iterations: int = 0
 
@@ -378,8 +377,7 @@ def process_tomography(inputs: Sequence[PolarizationState],
     pairs are used in the least-squares sense. With project=True the
     inversion is pushed to the nearest trace-preserving positive chi by
     alternating projections (stopping when successive iterates move by
-    less than tol in Frobenius norm); the unprojected inversion is kept
-    in chi_raw either way.
+    less than tol in Frobenius norm).
     """
     outs = [o.state if isinstance(o, DensityMatrixEstimate) else o for o in outputs]
     if len(inputs) != len(outs):
@@ -397,11 +395,11 @@ def process_tomography(inputs: Sequence[PolarizationState],
         a[4 * i:4 * i + 4, :] = block.reshape(16, 4).T
         b[4 * i:4 * i + 4] = sout.rho.reshape(4)
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    chi_raw = x.reshape(4, 4)
+    chi_lin = x.reshape(4, 4)
     if not project:
-        return ProcessMatrix(0.5 * (chi_raw + chi_raw.conj().T), chi_raw, projected=False)
-    chi_proj, iters = project_process_matrix(chi_raw, tol=tol)
-    return ProcessMatrix(chi_proj, chi_raw, projected=True, iterations=iters)
+        return ProcessMatrix(0.5 * (chi_lin + chi_lin.conj().T), projected=False)
+    chi_proj, iters = project_process_matrix(chi_lin, tol=tol)
+    return ProcessMatrix(chi_proj, projected=True, iterations=iters)
 
 
 def random_process_matrix(seed: int) -> ProcessMatrix:

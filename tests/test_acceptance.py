@@ -198,15 +198,15 @@ def test_reproduction_is_byte_identical(tmp_path):
     digests = {name: hashlib.sha256(open(os.path.join(out_a, name), "rb").read()).hexdigest()
                for name in names}
     assert digests == {
-        "effective_config.ini": "2684be65511298b44d33268fe520e8a82909e44b4d746031da6f3153cafe5353",
-        "fig2_histogram.csv": "0ec0e4507d04ce9af7ce2bae1050219b5ff322556b847e6acf1a4ce3f8f59fbd",
-        "fig3a.csv": "1e96703a18b9580e2711023a3b5933a100ab15dbca35ee4bff19ea472f388e58",
-        "fig3b_chi.csv": "e897cc6fd89805430c134c52c8330dcab943a1b8585af53156353ba2c76ec4d7",
-        "figD1_bounds.csv": "44e8abbbcc280a206ad5b92aa3430d97ec10a2d75b9a0ff5f99d4299707945f3",
-        "summary.csv": "8d043ff715d36266b62787d82be1f951c6b2e79cc1f768031af7cb92dec7dd75",
-        "table1.csv": "574bee00358ca9d2fd21eae635ba47ad0e0aa0b3e0403863ab8ad9ad3f1692ae",
-        "tableA1.csv": "f1b8d5b6d2338904cdfc92ad9418afcf2e5587fdd80779c7cf80430db3267add",
-        "tableB1.csv": "0115b2272e3df2e45979af9d68767635bff6181dee3ad6dcc6dcbea0021ecfee",
-        "tableC1.csv": "89e447a463e85a07907c281dd001e6849fcff931a370c1019f53e7fdd305b266",
-        "verdicts.csv": "9ecbe6bfd54f85f2b798b3c55a87c5e2bda2f38d6d4996c595f0713147362e0e",
+        "effective_config.ini": "2039b37d7438acbe4377c2720ea85eb8a42cc8840813cf7148610e7dd5ee60ed",
+        "fig2_histogram.csv": "7cb13f4cfa74a85adfb9950786245cde5b9c826b48a59f1618e168388317c7fa",
+        "fig3a.csv": "9893bcae16b2644c8587f412db73a318ccaa1da117f5f88df389ae6d77b877d0",
+        "fig3b_chi.csv": "4fe9bba14fe12b23e5bd4241e26ef2f72bfdb582e0cbdb6d54ef1b3e680a0d40",
+        "figD1_bounds.csv": "197c2db3576a1dd625ed1164985a30a6383fcf9bc5ff554edb9584323b7f5198",
+        "summary.csv": "1c3dd1c678b5f4c282e0917a51de74970669eda083f9ee4e402bc3939ec5fa56",
+        "table1.csv": "fb525e2adb8e00bb9dfc9869f1eb3b98c013ba6a81261d144dc337d69bbd20e4",
+        "tableA1.csv": "252958aa21779586c84368f05b5badbd92ec0c39d3d0399ef054493b86edde16",
+        "tableB1.csv": "d229b2a9ac48b15310e8b2a00ecb51aaa2c8ffd62cd4cbddaa88c31b735dce07",
+        "tableC1.csv": "94a0591971ada7e3587a63a3b60259891fa78456eba59f8cebfd529715422619",
+        "verdicts.csv": "79c5252442a8b0b00514a25ad5b1a8d1b6ebf7cc1e803a21a2f9fb28bc56f1ee",
     }

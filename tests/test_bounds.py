@@ -18,7 +18,6 @@ from scipy import stats
 from afcmem.bounds import (
     BoundResult,
     StrategyParams,
-    massar_popescu,
     poisson_conditional_bound,
     quantumness_verdict,
     threshold_bound,
@@ -142,14 +141,6 @@ def _reference_transmitted(mu, f_t, eta_t, eta_m, grid_points, refine_rounds, ma
         if new_center is not None:
             center = new_center
     return best
-
-
-def test_massar_popescu_values():
-    assert massar_popescu(1) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert massar_popescu(2) == pytest.approx(3.0 / 4.0, abs=1e-15)
-    assert massar_popescu(100) == pytest.approx(101.0 / 102.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        massar_popescu(0)
 
 
 def test_closed_form_matches_series_oracle():

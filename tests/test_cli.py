@@ -32,7 +32,7 @@ def test_config_canonical_round_trip():
 def test_config_hash_pinned():
     # reproduction runs stamp this hash into every CSV; changing a default
     # must show up here first
-    assert config_hash(default_config()) == "2684be655112"
+    assert config_hash(default_config()) == "2039b37d7438"
 
 
 def test_simulate_bytes_pinned(tmp_path):
@@ -43,11 +43,11 @@ def test_simulate_bytes_pinned(tmp_path):
     digests = {name: hashlib.sha256(_read(os.path.join(out, name))).hexdigest()
                for name in sorted(os.listdir(out))}
     assert digests == {
-        "estimate.csv": "addf918cc5aef00ce4f1b43ca3fedb05dddc56c24465bb2f72db03ae1a03d4a5",
-        "histogram_noise.csv": "d02a61c3b9f59913b9e732e081deacfd94df0ec9e2de032089f7c5eb9ad3b102",
-        "histogram_orthogonal.csv": "2f104550dd82b901607b949ea0f501599a614c6cd1db40e133bdd823806347a6",
-        "histogram_parallel.csv": "59ca8f2c8585887eab8163de6edc6e2a95019de48cffaccf537790d678c8507b",
-        "transmitted.csv": "240c042e61d456ad34eda4715e5c8c9108646b415555c4931db6f812efb1864b",
+        "estimate.csv": "501c156cb658366c124a95bd184deb16fdc04c0bb7ace8dc45437faab22407d7",
+        "histogram_noise.csv": "2a861e4806085bf9a5636dc468b624d511e94393a4480ea04dff3dced5fd0bbe",
+        "histogram_orthogonal.csv": "7f22d7af71481326e26daed494e759cee7a7f197696a009183a4333fac7948b9",
+        "histogram_parallel.csv": "307081e7d2b297b0040087bb9640715706e77962f0be75324a6cd16ae03963f2",
+        "transmitted.csv": "b1fe1cfa015e686ac8e1010d2e25028dd30c34957f3e947f2bf8fb2e02468e8a",
     }
 
 
@@ -67,6 +67,15 @@ def test_config_rejects_unknown_names():
         parse_config_text("[warp]\nspeed = 9\n")
     with pytest.raises(ConfigError):
         parse_config_text("[simulate]\ntrials = lots\n")
+    # keys of older configs that nothing reads any more fail loudly too
+    for section, key, value in (("memory", "eta_pol_spread", "0.09"), ("schedule", "n_rep", "18"),
+                                ("detection", "dark_gate_width", "0.0"),
+                                ("simulate", "pol_anisotropy", "false"),
+                                ("simulate", "input_window_reference", "false"),
+                                ("simulate", "cp2_leakage", "0.0"),
+                                ("reproduce", "grid_points", "50"), ("reproduce", "refine_rounds", "2")):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"[{section}]\n{key} = {value}\n")
 
 
 def test_config_parses_ints_exactly():
@@ -164,6 +173,27 @@ def test_bad_flags_rejected(tmp_path):
     assert main(["simulate", "--out", out, "--seed", "1", "--mu", "abc"]) == 2
     assert main(["simulate", "--out", out, "--seed", "1", "--trials", "0"]) == 2
     assert main(["predict", "--out", out, "--config", "/nonexistent.ini"]) == 2
+
+
+def test_mu_flag_rejects_non_finite(tmp_path, capsys):
+    out = os.path.join(tmp_path, "m")
+    for argv in (["predict", "--mu", "nan"], ["predict", "--mu", "1,inf"], ["bounds", "--mu", "nan"],
+                 ["bounds", "--mu", "inf"], ["simulate", "--seed", "1", "--mu", "inf"]):
+        assert main(argv + ["--out", out]) == 2
+        assert "--mu" in capsys.readouterr().err
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
+def test_invalid_schedule_rejected_by_every_command(tmp_path, capsys):
+    # 9 modes of 1.25 us plus the 5 us transfer pulse overrun the 15 us comb delay
+    cfg = os.path.join(tmp_path, "nine.ini")
+    with open(cfg, "w") as fh:
+        fh.write("[schedule]\nn_modes = 9\n")
+    out = os.path.join(tmp_path, "o")
+    for argv in (["simulate", "--seed", "1"], ["tomography", "--seed", "1"], ["predict"], ["bounds"]):
+        assert main(argv + ["--config", cfg, "--out", out]) == 2
+        assert "comb delay" in capsys.readouterr().err
+    assert not os.path.exists(out) or not os.listdir(out)
 
 
 def test_bad_config_value_exits_2(tmp_path):
@@ -267,8 +297,8 @@ def test_bounds_command_outputs(tmp_path):
     digests = {name: hashlib.sha256(_read(os.path.join(out, name))).hexdigest()
                for name in sorted(os.listdir(out))}
     assert digests == {
-        "bound_curve.csv": "06b6336dcc07a8d51767c04c9b05057684d6a7a33fad3ed9878cee6cfee48bf7",
-        "verdicts.csv": "6a8a6a06f7c5e7de75fbadce3146b70629f591ed33414df67bcc148a9e15abf1",
+        "bound_curve.csv": "a7c0cb52451ae4943332c01014f833097c042587f6f68dd7222dd623dd98d840",
+        "verdicts.csv": "5596f4b39b9119a7ea9ede8db641cbce71f4c851cca1a2a6d70657ae3bd4ba30",
     }
 
 
@@ -287,9 +317,8 @@ def test_output_tree_comparable_across_runs(tmp_path):
 def test_fig3a_threshold_uses_configured_matching(tmp_path):
     cfg = os.path.join(tmp_path, "linear.ini")
     with open(cfg, "w") as fh:
-        fh.write("[bounds]\nmatching = linear\n"
-                 "[reproduce]\ntrials = 20000\nresamples = 100\ngrid_points = 4\n"
-                 "refine_rounds = 1\nbound_points = 2\n")
+        fh.write("[bounds]\nmatching = linear\ngrid_points = 4\nrefine_rounds = 1\n"
+                 "[reproduce]\ntrials = 20000\nresamples = 100\nbound_points = 2\n")
     out = os.path.join(tmp_path, "r")
     assert main(["reproduce-paper", "--config", cfg, "--out", out, "--seed", "3"]) == 0
     rows = [l.split(",") for l in _read(os.path.join(out, "fig3a.csv")).decode().splitlines()

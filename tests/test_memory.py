@@ -4,13 +4,11 @@ import pytest
 from afcmem.memory import (
     MemoryParams,
     StorageSchedule,
-    anisotropic_efficiency,
     fidelity_vs_photon_number,
     mu1,
     predicted_fidelity,
     validate_schedule,
 )
-from afcmem.polarization import standard_state
 from afcmem.refdata import F_C_MEAN, MODE_SCAN, MU_SCAN
 
 
@@ -75,8 +73,6 @@ def test_memory_params_validation():
         MemoryParams(eta=1.2)
     with pytest.raises(ValueError):
         MemoryParams(f_c=0.4)
-    with pytest.raises(ValueError):
-        MemoryParams(eta_pol_spread=1.0)
 
 
 def test_schedule_defaults_valid():
@@ -95,15 +91,5 @@ def test_schedule_capacity_violations():
 
 
 def test_schedule_reports_all_violations():
-    bad = validate_schedule(StorageSchedule(n_modes=0, n_rep=0))
+    bad = validate_schedule(StorageSchedule(n_modes=0, rf_pulse_count=-1))
     assert len(bad) == 2
-
-
-def test_anisotropic_efficiency():
-    eta = 0.036
-    assert anisotropic_efficiency(eta, standard_state("H"), 0.09) == pytest.approx(eta * 1.09, abs=1e-12)
-    assert anisotropic_efficiency(eta, standard_state("V"), 0.09) == pytest.approx(eta * 0.91, abs=1e-12)
-    for label in ("D", "A", "R", "L"):
-        assert anisotropic_efficiency(eta, standard_state(label), 0.09) == pytest.approx(eta, abs=1e-12)
-    with pytest.raises(ValueError):
-        anisotropic_efficiency(eta, standard_state("H"), 1.0)

@@ -9,7 +9,6 @@ from afcmem.polarization import (
     expectation,
     fidelity,
     orthogonal_label,
-    orthogonal_state,
     standard_setting,
     standard_state,
     trace_distance,
@@ -114,8 +113,6 @@ def test_orthogonal_state_and_label():
     for a, b in MUB_PAIRS:
         assert orthogonal_label(a) == b
         assert orthogonal_label(b) == a
-        perp = orthogonal_state(standard_state(a))
-        assert fidelity(perp, standard_state(b)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pauli_round_trip():
