@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .bounds import poisson_conditional_bound, quantumness_verdict, threshold_bound, \
     transmitted_constrained_bound
-from .config import _finite, build_experiment_config, canonical_text, config_hash, \
+from .config import _parse_value, build_experiment_config, canonical_text, config_hash, \
     default_config, detection_kwargs, load_config
 from .errors import ConfigError, EstimationError
 from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number, validate_schedule
@@ -123,8 +123,7 @@ def _six_settings(exp: ExperimentConfig, seed: int, stream: int) -> TomographyDa
 def _fit_state(data: TomographyData, label: str, resamples: int, seed: int):
     """MLE state, its fidelity to the ideal input and the bootstrap sigma of that fidelity."""
     est = mle_state(data)
-    sigma = monte_carlo_errors(data, target=standard_state(label),
-                               resamples=resamples, seed=seed)["fidelity"]
+    sigma = monte_carlo_errors(data, standard_state(label), resamples=resamples, seed=seed)
     return est, fidelity(est.state, standard_state(label)), sigma
 
 
@@ -164,7 +163,7 @@ def _triple_run(exp: ExperimentConfig, label: str, seed: int, stream: int):
 
 def cmd_simulate(cfg, seed, out, mu_list, trials) -> int:
     label = cfg["simulate"]["input_state"]
-    exp = build_experiment_config(cfg, seed, mu_per_mode=mu_list, trials=trials)
+    exp = build_experiment_config(cfg, mu_per_mode=mu_list, trials=trials)
     par, orth, noise = _triple_run(exp, label, seed, 0)
     est = estimate_params([par, orth, noise], exp)
     meta = _metadata("simulate", seed, cfg)
@@ -236,8 +235,7 @@ def cmd_tomography(cfg, seed, out) -> int:
     else:
         datasets = []
         for i, l in enumerate(labels):
-            exp = build_experiment_config(cfg, seed, input_state=l,
-                                          mu_per_mode=tomo["mu"], trials=tomo["trials"])
+            exp = build_experiment_config(cfg, input_state=l, mu_per_mode=tomo["mu"], trials=tomo["trials"])
             datasets.append(_six_settings(exp, seed, 10 + i))
 
     rows, states = [], []
@@ -274,11 +272,11 @@ def cmd_bounds(cfg, seed, out, mu_list) -> int:
     return 0
 
 
-def _experiment(cfg, seed, label: str, mu, params, **detection) -> ExperimentConfig:
+def _experiment(cfg, label: str, mu, params, **detection) -> ExperimentConfig:
     """A reproduce-paper run: [reproduce] trials, the configured schedule and detection."""
     return ExperimentConfig(input_state=standard_state(label), mu_per_mode=mu,
                             schedule=StorageSchedule(**cfg["schedule"]), params=params,
-                            trials=cfg["reproduce"]["trials"], rng_seed=seed,
+                            trials=cfg["reproduce"]["trials"],
                             **{**detection_kwargs(cfg), **detection})
 
 
@@ -287,7 +285,7 @@ def _stage_table1(cfg, seed, out, meta, check):
     mem = MemoryParams(**cfg["memory"])
     rows = []
     for i, rec in enumerate(MU_SCAN):
-        exp = _experiment(cfg, seed, "D", rec.mu, replace(mem, eta=rec.eta, p_n=rec.p_n))
+        exp = _experiment(cfg, "D", rec.mu, replace(mem, eta=rec.eta, p_n=rec.p_n))
         par, orth, noise = _triple_run(exp, "D", seed, 100 + 10 * i)
         est = estimate_params([par, orth, noise], exp)
         if i == 1:
@@ -313,7 +311,7 @@ def _stage_table1(cfg, seed, out, meta, check):
 def _stage_table_a1(cfg, seed, out, meta, check):
     """Mode-resolved run: five modes with their own efficiencies and noise floors."""
     mem = MemoryParams(**cfg["memory"])
-    exp = _experiment(cfg, seed, "D", tuple(r.mu for r in MODE_SCAN),
+    exp = _experiment(cfg, "D", tuple(r.mu for r in MODE_SCAN),
                       tuple(replace(mem, eta=r.eta, p_n=r.p_n) for r in MODE_SCAN))
     par, orth, noise = _triple_run(exp, "D", seed, 200)
     est = estimate_params([par, orth, noise], exp)
@@ -343,7 +341,7 @@ def _stage_table_b1(cfg, seed, out, meta, check):
     rows, states = [], []
     for i, rec in enumerate(STATE_SCAN):
         p_match = matched_noise_floor(rec.eta, rec.fidelity, rec.mu, mem.f_c)
-        exp = _experiment(cfg, seed, rec.label, rec.mu, replace(mem, eta=rec.eta, p_n=p_match), dark_rate=0.0)
+        exp = _experiment(cfg, rec.label, rec.mu, replace(mem, eta=rec.eta, p_n=p_match), dark_rate=0.0)
         est, f_hat, sigma = _fit_state(_six_settings(exp, seed, 300 + 10 * i), rec.label,
                                        cfg["reproduce"]["resamples"], _derived_seed(seed, 400, i))
         states.append(est.state)
@@ -365,7 +363,7 @@ def _stage_table_c1(cfg, seed, out, meta, check):
     """Transmitted-state characterization: R input, per-mode transmissions."""
     mem = MemoryParams(**cfg["memory"])
     rrec = STATE_SCAN[3]
-    exp = _experiment(cfg, seed, "R", rrec.mu,
+    exp = _experiment(cfg, "R", rrec.mu,
                       tuple(replace(mem, eta=rrec.eta, p_n=rrec.p_n, eta_t=t.transmission, f_t=t.fidelity)
                             for t in TRANSMITTED_MODES))
     par = simulate_run(exp, standard_setting("R"), seed=_derived_seed(seed, 250))
@@ -468,10 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_mu_flag(raw):
     if raw is None:
         return None
-    try:
-        values = tuple(_finite(float(tok)) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"--mu expects comma-separated finite numbers, got {raw!r}") from None
+    values = _parse_value("floatlist", raw, "--mu")
     if not values:
         raise ConfigError("--mu given but empty")
     return values

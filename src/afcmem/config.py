@@ -180,8 +180,7 @@ def detection_kwargs(cfg: Mapping[str, Mapping[str, Any]]) -> dict[str, Any]:
     return {**det, "bin_width": det["bin_width"] or None}
 
 
-def build_experiment_config(cfg: Mapping[str, Mapping[str, Any]], seed: int, *,
-                            input_state: str | None = None,
+def build_experiment_config(cfg: Mapping[str, Mapping[str, Any]], *, input_state: str | None = None,
                             mu_per_mode=None, trials: int | None = None) -> ExperimentConfig:
     sim = cfg["simulate"]
     label = sim["input_state"] if input_state is None else input_state
@@ -196,6 +195,5 @@ def build_experiment_config(cfg: Mapping[str, Mapping[str, Any]], seed: int, *,
         schedule=StorageSchedule(**cfg["schedule"]),
         params=MemoryParams(**cfg["memory"]),
         trials=sim["trials"] if trials is None else int(trials),
-        rng_seed=int(seed),
         **detection_kwargs(cfg),
     )

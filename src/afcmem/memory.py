@@ -121,7 +121,9 @@ def fidelity_vs_photon_number(mu: float, mu_1: float, f_c: float) -> float:
         raise ValueError("mu1 must be nonnegative")
     if not 0.5 <= f_c <= 1.0:
         raise ValueError(f"f_c = {f_c} outside [1/2, 1]")
-    r = mu_1 / mu
+    r = float(mu_1) / float(mu)  # as Python floats an overflow gives inf, without a numpy warning
+    if r > 2.0 ** 54:  # the formula rounds to exactly 1/2 from here on, and 2 r can overflow
+        return 0.5
     return (f_c + r) / (1.0 + 2.0 * r)
 
 

@@ -76,7 +76,6 @@ class ExperimentConfig:
     transmission_to_detector: float = 0.07
     bin_width: float | None = None
     trials: int = 1_000_000
-    rng_seed: int = 0
 
     def __post_init__(self):
         n = self.schedule.n_modes
@@ -110,10 +109,6 @@ class ExperimentConfig:
         """Mean dark counts per gate window of one mode (dark_rate is per second, mode in us)."""
         return self.dark_rate * self.schedule.mode_duration * 1e-6 * self.detector_efficiency
 
-    @property
-    def total_mu(self) -> float:
-        return float(sum(self.mu_per_mode))
-
 
 @dataclass(frozen=True)
 class Window:
@@ -122,7 +117,6 @@ class Window:
     label: str
     start: float
     stop: float
-    blanked: bool = False
     mode: int | None = None
 
 
@@ -176,9 +170,9 @@ def sequence_windows(schedule: StorageSchedule) -> tuple[Window, ...]:
     dm = schedule.mode_duration
     wins = [Window("input", m * dm, (m + 1) * dm, mode=m) for m in range(schedule.n_modes)]
     cp1_start = schedule.n_modes * dm
-    wins.append(Window("CP1", cp1_start, cp1_start + schedule.control_duration, blanked=True))
+    wins.append(Window("CP1", cp1_start, cp1_start + schedule.control_duration))
     cp2_start = cp1_start + schedule.spin_storage
-    wins.append(Window("CP2", cp2_start, cp2_start + schedule.control_duration, blanked=True))
+    wins.append(Window("CP2", cp2_start, cp2_start + schedule.control_duration))
     t_out = schedule.total_storage
     wins += [Window("output", t_out + m * dm, t_out + (m + 1) * dm, mode=m) for m in range(schedule.n_modes)]
     return tuple(wins)
@@ -220,7 +214,7 @@ def model_conditional_fidelity(config: ExperimentConfig, parallel: AnalysisSetti
     return float(lam_p.sum() / (lam_p.sum() + lam_o.sum()))
 
 
-def simulate_run(config: ExperimentConfig, analysis: AnalysisSetting, *, seed: int | None = None) -> CountHistogram:
+def simulate_run(config: ExperimentConfig, analysis: AnalysisSetting, *, seed: int) -> CountHistogram:
     """Simulate one accumulated counting histogram.
 
     Parameters
@@ -228,14 +222,14 @@ def simulate_run(config: ExperimentConfig, analysis: AnalysisSetting, *, seed: i
     config : ExperimentConfig
     analysis : AnalysisSetting
         The single analyzer port in front of the detector.
-    seed : optional override of config.rng_seed.
+    seed : int
+        Seed of the run's random stream.
 
     Returns
     -------
     CountHistogram with integer counts accumulated over config.trials.
     """
-    used_seed = config.rng_seed if seed is None else seed
-    rng = np.random.default_rng(used_seed)
+    rng = np.random.default_rng(seed)
     schedule = config.schedule
     windows = sequence_windows(schedule)
     span = schedule.total_storage + schedule.n_modes * schedule.mode_duration
@@ -255,7 +249,7 @@ def simulate_run(config: ExperimentConfig, analysis: AnalysisSetting, *, seed: i
 
     counts = rng.poisson(lam * config.trials)
     return CountHistogram(edges, counts.astype(np.int64), analysis, windows,
-                          config.mu_per_mode, config.trials, used_seed)
+                          config.mu_per_mode, config.trials, seed)
 
 
 @dataclass(frozen=True)
@@ -270,9 +264,6 @@ class ParamEstimate:
     fidelity_err: float
     mode_fidelity: np.ndarray
     mode_fidelity_err: np.ndarray
-    counts_parallel: int
-    counts_orthogonal: int
-    counts_noise: int
 
 
 def _parallel_orthogonal(histograms: Sequence[CountHistogram], input_state: PolarizationState,
@@ -292,6 +283,13 @@ def _parallel_orthogonal(histograms: Sequence[CountHistogram], input_state: Pola
     if parallel is None or orthogonal is None:
         raise ValueError(missing)
     return parallel, orthogonal
+
+
+def _count_ratio(par: np.ndarray, orth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode fidelity par / (par + orth) and its Poisson error, NaN where both are zero."""
+    tot = par + orth
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(tot > 0, par / tot, np.nan), np.where(tot > 0, np.sqrt(par * orth / tot**3), np.nan)
 
 
 def estimate_params(histograms: Sequence[CountHistogram], config: ExperimentConfig) -> ParamEstimate:
@@ -335,16 +333,10 @@ def estimate_params(histograms: Sequence[CountHistogram], config: ExperimentConf
     fid = s_par / (s_par + s_orth)
     fid_err = np.sqrt(s_par * s_orth / (s_par + s_orth) ** 3) if s_par and s_orth else 1.0 / (s_par + s_orth)
 
-    par_m = parallel.mode_counts("output").astype(float)
-    orth_m = orthogonal.mode_counts("output").astype(float)
-    tot_m = par_m + orth_m
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fid_m = np.where(tot_m > 0, par_m / tot_m, np.nan)
-        fid_m_err = np.where(tot_m > 0, np.sqrt(par_m * orth_m / tot_m**3), np.nan)
-
+    fid_m, fid_m_err = _count_ratio(parallel.mode_counts("output").astype(float),
+                                    orthogonal.mode_counts("output").astype(float))
     return ParamEstimate(float(eta_hat), float(eta_err), float(p_n_hat), float(p_n_err),
-                         float(fid), float(fid_err), fid_m, fid_m_err,
-                         int(s_par), int(s_orth), int(n_noise))
+                         float(fid), float(fid_err), fid_m, fid_m_err)
 
 
 @dataclass(frozen=True)
@@ -371,11 +363,7 @@ def estimate_transmission(histograms: Sequence[CountHistogram], config: Experime
     denom = trials * mu * config.t_det
     trans = (par_m + orth_m - 2.0 * trials * dark) / denom
     trans_err = np.sqrt(par_m + orth_m) / denom
-    tot = par_m + orth_m
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fid = np.where(tot > 0, par_m / tot, np.nan)
-        fid_err = np.where(tot > 0, np.sqrt(par_m * orth_m / tot**3), np.nan)
-    return TransmissionEstimate(trans, trans_err, fid, fid_err)
+    return TransmissionEstimate(trans, trans_err, *_count_ratio(par_m, orth_m))
 
 
 def _histogram_lines(hist: CountHistogram) -> Iterator[str]:

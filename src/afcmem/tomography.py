@@ -13,8 +13,9 @@ onto the trace-preserving affine subspace and the positive cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cache
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,11 +33,10 @@ _LOW_RANK_EIG = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class TomographyData:
-    """Counts per analyzer setting with relative exposures and backgrounds."""
+    """Counts per analyzer setting, all taken with equal exposure, and their backgrounds."""
 
     settings: tuple[AnalysisSetting, ...]
     counts: np.ndarray
-    exposures: np.ndarray | None = None
     backgrounds: np.ndarray | None = None
 
     def __post_init__(self):
@@ -46,32 +46,27 @@ class TomographyData:
             raise ValueError("counts must match the number of settings")
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
-        exposures = np.ones(n) if self.exposures is None else np.asarray(self.exposures, dtype=float)
         backgrounds = np.zeros(n) if self.backgrounds is None else np.asarray(self.backgrounds, dtype=float)
-        if exposures.shape != (n,) or backgrounds.shape != (n,):
-            raise ValueError("exposures and backgrounds must match the number of settings")
-        if (exposures <= 0).any():
-            raise ValueError("exposures must be positive")
+        if backgrounds.shape != (n,):
+            raise ValueError("backgrounds must match the number of settings")
         if (backgrounds < 0).any():
             raise ValueError("backgrounds must be nonnegative")
         projs = np.stack([s.projector.reshape(4) for s in self.settings])
         if np.linalg.matrix_rank(projs, tol=1e-9) < 4:
             raise ValueError("settings must contain at least 4 linearly independent projectors")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "exposures", exposures)
         object.__setattr__(self, "backgrounds", backgrounds)
 
     @classmethod
-    def from_counts(cls, counts: Mapping[str, int], exposures: Mapping[str, float] | None = None,
+    def from_counts(cls, counts: Mapping[str, int],
                     backgrounds: Mapping[str, float] | None = None) -> "TomographyData":
         labels = [lab for lab in SETTING_LABELS if lab in counts]
         if set(counts) - set(labels):
             raise ValueError(f"unknown setting labels {sorted(set(counts) - set(labels))}")
         settings = tuple(standard_setting(lab) for lab in labels)
         n = np.array([counts[lab] for lab in labels])
-        expo = None if exposures is None else np.array([exposures[lab] for lab in labels], dtype=float)
         bg = None if backgrounds is None else np.array([backgrounds[lab] for lab in labels], dtype=float)
-        return cls(settings, n, expo, bg)
+        return cls(settings, n, bg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +111,7 @@ def _linear_inversion_seed(data: TomographyData) -> np.ndarray:
     for setting in data.settings:
         p = setting.projector
         rows.append([p[0, 0].real, p[1, 1].real, 2.0 * p[0, 1].real, 2.0 * p[0, 1].imag])
-    a = np.asarray(rows) * data.exposures[:, None]
+    a = np.asarray(rows)
     b = data.counts - data.backgrounds
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
     m = np.array([[x[0], x[2] + 1j * x[3]], [x[2] - 1j * x[3], x[1]]], dtype=complex)
@@ -128,24 +123,23 @@ def _linear_inversion_seed(data: TomographyData) -> np.ndarray:
     return np.array([tchol[0, 0].real, tchol[1, 1].real, tchol[1, 0].real, tchol[1, 0].imag])
 
 
-def mle_state(data: TomographyData, *, tol: float = _LL_TOL, max_iter: int = _MAX_ITER) -> DensityMatrixEstimate:
+def mle_state(data: TomographyData) -> DensityMatrixEstimate:
     """Maximum-likelihood density matrix from counting data.
 
-    Maximizes sum_j [n_j log m_j - m_j] with m_j = N_j tr(rho~ P_j)+b_j
+    Maximizes sum_j [n_j log m_j - m_j] with m_j = tr(rho~ P_j) + b_j
     and rho~ = T^dag T by monotone gradient ascent with backtracking;
     the trace of rho~ absorbs the overall flux, so no separate scale
     parameter is needed. Stops when the relative log-likelihood change
-    drops below tol or after max_iter accepted steps.
+    drops below _LL_TOL or after _MAX_ITER accepted steps.
     """
     if data.counts.sum() <= 0:
         raise EstimationError("no counts to fit")
     qs = _quadratic_forms(data)
     n = data.counts.astype(float)
-    expo = data.exposures
     bg = data.backgrounds
 
     def ll_of(t):
-        m = expo * np.einsum("i,jik,k->j", t, qs, t) + bg
+        m = np.einsum("i,jik,k->j", t, qs, t) + bg
         m = np.clip(m, 1e-300, None)
         return float(np.sum(n * np.log(m) - m))
 
@@ -155,11 +149,11 @@ def mle_state(data: TomographyData, *, tol: float = _LL_TOL, max_iter: int = _MA
     step = 0.1 * np.linalg.norm(t) + 1e-12
     converged = False
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, _MAX_ITER + 1):
         qt = qs @ t
-        m = expo * (qt @ t) + bg
+        m = qt @ t + bg
         m = np.clip(m, 1e-300, None)
-        grad = 2.0 * ((n / m - 1.0) * expo) @ qt
+        grad = 2.0 * (n / m - 1.0) @ qt
         gnorm = np.linalg.norm(grad)
         if gnorm == 0.0:
             converged = True
@@ -180,7 +174,7 @@ def mle_state(data: TomographyData, *, tol: float = _LL_TOL, max_iter: int = _MA
         t, ll = cand, ll_cand
         trace.append(ll)
         step *= 1.3
-        if delta <= tol * max(1.0, abs(ll)):
+        if delta <= _LL_TOL * max(1.0, abs(ll)):
             converged = True
             break
 
@@ -195,39 +189,28 @@ def mle_state(data: TomographyData, *, tol: float = _LL_TOL, max_iter: int = _MA
     return DensityMatrixEstimate(state, ll, iters, converged, np.asarray(trace), low_rank)
 
 
-def monte_carlo_errors(data: TomographyData, *, target: PolarizationState | None = None,
-                       scalars: Mapping[str, Callable[[PolarizationState], float]] | None = None,
-                       resamples: int = 200, seed: int = 0) -> dict[str, float]:
-    """Bootstrap errors by Poisson-resampling each recorded count.
+def monte_carlo_errors(data: TomographyData, target: PolarizationState, *,
+                       resamples: int = 200, seed: int = 0) -> float:
+    """Bootstrap error of the fidelity by Poisson-resampling each recorded count.
 
-    Returns the sample standard deviation of the fidelity against
-    target (key 'fidelity', when a target is given) and of any extra
-    scalar functionals of the reconstructed state. Resamples that come
-    out all zero are skipped.
+    Returns the sample standard deviation of the reconstructed state's
+    fidelity against target. Resamples that come out all zero are skipped.
     """
     if resamples < 100:
         raise ValueError(f"resamples must be >= 100, got {resamples}")
     if data.counts.sum() <= 0:
         raise EstimationError("no counts to resample")
-    fns: dict[str, Callable[[PolarizationState], float]] = {}
-    if target is not None:
-        fns["fidelity"] = lambda st: fidelity(st, target)
-    if scalars:
-        fns.update(scalars)
-    if not fns:
-        raise ValueError("nothing to evaluate, pass a target or scalar functionals")
     rng = np.random.default_rng(seed)
-    samples: dict[str, list[float]] = {name: [] for name in fns}
+    samples = []
     for _ in range(resamples):
         counts = rng.poisson(data.counts)
         if counts.sum() == 0:
             continue
-        est = mle_state(TomographyData(data.settings, counts, data.exposures, data.backgrounds))
-        for name, fn in fns.items():
-            samples[name].append(fn(est.state))
-    if not next(iter(samples.values())):
+        est = mle_state(TomographyData(data.settings, counts, data.backgrounds))
+        samples.append(fidelity(est.state, target))
+    if not samples:
         raise EstimationError("all resamples were empty")
-    return {name: float(np.std(vals, ddof=1)) for name, vals in samples.items()}
+    return float(np.std(samples, ddof=1))
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +257,13 @@ class ProcessMatrix:
         return float(np.linalg.eigvalsh(self.chi).min())
 
 
-def apply_process(chi: ProcessMatrix | np.ndarray, state: PolarizationState) -> PolarizationState:
+def apply_process(chi: ProcessMatrix, state: PolarizationState) -> PolarizationState:
     """Propagate a state through the channel described by chi.
 
     The output trace is renormalized when chi is not trace preserving;
     use ProcessMatrix.tp_defect to check for that beforehand.
     """
-    mat = chi.chi if isinstance(chi, ProcessMatrix) else np.asarray(chi, dtype=complex)
-    if mat.shape != (4, 4):
-        raise ValueError("chi must be 4x4")
-    if np.abs(mat - mat.conj().T).max() > 1e-8:
-        raise ValueError("chi must be Hermitian")
-    out = np.einsum("kl,kab,bc,lcd->ad", mat, PAULIS, state.rho, _PAULI_DAGGERS)
+    out = np.einsum("kl,kab,bc,lcd->ad", chi.chi, PAULIS, state.rho, _PAULI_DAGGERS)
     out = 0.5 * (out + out.conj().T)
     tr = np.trace(out).real
     if tr <= 0:
@@ -319,6 +297,7 @@ def _hermitian_basis_4() -> list[np.ndarray]:
     return basis
 
 
+@cache
 def _tp_projector():
     """Affine projection data for the constraint sum chi_kl sigma_l sigma_k = I."""
     basis = _hermitian_basis_4()
@@ -333,14 +312,8 @@ def _tp_projector():
     return basis, m, target, correction
 
 
-_TP_CACHE = None
-
-
 def _project_tp(chi: np.ndarray) -> np.ndarray:
-    global _TP_CACHE
-    if _TP_CACHE is None:
-        _TP_CACHE = _tp_projector()
-    basis, m, target, correction = _TP_CACHE
+    basis, m, target, correction = _tp_projector()
     chi = 0.5 * (chi + chi.conj().T)
     r = np.array([np.trace(b @ chi).real for b in basis])
     r = r - correction @ (m @ r - target)
@@ -356,31 +329,32 @@ def _project_psd(chi: np.ndarray) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def project_process_matrix(chi: np.ndarray, *, tol: float = _PROJ_TOL, max_iter: int = _MAX_ITER) -> tuple[np.ndarray, int]:
-    """Alternate between the TP affine subspace and the positive cone."""
+def project_process_matrix(chi: np.ndarray) -> tuple[np.ndarray, int]:
+    """Alternate between the TP affine subspace and the positive cone.
+
+    Stops when successive iterates move by less than _PROJ_TOL in
+    Frobenius norm, or after _MAX_ITER rounds.
+    """
     current = 0.5 * (chi + chi.conj().T)
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, _MAX_ITER + 1):
         previous = current
         current = _project_psd(_project_tp(current))
-        if np.linalg.norm(current - previous) < tol:
+        if np.linalg.norm(current - previous) < _PROJ_TOL:
             break
     return current, iters
 
 
 def process_tomography(inputs: Sequence[PolarizationState],
-                       outputs: Sequence[PolarizationState | DensityMatrixEstimate],
-                       *, project: bool = True, tol: float = _PROJ_TOL) -> ProcessMatrix:
+                       outputs: Sequence[PolarizationState], *, project: bool = True) -> ProcessMatrix:
     """Reconstruct chi from matched input/output state pairs.
 
     Four linearly independent inputs determine the map exactly; extra
     pairs are used in the least-squares sense. With project=True the
-    inversion is pushed to the nearest trace-preserving positive chi by
-    alternating projections (stopping when successive iterates move by
-    less than tol in Frobenius norm).
+    inversion is pushed to a trace-preserving positive chi by
+    project_process_matrix.
     """
-    outs = [o.state if isinstance(o, DensityMatrixEstimate) else o for o in outputs]
-    if len(inputs) != len(outs):
+    if len(inputs) != len(outputs):
         raise ValueError("inputs and outputs must pair up")
     if len(inputs) < 4:
         raise ValueError("need at least 4 input states")
@@ -390,7 +364,7 @@ def process_tomography(inputs: Sequence[PolarizationState],
     n = len(inputs)
     a = np.empty((4 * n, 16), dtype=complex)
     b = np.empty(4 * n, dtype=complex)
-    for i, (sin, sout) in enumerate(zip(inputs, outs)):
+    for i, (sin, sout) in enumerate(zip(inputs, outputs)):
         block = np.einsum("kab,bc,lcd->klad", PAULIS, sin.rho, _PAULI_DAGGERS)
         a[4 * i:4 * i + 4, :] = block.reshape(16, 4).T
         b[4 * i:4 * i + 4] = sout.rho.reshape(4)
@@ -398,7 +372,7 @@ def process_tomography(inputs: Sequence[PolarizationState],
     chi_lin = x.reshape(4, 4)
     if not project:
         return ProcessMatrix(0.5 * (chi_lin + chi_lin.conj().T), projected=False)
-    chi_proj, iters = project_process_matrix(chi_lin, tol=tol)
+    chi_proj, iters = project_process_matrix(chi_lin)
     return ProcessMatrix(chi_proj, projected=True, iterations=iters)
 
 

@@ -125,7 +125,7 @@ def test_tomography_round_trip_and_measured_channel():
         data = TomographyData.from_counts(counts)
         est = mle_state(data)
         sigma = monte_carlo_errors(data, target=standard_state(rec.label),
-                                   resamples=120, seed=500 + j)["fidelity"]
+                                   resamples=120, seed=500 + j)
         f_hat = fidelity(est.state, standard_state(rec.label))
         assert abs(f_hat - rec.fidelity) < 3.0 * sigma, rec.label
         states.append(est.state)

@@ -1,6 +1,7 @@
 import filecmp
 import hashlib
 import os
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,29 @@ def test_simulate_bytes_pinned(tmp_path):
         "histogram_parallel.csv": "307081e7d2b297b0040087bb9640715706e77962f0be75324a6cd16ae03963f2",
         "transmitted.csv": "b1fe1cfa015e686ac8e1010d2e25028dd30c34957f3e947f2bf8fb2e02468e8a",
     }
+
+
+def test_tomography_bytes_pinned(tmp_path):
+    # the simulated six-setting path with its nonzero dark backgrounds, which
+    # reproduce-paper's tableB1 (dark_rate = 0) does not reach
+    cfg = os.path.join(tmp_path, "t.ini")
+    with open(cfg, "w") as fh:
+        fh.write("[tomography]\ntrials = 20000\nresamples = 100\n")
+    out = os.path.join(tmp_path, "t")
+    assert main(["tomography", "--seed", "1", "--config", cfg, "--out", out]) == 0
+    digests = {name: hashlib.sha256(_read(os.path.join(out, name))).hexdigest()
+               for name in sorted(os.listdir(out))}
+    assert digests == {
+        "chi.csv": "3e7e38f4e3a025beffcf067df9ee13dcd48f4f24e6edd6a4b49cf6079495c181",
+        "state_fidelity.csv": "338ebdb5c012e3e644f7ea16897bff31bd035a466c478a6e7344e9ab8d2e58c3",
+    }
+
+
+def test_predict_bytes_pinned(tmp_path):
+    out = os.path.join(tmp_path, "p")
+    assert main(["predict", "--out", out]) == 0
+    digest = hashlib.sha256(_read(os.path.join(out, "predict_fidelity.csv"))).hexdigest()
+    assert digest == "916d7fd0ea801324c724b9e2912226d44ecf55172f894c5f3e466dcae7c6e7fa"
 
 
 def test_config_override_and_types():
@@ -150,6 +174,19 @@ def test_predict_writes_band(tmp_path):
     assert len(rows) == 3
     lo, mid, hi = map(float, rows[1].split(",")[1:])
     assert lo < mid < hi
+
+
+def test_predict_tiny_mu_gives_half_without_warnings(tmp_path):
+    # mu1/mu overflows for the first two; the band's limit there is 1/2
+    out = os.path.join(tmp_path, "p")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["predict", "--out", out, "--mu", "1e-320,1e-310,1e-300"]) == 0
+    rows = [l for l in _read(os.path.join(out, "predict_fidelity.csv")).decode().splitlines()
+            if l and not l.startswith("#")][1:]
+    assert len(rows) == 3
+    for row in rows:
+        assert [float(v) for v in row.split(",")[1:]] == [0.5, 0.5, 0.5]
 
 
 def test_parser_built_once():

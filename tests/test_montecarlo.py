@@ -31,10 +31,10 @@ from afcmem.refdata import ETA_T_MEAN, F_C_MEAN, F_T_MEAN, MU_SCAN
 from afcmem.tableio import write_csv
 
 
-def _row_config(rec, trials=10**6, **kw):
+def _row_config(rec, trials=10**6):
     mem = MemoryParams(eta=rec.eta, p_n=rec.p_n, f_c=F_C_MEAN, eta_t=ETA_T_MEAN, f_t=F_T_MEAN)
     return ExperimentConfig(input_state=standard_state("D"), mu_per_mode=rec.mu,
-                            params=mem, trials=trials, **kw)
+                            params=mem, trials=trials)
 
 
 def _triple(exp, seed):
@@ -72,13 +72,6 @@ def test_bitwise_deterministic():
     c = simulate_run(exp, standard_setting("D"), seed=124)
     assert np.array_equal(a.counts, b.counts)
     assert not np.array_equal(a.counts, c.counts)
-
-
-def test_seed_falls_back_to_config():
-    exp = _row_config(MU_SCAN[1], trials=10**4, rng_seed=9)
-    a = simulate_run(exp, standard_setting("D"))
-    b = simulate_run(exp, standard_setting("D"), seed=9)
-    assert np.array_equal(a.counts, b.counts)
 
 
 def test_output_ratio_near_measured_working_point():
@@ -156,7 +149,6 @@ def test_estimator_noiseless_recovers_unit_fidelity():
                            params=mem, dark_rate=0.0, trials=10**5)
     est = estimate_params(_triple(exp, 42), exp)
     assert est.fidelity_hat == 1.0
-    assert est.counts_orthogonal == 0
     assert est.p_n_hat == 0.0
 
 
