@@ -14,31 +14,26 @@ __version__ = "0.1.0"
 from .bounds import (BoundResult, StrategyParams, poisson_conditional_bound, quantumness_verdict,
                      threshold_bound, transmitted_constrained_bound)
 from .errors import ConfigError, EstimationError
-from .memory import (MemoryParams, StorageSchedule, fidelity_vs_photon_number, mu1,
-                     predicted_fidelity, validate_schedule)
+from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number, validate_schedule
 from .montecarlo import (CountHistogram, ExperimentConfig, ParamEstimate, TransmissionEstimate,
                          estimate_params, estimate_transmission, export_histogram,
                          model_conditional_fidelity, model_mode_fidelity, sequence_windows,
                          simulate_run)
 from .polarization import (AnalysisSetting, PolarizationState, STATE_LABELS, expectation,
-                           fidelity, orthogonal_label, standard_setting, standard_state,
-                           trace_distance)
+                           fidelity, orthogonal_label, standard_setting, standard_state)
 from .tomography import (DensityMatrixEstimate, ProcessMatrix, SETTING_LABELS, TomographyData,
-                         apply_process, chi_to_choi, choi_to_chi, export_process_matrix,
-                         mle_state, monte_carlo_errors, process_tomography,
-                         project_process_matrix, random_process_matrix)
+                         export_process_matrix, mle_state, monte_carlo_errors, process_tomography,
+                         project_process_matrix)
 
 __all__ = [
     "AnalysisSetting", "BoundResult", "ConfigError", "CountHistogram", "DensityMatrixEstimate",
     "EstimationError", "ExperimentConfig", "MemoryParams", "ParamEstimate",
     "PolarizationState", "ProcessMatrix", "SETTING_LABELS", "STATE_LABELS", "StorageSchedule",
-    "StrategyParams", "TomographyData", "TransmissionEstimate", "apply_process", "chi_to_choi",
-    "choi_to_chi", "estimate_params", "estimate_transmission", "expectation",
-    "export_histogram", "export_process_matrix", "fidelity", "fidelity_vs_photon_number",
-    "mle_state", "model_conditional_fidelity", "model_mode_fidelity", "monte_carlo_errors",
-    "mu1", "orthogonal_label", "poisson_conditional_bound", "predicted_fidelity",
-    "process_tomography", "project_process_matrix", "quantumness_verdict",
-    "random_process_matrix", "sequence_windows", "simulate_run", "standard_setting",
-    "standard_state", "threshold_bound", "trace_distance", "transmitted_constrained_bound",
-    "validate_schedule",
+    "StrategyParams", "TomographyData", "TransmissionEstimate", "estimate_params",
+    "estimate_transmission", "expectation", "export_histogram", "export_process_matrix",
+    "fidelity", "fidelity_vs_photon_number", "mle_state", "model_conditional_fidelity",
+    "model_mode_fidelity", "monte_carlo_errors", "orthogonal_label", "poisson_conditional_bound",
+    "process_tomography", "project_process_matrix", "quantumness_verdict", "sequence_windows",
+    "simulate_run", "standard_setting", "standard_state", "threshold_bound",
+    "transmitted_constrained_bound", "validate_schedule",
 ]

@@ -27,6 +27,7 @@ convention eta_m (1 - exp(-mu)) is available as matching="linear".
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +69,6 @@ class BoundResult:
     bound: float
     params: StrategyParams = field(default_factory=StrategyParams)
     degenerate: bool = False
-    description: str = "analytic"
 
 
 def _poisson_tables(mus) -> tuple:
@@ -78,9 +78,11 @@ def _poisson_tables(mus) -> tuple:
     rows, and the strict upper-tail sums of the pmf and of the
     fidelity-weighted pmf. Each row runs over n = 0..ceil(mu + 20
     sqrt(mu + 1) + 25) and is cut after its last term of at least 1e-15
-    of its peak, but never before n = 1; entries past the cut are 0.0, so every row reads as the
-    table of its own mu alone. Means above 600 are refused: exp(-mu),
-    the first term of the recurrence, heads for underflow.
+    of its largest n >= 1 term (every bound conditions on at least one
+    photon, so for mu < 1 the n = 0 peak must not set the cut); entries
+    past the cut are 0.0, so every row reads as the table of its own mu
+    alone. Means above 600 are refused: exp(-mu), the first term of the
+    recurrence, heads for underflow.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     if mus.min() < 0:
@@ -93,10 +95,8 @@ def _poisson_tables(mus) -> tuple:
     # math.exp, not np.exp: keeps each row bit-identical to a scalar build
     ratios[:, 0] = [math.exp(-m) for m in mus]
     pmf = np.cumprod(ratios, axis=1)
-    keep = pmf >= _PMF_REL_CUTOFF * pmf.max(axis=1, keepdims=True)
-    # keep n = 1 even when mu < 1e-15 puts it under the cut: every bound
-    # conditions on at least one photon
-    last = np.maximum(n.size - 1 - np.argmax(keep[:, ::-1], axis=1), 1)
+    keep = pmf >= _PMF_REL_CUTOFF * pmf[:, 1:].max(axis=1, keepdims=True)
+    last = n.size - 1 - np.argmax(keep[:, ::-1], axis=1)
     width = last.max() + 1
     pmf = pmf[:, :width] * (n[:width] <= last[:, None])
     mp = (n[:width] + 1.0) / (n[:width] + 2.0)
@@ -130,17 +130,22 @@ def _p_emit(mu: float, eta_m, matching: str):
     raise ValueError(f"matching must be 'exp' or 'linear', got {matching!r}")
 
 
+def _check_mu(mu: float) -> None:
+    # subnormal mu loses the digits of the n = 1 term every bound rests on
+    if not mu >= sys.float_info.min:
+        raise ValueError(f"mu must be at least {sys.float_info.min:g}, got {mu}")
+
+
 def poisson_conditional_bound(mu: float) -> float:
     """Classical benchmark conditioned on at least one photon arriving.
 
     Closed form of sum_n>=1 (n+1)/(n+2) P(mu, n) / (1 - P(mu, 0)); the
-    direct series is used below mu = 1e-4 where the closed form loses
+    direct series is used below mu = 0.5, where the closed form loses
     digits to cancellation.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_mu(mu)
     denom = -math.expm1(-mu)
-    if mu < 1e-4:
+    if mu < 0.5:
         pmf, mp, _, _ = _poisson_tables(mu)
         return float(np.dot(mp[1:], pmf[0, 1:]) / denom)
     return float(((denom - mu + mu * mu) / (mu * mu) - math.exp(-mu) / 2.0) / denom)
@@ -156,18 +161,22 @@ def threshold_bound(mu: float, eta_m: float, *, matching: str = "exp") -> BoundR
     fidelity. P_emit can never exceed the probability that at least one
     photon arrived; at equality the threshold degenerates to n_min = 1
     (flagged, not an error) and the bound equals the plain conditional
-    benchmark. Supported mean photon numbers are 0 < mu <= 600; larger
-    mu raises ValueError.
+    benchmark. Supported mean photon numbers run from the smallest
+    normal float to 600; mu outside raises ValueError.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_mu(mu)
     if not 0.0 < eta_m <= 1.0:
         raise ValueError(f"eta_m must be in (0, 1], got {eta_m}")
+    return _threshold(mu, eta_m, matching)
+
+
+def _threshold(mu: float, eta_m: float, matching: str) -> BoundResult:
+    """threshold_bound without the input checks; the transmitted bound's
+    fallback runs it at (1 - eta_t) mu, which may be subnormal."""
     p_emit = _p_emit(mu, eta_m, matching).reshape(1, 1)
     bound, n_min, gamma, degenerate = _threshold_eval(_poisson_tables(mu), p_emit)
     params = StrategyParams(eta_m1=eta_m, n_min=int(n_min[0, 0]), gamma=float(gamma[0, 0]))
-    return BoundResult(float(bound[0, 0]), params, bool(degenerate[0, 0]),
-                       description=f"threshold, matching={matching}")
+    return BoundResult(float(bound[0, 0]), params, bool(degenerate[0, 0]))
 
 
 def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float = ETA_T_MEAN,
@@ -193,8 +202,7 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     fallback. On exact objective ties the first candidate in row-major
     (eta_m1, q, delta) grid order is kept.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_mu(mu)
     if not 0.0 < eta_t < 1.0:
         raise ValueError(f"eta_t must be in (0, 1), got {eta_t}")
     if not 0.5 < f_t < 1.0:
@@ -205,14 +213,13 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
         raise ValueError("grid_points must be >= 2")
 
     eta_m2_fb = min(eta_m / (1.0 - eta_t), 1.0)
-    fallback_thr = threshold_bound((1.0 - eta_t) * mu, eta_m2_fb, matching=matching)
+    fallback_thr = _threshold((1.0 - eta_t) * mu, eta_m2_fb, matching)
     best = BoundResult(
         fallback_thr.bound,
         StrategyParams(p=0.0, eta_bs=eta_t, q=2.0 * f_t - 1.0, delta=0.0,
                        eta_m1=_NAN, eta_m2=eta_m2_fb,
                        n_min=fallback_thr.params.n_min, gamma=fallback_thr.params.gamma),
         degenerate=fallback_thr.degenerate,
-        description=f"grid {grid_points}^3, {refine_rounds} refinements, matching={matching}",
     )
 
     eta1_lo, eta1_hi = 1e-2, 1.0
@@ -257,7 +264,7 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
                 params = StrategyParams(p=float(p[c]), eta_bs=float(eta[c]), q=float(q[c]),
                                         delta=float(delta_axis[k]), eta_m1=float(eta1),
                                         eta_m2=float(eta_m2[c, k]), n_min=n_min, gamma=gam)
-                best_local = BoundResult(float(obj[c, k]), params, description=incumbent.description)
+                best_local = BoundResult(float(obj[c, k]), params)
                 best_grid = params
         return best_local, best_grid
 

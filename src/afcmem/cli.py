@@ -219,7 +219,7 @@ def cmd_tomography(cfg, seed, out) -> int:
     tomo = cfg["tomography"]
     labels = tomo["input_labels"]
     unknown = [l for l in labels if l not in STATE_LABELS]
-    if unknown or len(set(labels)) != len(labels) or not labels:
+    if unknown or len(set(labels)) != len(labels):
         raise ConfigError(f"input_labels must be distinct members of {STATE_LABELS}")
     span = np.stack([standard_state(l).rho.reshape(4) for l in labels])
     if np.linalg.matrix_rank(span, tol=1e-9) < 4:
@@ -464,12 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_mu_flag(raw):
-    if raw is None:
-        return None
-    values = _parse_value("floatlist", raw, "--mu")
-    if not values:
-        raise ConfigError("--mu given but empty")
-    return values
+    return None if raw is None else _parse_value("floatlist", raw, "--mu")
 
 
 def main(argv=None) -> int:
@@ -497,9 +492,7 @@ def main(argv=None) -> int:
             return cmd_tomography(cfg, seed, args.out)
         if args.command == "bounds":
             return cmd_bounds(cfg, seed, args.out, _parse_mu_flag(args.mu))
-        if args.command == "reproduce-paper":
-            return cmd_reproduce_paper(cfg, seed, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_reproduce_paper(cfg, seed, args.out)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

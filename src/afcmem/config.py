@@ -100,10 +100,11 @@ def _parse_value(tag: str, raw: str, where: str):
             raise ValueError("not a boolean")
         if tag == "str":
             return raw
-        if tag == "floatlist":
-            return tuple(_finite(float(tok)) for tok in raw.split(",") if tok.strip())
-        if tag == "strlist":
-            return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+        if tag in ("floatlist", "strlist"):
+            items = tuple(tok.strip() for tok in raw.split(","))
+            if "" in items:
+                raise ValueError("empty list item")
+            return tuple(_finite(float(tok)) for tok in items) if tag == "floatlist" else items
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {tag}: {exc}") from None
     raise AssertionError(f"unknown schema tag {tag}")

@@ -106,13 +106,6 @@ def validate_schedule(schedule: StorageSchedule) -> list[str]:
     return violations
 
 
-def mu1(params: MemoryParams) -> float:
-    """Input photon number at which the retrieved signal-to-noise ratio is 1."""
-    if params.eta <= 0:
-        raise ValueError("eta must be positive to form p_n / eta")
-    return params.p_n / params.eta
-
-
 def fidelity_vs_photon_number(mu: float, mu_1: float, f_c: float) -> float:
     """Conditional fidelity (F_c + mu1/mu) / (1 + 2 mu1/mu)."""
     if mu <= 0:
@@ -125,9 +118,3 @@ def fidelity_vs_photon_number(mu: float, mu_1: float, f_c: float) -> float:
     if r > 2.0 ** 54:  # the formula rounds to exactly 1/2 from here on, and 2 r can overflow
         return 0.5
     return (f_c + r) / (1.0 + 2.0 * r)
-
-
-def predicted_fidelity(mu: float, params: MemoryParams) -> float:
-    """Conditional fidelity of the memory at input photon number mu."""
-    return fidelity_vs_photon_number(mu, mu1(params), params.f_c)
-

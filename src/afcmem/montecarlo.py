@@ -85,8 +85,10 @@ class ExperimentConfig:
         object.__setattr__(self, "mu_per_mode", tuple(float(m) for m in mus))
         object.__setattr__(self, "params", _as_tuple(self.params, n, "params"))
         for name in ("detector_efficiency", "transmission_to_detector"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} outside [0, 1]")
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} = {getattr(self, name)} outside (0, 1]")
+        if self.t_det == 0.0:
+            raise ValueError("transmission_to_detector * detector_efficiency underflows to 0")
         if self.dark_rate < 0:
             raise ValueError("dark_rate must be nonnegative")
         if self.trials < 1:
@@ -327,6 +329,9 @@ def estimate_params(histograms: Sequence[CountHistogram], config: ExperimentConf
         raise EstimationError("cannot estimate efficiency without input photons")
     background = 2.0 * trials * n_modes * (p_n_hat * t_det + dark)
     denom = trials * mu_total * t_det
+    if denom ** 2 == 0.0:
+        raise EstimationError(f"signal too weak to estimate: trials * mu * T_det = {denom:g} "
+                              "underflows when squared")
     eta_hat = (s_par + s_orth - background) / denom
     eta_err = np.sqrt((s_par + s_orth) / denom**2 + (2.0 * n_modes * trials * t_det * p_n_err / denom) ** 2)
 
@@ -361,6 +366,10 @@ def estimate_transmission(histograms: Sequence[CountHistogram], config: Experime
     dark = config.dark_per_gate
     mu = np.asarray(parallel.mu_per_mode, dtype=float)
     denom = trials * mu * config.t_det
+    weak = denom[(mu > 0) & (denom ** 2 == 0.0)]
+    if weak.size:
+        raise EstimationError(f"signal too weak to estimate: trials * mu * T_det = {weak[0]:g} "
+                              "underflows when squared")
     trans = (par_m + orth_m - 2.0 * trials * dark) / denom
     trans_err = np.sqrt(par_m + orth_m) / denom
     return TransmissionEstimate(trans, trans_err, *_count_ratio(par_m, orth_m))

@@ -22,13 +22,9 @@ _KETS = {
 
 STATE_LABELS = tuple(_KETS)
 
-I2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 # fixed operator order (I, X, Y, Z); process matrices index into this
-PAULIS = np.stack([I2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                  dtype=complex)
 
 _TRACE_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -67,11 +63,6 @@ class PolarizationState:
     @property
     def purity(self) -> float:
         return float(np.trace(self.rho @ self.rho).real)
-
-    @property
-    def bloch(self) -> np.ndarray:
-        """Bloch vector (x, y, z); H sits at z = +1."""
-        return np.array([np.trace(self.rho @ s).real for s in PAULIS[1:]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,21 +110,10 @@ def expectation(state: PolarizationState, setting: AnalysisSetting) -> float:
 
 
 def fidelity(state: PolarizationState, target: PolarizationState) -> float:
-    """Uhlmann fidelity between two states (squared-overlap convention).
+    """Fidelity tr(rho sigma) of a state to a pure target (squared-overlap convention).
 
-    Falls back to the fast tr(rho sigma) form when the target is pure.
+    A target whose purity is below 1 - 1e-9 raises ValueError.
     """
-    if target.purity > 1.0 - _PURITY_TOL:
-        return float(np.clip(np.trace(state.rho @ target.rho).real, 0.0, 1.0))
-    # tr sqrt(sqrt(a) b sqrt(a)), squared
-    w, v = np.linalg.eigh(state.rho)
-    w = np.clip(w, 0.0, None)
-    sqrt_a = (v * np.sqrt(w)) @ v.conj().T
-    inner = sqrt_a @ target.rho @ sqrt_a
-    ev = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(np.clip(np.sum(np.sqrt(ev)) ** 2, 0.0, 1.0))
-
-
-def trace_distance(a: PolarizationState, b: PolarizationState) -> float:
-    ev = np.linalg.eigvalsh(a.rho - b.rho)
-    return float(0.5 * np.sum(np.abs(ev)))
+    if target.purity < 1.0 - _PURITY_TOL:
+        raise ValueError(f"fidelity needs a pure target, got purity {target.purity}")
+    return float(np.clip(np.trace(state.rho @ target.rho).real, 0.0, 1.0))

@@ -218,10 +218,6 @@ def monte_carlo_errors(data: TomographyData, target: PolarizationState, *,
 
 _PAULI_DAGGERS = PAULIS.conj().transpose(0, 2, 1)
 
-# columns (sigma_k (x) I)|Omega>, the frame mapping chi to the Choi matrix
-_OMEGA = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
-_FRAME = np.stack([np.kron(s, np.eye(2)) @ _OMEGA for s in PAULIS], axis=1)
-
 
 @dataclass(frozen=True, eq=False)
 class ProcessMatrix:
@@ -255,28 +251,6 @@ class ProcessMatrix:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.chi).min())
-
-
-def apply_process(chi: ProcessMatrix, state: PolarizationState) -> PolarizationState:
-    """Propagate a state through the channel described by chi.
-
-    The output trace is renormalized when chi is not trace preserving;
-    use ProcessMatrix.tp_defect to check for that beforehand.
-    """
-    out = np.einsum("kl,kab,bc,lcd->ad", chi.chi, PAULIS, state.rho, _PAULI_DAGGERS)
-    out = 0.5 * (out + out.conj().T)
-    tr = np.trace(out).real
-    if tr <= 0:
-        raise EstimationError("channel maps the state to zero trace")
-    return PolarizationState(out / tr)
-
-
-def chi_to_choi(chi: np.ndarray) -> np.ndarray:
-    return _FRAME @ np.asarray(chi, dtype=complex) @ _FRAME.conj().T
-
-
-def choi_to_chi(choi: np.ndarray) -> np.ndarray:
-    return _FRAME.conj().T @ np.asarray(choi, dtype=complex) @ _FRAME / 4.0
 
 
 def _hermitian_basis_4() -> list[np.ndarray]:
@@ -374,19 +348,6 @@ def process_tomography(inputs: Sequence[PolarizationState],
         return ProcessMatrix(0.5 * (chi_lin + chi_lin.conj().T), projected=False)
     chi_proj, iters = project_process_matrix(chi_lin)
     return ProcessMatrix(chi_proj, projected=True, iterations=iters)
-
-
-def random_process_matrix(seed: int) -> ProcessMatrix:
-    """Random completely positive trace-preserving chi (Ginibre Choi state)."""
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    choi = g @ g.conj().T
-    w = np.einsum("aiaj->ij", choi.reshape(2, 2, 2, 2))
-    ev, vec = np.linalg.eigh(w)
-    w_isqrt = (vec * (1.0 / np.sqrt(ev))) @ vec.conj().T
-    sandwich = np.kron(np.eye(2), w_isqrt)
-    chi = choi_to_chi(sandwich @ choi @ sandwich)
-    return ProcessMatrix(0.5 * (chi + chi.conj().T), projected=True)
 
 
 def export_process_matrix(chi: np.ndarray, path: str, *, projected: bool,

@@ -51,12 +51,11 @@ from afcmem.refdata import (
 from afcmem.tomography import (
     SETTING_LABELS,
     TomographyData,
-    apply_process,
     mle_state,
     monte_carlo_errors,
     process_tomography,
-    random_process_matrix,
 )
+from oracles import apply_process, random_process_matrix
 
 TOMO_INPUTS = ("H", "V", "D", "R")
 

@@ -143,9 +143,10 @@ def _values_like(default):
         return finite
     if isinstance(default, str):
         return _ini_text()
+    # a list holds at least one item; an empty one is rejected like an empty item
     if all(isinstance(v, float) for v in default):
-        return st.lists(finite, max_size=4).map(tuple)
-    return st.lists(_ini_text(min_size=1), max_size=4).map(tuple)
+        return st.lists(finite, min_size=1, max_size=4).map(tuple)
+    return st.lists(_ini_text(min_size=1), min_size=1, max_size=4).map(tuple)
 
 
 _RANDOM_CONFIGS = st.fixed_dictionaries({
@@ -366,3 +367,85 @@ def test_fig3a_threshold_uses_configured_matching(tmp_path):
         assert row[-1] == f"{bound:.12g}"
     # the default exp matching gives 0.791023 at mu = 0.5, the linear one 0.801631
     assert rows[1][0] == "0.5" and rows[1][-1] == "0.80163107274"
+
+
+def _exits_cleanly(argv, code, capsys):
+    """main(argv) returns code with a one-line error message and no traceback."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    return err
+
+
+def _ini(tmp_path, text):
+    path = os.path.join(tmp_path, "c.ini")
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
+def _csvs(out):
+    return [name for name in os.listdir(out) if name.endswith(".csv")] if os.path.exists(out) else []
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["predict", "--mu", "0.8,,1.4,"], ""),
+    (["simulate", "--seed", "1"], "[simulate]\nmu_per_mode = 1.4,\n"),
+    (["tomography", "--seed", "1"], "[tomography]\ninput_labels = H,,V,D,R\n"),
+], ids=["predict-mu-flag", "simulate-mu-per-mode", "tomography-input-labels"])
+def test_empty_list_items_rejected(tmp_path, capsys, argv, ini):
+    out = os.path.join(tmp_path, "o")
+    err = _exits_cleanly(argv + ["--config", _ini(tmp_path, ini), "--out", out], 2, capsys)
+    assert "empty list item" in err
+    assert not _csvs(out)
+
+
+@pytest.mark.parametrize("argv, ini, code", [
+    (["simulate", "--seed", "1"], "[detection]\ndetector_efficiency = 0\n", 2),
+    (["simulate", "--seed", "1"], "[detection]\ntransmission_to_detector = 1e-300\n", 3),
+    (["simulate", "--seed", "1", "--mu", "1e-300"], "", 3),
+], ids=["zero-detector-efficiency", "tiny-transmission", "tiny-mu"])
+def test_vanishing_detection_chain_rejected(tmp_path, capsys, argv, ini, code):
+    # each of these divided by zero in the estimator and ended in a traceback
+    out = os.path.join(tmp_path, "o")
+    _exits_cleanly(argv + ["--config", _ini(tmp_path, ini), "--out", out], code, capsys)
+    assert not _csvs(out)
+
+
+def test_bounds_command_rejects_subnormal_mu(tmp_path, capsys):
+    # it wrote a plain bound of 0.6665 and a transmitted bound above the threshold bound
+    out = os.path.join(tmp_path, "o")
+    err = _exits_cleanly(["bounds", "--mu", "1e-320", "--out", out], 2, capsys)
+    assert "mu must be at least" in err
+    assert not _csvs(out)
+
+
+def _counts(inputs):
+    return "".join(f"{inp},{s},100\n" for inp in inputs for s in "HVDARL")
+
+
+_GOOD_COUNTS = _counts("HVDR")
+
+
+@pytest.mark.parametrize("counts, labels, message", [
+    (None, "H, V, D, R", "cannot read counts file"),
+    ("H,H\n", "H, V, D, R", "expected input,setting,counts"),
+    ("H,H,12.5\n", "H, V, D, R", "counts must be an integer"),
+    (_GOOD_COUNTS + "H,V,7\n", "H, V, D, R", "duplicate entry for H/V"),
+    (_counts("HVD"), "H, V, D, R", "lacks input states ['R']"),
+    (_GOOD_COUNTS, "H, V, D, D", "distinct members"),
+    (_GOOD_COUNTS, "H, V, D, Q", "distinct members"),
+    (_GOOD_COUNTS, "H, V, D, A", "do not span"),
+], ids=["unreadable", "two-columns", "non-integer", "duplicate-entry", "missing-input",
+        "duplicate-label", "unknown-label", "non-spanning-labels"])
+def test_tomography_rejections(tmp_path, capsys, counts, labels, message):
+    path = os.path.join(tmp_path, "counts.csv")
+    if counts is not None:
+        with open(path, "w") as fh:
+            fh.write("input,setting,counts\n" + counts)
+    cfg = _ini(tmp_path, f"[tomography]\ncounts_file = {path}\ninput_labels = {labels}\n"
+                         "resamples = 100\n")
+    out = os.path.join(tmp_path, "o")
+    err = _exits_cleanly(["tomography", "--seed", "3", "--config", cfg, "--out", out], 2, capsys)
+    assert message in err
+    assert not _csvs(out)

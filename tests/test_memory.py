@@ -5,24 +5,15 @@ from afcmem.memory import (
     MemoryParams,
     StorageSchedule,
     fidelity_vs_photon_number,
-    mu1,
-    predicted_fidelity,
     validate_schedule,
 )
-from afcmem.refdata import F_C_MEAN, MODE_SCAN, MU_SCAN
-
-
-def test_mu1_from_params():
-    p = MemoryParams(eta=0.043, p_n=0.011)
-    assert mu1(p) == pytest.approx(0.011 / 0.043, abs=1e-12)
-    with pytest.raises(ValueError):
-        mu1(MemoryParams(eta=0.0, p_n=0.011))
+from afcmem.refdata import MODE_SCAN, MU_SCAN
 
 
 def test_mu1_matches_tabulated_scan():
     for rec in MU_SCAN + MODE_SCAN:
         params = MemoryParams(eta=rec.eta, p_n=rec.p_n)
-        assert abs(mu1(params) - rec.mu1) <= rec.mu1_err
+        assert abs(params.p_n / params.eta - rec.mu1) <= rec.mu1_err
 
 
 def test_fidelity_vs_photon_number_frozen_values():
@@ -60,12 +51,6 @@ def test_fidelity_input_validation():
         fidelity_vs_photon_number(1.0, -0.1, 0.991)
     with pytest.raises(ValueError):
         fidelity_vs_photon_number(1.0, 0.29, 0.4)
-
-
-def test_predicted_fidelity_uses_params():
-    p = MemoryParams(eta=0.036, p_n=0.0101, f_c=0.991)
-    ref = fidelity_vs_photon_number(1.4, 0.0101 / 0.036, 0.991)
-    assert predicted_fidelity(1.4, p) == pytest.approx(ref, abs=1e-15)
 
 
 def test_memory_params_validation():

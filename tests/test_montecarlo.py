@@ -179,6 +179,16 @@ def test_transmission_closure():
     assert np.all(np.abs(tr.fidelity - F_T_MEAN) < 3.0 * tr.fidelity_err)
 
 
+def test_estimators_reject_underflowing_signal():
+    # trials * mu * T_det = 2e-165 squares to 0; the error formulas divided by it
+    exp = replace(_row_config(MU_SCAN[1], trials=10**6), mu_per_mode=1e-170)
+    par, orth, noise = _triple(exp, 60)
+    with pytest.raises(EstimationError, match="underflows"):
+        estimate_params([par, orth, noise], exp)
+    with pytest.raises(EstimationError, match="underflows"):
+        estimate_transmission([par, orth], exp)
+
+
 def test_histogram_export(tmp_path):
     exp = _row_config(MU_SCAN[1], trials=10**4)
     hist = simulate_run(exp, standard_setting("D"), seed=6)
@@ -257,6 +267,11 @@ def test_config_validation():
         ExperimentConfig(params=mem, bin_width=0.7)  # does not divide 1.25 us
     with pytest.raises(ValueError):
         ExperimentConfig(params=mem, trials=0)
+    # a detection chain that sees nothing leaves the estimators nothing to divide by
+    for kwargs in ({"detector_efficiency": 0.0}, {"transmission_to_detector": 0.0},
+                   {"transmission_to_detector": 5e-324, "detector_efficiency": 0.4}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(params=mem, **kwargs)
 
 
 def test_model_fidelity_helpers_consistent():

@@ -11,8 +11,8 @@ from afcmem.polarization import (
     orthogonal_label,
     standard_setting,
     standard_state,
-    trace_distance,
 )
+from oracles import bloch, trace_distance
 
 MUB_PAIRS = (("H", "V"), ("D", "A"), ("R", "L"))
 
@@ -60,6 +60,9 @@ def test_fidelity_examples():
     assert fidelity(h, h) == pytest.approx(1.0, abs=1e-12)
     assert fidelity(h, v) == pytest.approx(0.0, abs=1e-12)
     assert fidelity(h, d) == pytest.approx(0.5, abs=1e-12)
+    # the tr(rho sigma) form is the fidelity only for a pure target
+    with pytest.raises(ValueError, match="pure target"):
+        fidelity(h, PolarizationState(np.eye(2) / 2.0))
 
 
 def test_fidelity_pure_symmetric():
@@ -131,8 +134,8 @@ def test_pauli_basis_properties():
 
 
 def test_bloch_and_purity():
-    assert np.allclose(standard_state("H").bloch, [0.0, 0.0, 1.0], atol=1e-12)
-    assert np.allclose(standard_state("D").bloch, [1.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(bloch(standard_state("H")), [0.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(bloch(standard_state("D")), [1.0, 0.0, 0.0], atol=1e-12)
     assert standard_state("R").purity == pytest.approx(1.0, abs=1e-12)
     assert PolarizationState(np.eye(2) / 2.0).purity == pytest.approx(0.5, abs=1e-12)
 

@@ -7,21 +7,18 @@ from hypothesis.extra.numpy import arrays
 from afcmem.errors import EstimationError
 from afcmem.memory import MemoryParams
 from afcmem.montecarlo import ExperimentConfig, simulate_run
-from afcmem.polarization import fidelity, standard_setting, standard_state, trace_distance
+from afcmem.polarization import fidelity, standard_setting, standard_state
 from afcmem.refdata import F_C_MEAN, STATE_SCAN, matched_noise_floor
 from afcmem.tomography import (
     SETTING_LABELS,
     ProcessMatrix,
     TomographyData,
-    apply_process,
-    chi_to_choi,
-    choi_to_chi,
     mle_state,
     monte_carlo_errors,
     process_tomography,
     project_process_matrix,
-    random_process_matrix,
 )
+from oracles import apply_process, chi_to_choi, choi_to_chi, random_process_matrix, trace_distance
 
 BASIS_STATES = [standard_state(l) for l in ("H", "V", "D", "R")]
 
