@@ -12,6 +12,10 @@ writes its CSV and appends its comparisons to the one summary.csv list.
 The bound and verdict rows, the six-setting tomography and the mu1 band
 are the same helpers that bounds, tomography and predict use.
 
+Every simulated configuration comes from _experiment. _pair makes the
+runs analyzed parallel and orthogonal to the input, _triple_run adds the
+no-input run, and the estimators take each run by its role.
+
 Exit codes: 0 success, 2 configuration/validation error, 3 runtime or
 estimation failure.
 """
@@ -30,8 +34,7 @@ import numpy as np
 from . import __version__
 from .bounds import poisson_conditional_bound, quantumness_verdict, threshold_bound, \
     transmitted_constrained_bound
-from .config import _parse_value, build_experiment_config, canonical_text, config_hash, \
-    default_config, detection_kwargs, load_config
+from .config import _parse_value, canonical_text, config_hash, default_config, load_config
 from .errors import ConfigError, EstimationError
 from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number, validate_schedule
 from .montecarlo import ExperimentConfig, estimate_params, estimate_transmission, \
@@ -109,6 +112,28 @@ def _verdict_rows(b):
     return rows
 
 
+def _experiment(cfg, label: str, mu, trials: int, params=None, **detection) -> ExperimentConfig:
+    """One configuration to simulate: the configured schedule and [detection], and [memory]
+    unless params is given; detection overrides [detection] keys."""
+    return ExperimentConfig(input_state=standard_state(label), mu_per_mode=mu,
+                            schedule=StorageSchedule(**cfg["schedule"]),
+                            params=MemoryParams(**cfg["memory"]) if params is None else params,
+                            trials=trials, **{**cfg["detection"], **detection})
+
+
+def _pair(exp: ExperimentConfig, label: str, seed: int, stream: int):
+    """The runs analyzed parallel and orthogonal to the input label, on streams stream and stream + 1."""
+    return (simulate_run(exp, standard_setting(label), seed=_derived_seed(seed, stream)),
+            simulate_run(exp, standard_setting(orthogonal_label(label)), seed=_derived_seed(seed, stream + 1)))
+
+
+def _triple_run(exp: ExperimentConfig, label: str, seed: int, stream: int):
+    """_pair's parallel and orthogonal runs, then the no-input run on stream + 2."""
+    noise = simulate_run(replace(exp, mu_per_mode=0.0), standard_setting(label),
+                         seed=_derived_seed(seed, stream + 2))
+    return (*_pair(exp, label, seed, stream), noise)
+
+
 def _six_settings(exp: ExperimentConfig, seed: int, stream: int) -> TomographyData:
     """Output-window counts in the six analyzer settings, with their dark backgrounds."""
     counts, backgrounds = {}, {}
@@ -151,21 +176,14 @@ def cmd_predict(cfg, seed, out, mu_list) -> int:
     return 0
 
 
-def _triple_run(exp: ExperimentConfig, label: str, seed: int, stream: int):
-    """Parallel, orthogonal and no-input runs for one configuration."""
-    par = simulate_run(exp, standard_setting(label), seed=_derived_seed(seed, stream))
-    orth = simulate_run(exp, standard_setting(orthogonal_label(label)),
-                        seed=_derived_seed(seed, stream + 1))
-    noise = simulate_run(replace(exp, mu_per_mode=0.0), standard_setting(label),
-                         seed=_derived_seed(seed, stream + 2))
-    return par, orth, noise
-
-
 def cmd_simulate(cfg, seed, out, mu_list, trials) -> int:
-    label = cfg["simulate"]["input_state"]
-    exp = build_experiment_config(cfg, mu_per_mode=mu_list, trials=trials)
+    sim = cfg["simulate"]
+    label = sim["input_state"]
+    mus = sim["mu_per_mode"] if mu_list is None else mu_list
+    exp = _experiment(cfg, label, mus[0] if len(mus) == 1 else mus,
+                      sim["trials"] if trials is None else trials)
     par, orth, noise = _triple_run(exp, label, seed, 0)
-    est = estimate_params([par, orth, noise], exp)
+    est = estimate_params(par, orth, noise, exp)
     meta = _metadata("simulate", seed, cfg)
     for name, hist in (("parallel", par), ("orthogonal", orth), ("noise", noise)):
         export_histogram(hist, os.path.join(out, f"histogram_{name}.csv"), meta)
@@ -175,7 +193,7 @@ def cmd_simulate(cfg, seed, out, mu_list, trials) -> int:
     rows += [(f"fidelity_mode_{m + 1}", float(est.mode_fidelity[m]), float(est.mode_fidelity_err[m]))
              for m in range(exp.schedule.n_modes)]
     write_csv(os.path.join(out, "estimate.csv"), meta, ["quantity", "value", "error"], rows)
-    tr = estimate_transmission([par, orth], exp)
+    tr = estimate_transmission(par, orth, exp)
     trows = [(m + 1, float(tr.transmission[m]), float(tr.transmission_err[m]),
               float(tr.fidelity[m]), float(tr.fidelity_err[m]))
              for m in range(exp.schedule.n_modes)]
@@ -235,7 +253,7 @@ def cmd_tomography(cfg, seed, out) -> int:
     else:
         datasets = []
         for i, l in enumerate(labels):
-            exp = build_experiment_config(cfg, input_state=l, mu_per_mode=tomo["mu"], trials=tomo["trials"])
+            exp = _experiment(cfg, l, tomo["mu"], tomo["trials"])
             datasets.append(_six_settings(exp, seed, 10 + i))
 
     rows, states = [], []
@@ -272,22 +290,14 @@ def cmd_bounds(cfg, seed, out, mu_list) -> int:
     return 0
 
 
-def _experiment(cfg, label: str, mu, params, **detection) -> ExperimentConfig:
-    """A reproduce-paper run: [reproduce] trials, the configured schedule and detection."""
-    return ExperimentConfig(input_state=standard_state(label), mu_per_mode=mu,
-                            schedule=StorageSchedule(**cfg["schedule"]), params=params,
-                            trials=cfg["reproduce"]["trials"],
-                            **{**detection_kwargs(cfg), **detection})
-
-
 def _stage_table1(cfg, seed, out, meta, check):
     """Photon-number scan: closure of the generator/estimator pair per row; fig2 is row 2's histogram."""
     mem = MemoryParams(**cfg["memory"])
     rows = []
     for i, rec in enumerate(MU_SCAN):
-        exp = _experiment(cfg, "D", rec.mu, replace(mem, eta=rec.eta, p_n=rec.p_n))
+        exp = _experiment(cfg, "D", rec.mu, cfg["reproduce"]["trials"], replace(mem, eta=rec.eta, p_n=rec.p_n))
         par, orth, noise = _triple_run(exp, "D", seed, 100 + 10 * i)
-        est = estimate_params([par, orth, noise], exp)
+        est = estimate_params(par, orth, noise, exp)
         if i == 1:
             export_histogram(par, os.path.join(out, "fig2_histogram.csv"), meta)
         mu1_row = rec.p_n / rec.eta
@@ -311,10 +321,10 @@ def _stage_table1(cfg, seed, out, meta, check):
 def _stage_table_a1(cfg, seed, out, meta, check):
     """Mode-resolved run: five modes with their own efficiencies and noise floors."""
     mem = MemoryParams(**cfg["memory"])
-    exp = _experiment(cfg, "D", tuple(r.mu for r in MODE_SCAN),
+    exp = _experiment(cfg, "D", tuple(r.mu for r in MODE_SCAN), cfg["reproduce"]["trials"],
                       tuple(replace(mem, eta=r.eta, p_n=r.p_n) for r in MODE_SCAN))
     par, orth, noise = _triple_run(exp, "D", seed, 200)
-    est = estimate_params([par, orth, noise], exp)
+    est = estimate_params(par, orth, noise, exp)
     f_model = model_mode_fidelity(exp, par.analysis, orth.analysis)
     rows = []
     for m, r in enumerate(MODE_SCAN):
@@ -341,7 +351,8 @@ def _stage_table_b1(cfg, seed, out, meta, check):
     rows, states = [], []
     for i, rec in enumerate(STATE_SCAN):
         p_match = matched_noise_floor(rec.eta, rec.fidelity, rec.mu, mem.f_c)
-        exp = _experiment(cfg, rec.label, rec.mu, replace(mem, eta=rec.eta, p_n=p_match), dark_rate=0.0)
+        exp = _experiment(cfg, rec.label, rec.mu, cfg["reproduce"]["trials"],
+                          replace(mem, eta=rec.eta, p_n=p_match), dark_rate=0.0)
         est, f_hat, sigma = _fit_state(_six_settings(exp, seed, 300 + 10 * i), rec.label,
                                        cfg["reproduce"]["resamples"], _derived_seed(seed, 400, i))
         states.append(est.state)
@@ -363,12 +374,11 @@ def _stage_table_c1(cfg, seed, out, meta, check):
     """Transmitted-state characterization: R input, per-mode transmissions."""
     mem = MemoryParams(**cfg["memory"])
     rrec = STATE_SCAN[3]
-    exp = _experiment(cfg, "R", rrec.mu,
+    exp = _experiment(cfg, "R", rrec.mu, cfg["reproduce"]["trials"],
                       tuple(replace(mem, eta=rrec.eta, p_n=rrec.p_n, eta_t=t.transmission, f_t=t.fidelity)
                             for t in TRANSMITTED_MODES))
-    par = simulate_run(exp, standard_setting("R"), seed=_derived_seed(seed, 250))
-    orth = simulate_run(exp, standard_setting("L"), seed=_derived_seed(seed, 251))
-    tr = estimate_transmission([par, orth], exp)
+    par, orth = _pair(exp, "R", seed, 250)
+    tr = estimate_transmission(par, orth, exp)
     par_in, orth_in = par.mode_counts("input"), orth.mode_counts("input")
     rows = []
     for m, t in enumerate(TRANSMITTED_MODES):

@@ -18,7 +18,6 @@ from typing import Any, Mapping
 from .errors import ConfigError
 from .memory import MemoryParams, StorageSchedule
 from .montecarlo import ExperimentConfig
-from .polarization import STATE_LABELS, standard_state
 from .refdata import ETA_M_BENCH, ETA_T_MEAN, F_C_MEAN, F_T_MEAN, MU1_ERR, MU1_MEAN
 
 # Defaults; each key's type tag (float int bool str floatlist strlist) is
@@ -29,8 +28,7 @@ _EXPERIMENT = {f.name: f.default for f in fields(ExperimentConfig)}
 _SCHEMA: dict[str, dict[str, Any]] = {
     "memory": {f.name: f.default for f in fields(MemoryParams)},
     "schedule": {f.name: f.default for f in fields(StorageSchedule)},
-    # bin_width 0 means "derive from the schedule" (a fifth of a mode)
-    "detection": {k: _EXPERIMENT[k] or 0.0 for k in (
+    "detection": {k: _EXPERIMENT[k] for k in (
         "detector_efficiency", "dark_rate", "transmission_to_detector", "bin_width")},
     "simulate": {
         "input_state": "D",
@@ -173,28 +171,3 @@ def canonical_text(cfg: Mapping[str, Mapping[str, Any]]) -> str:
 
 def config_hash(cfg: Mapping[str, Mapping[str, Any]]) -> str:
     return hashlib.sha256(canonical_text(cfg).encode()).hexdigest()[:12]
-
-
-def detection_kwargs(cfg: Mapping[str, Mapping[str, Any]]) -> dict[str, Any]:
-    """[detection] as ExperimentConfig keyword arguments, a 0 bin_width as None."""
-    det = cfg["detection"]
-    return {**det, "bin_width": det["bin_width"] or None}
-
-
-def build_experiment_config(cfg: Mapping[str, Mapping[str, Any]], *, input_state: str | None = None,
-                            mu_per_mode=None, trials: int | None = None) -> ExperimentConfig:
-    sim = cfg["simulate"]
-    label = sim["input_state"] if input_state is None else input_state
-    if label not in STATE_LABELS:
-        raise ConfigError(f"input_state must be one of {STATE_LABELS}, got {label!r}")
-    mus = sim["mu_per_mode"] if mu_per_mode is None else mu_per_mode
-    if isinstance(mus, (tuple, list)) and len(mus) == 1:
-        mus = mus[0]
-    return ExperimentConfig(
-        input_state=standard_state(label),
-        mu_per_mode=mus,
-        schedule=StorageSchedule(**cfg["schedule"]),
-        params=MemoryParams(**cfg["memory"]),
-        trials=sim["trials"] if trials is None else int(trials),
-        **detection_kwargs(cfg),
-    )

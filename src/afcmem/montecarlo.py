@@ -63,8 +63,8 @@ class ExperimentConfig:
     """Full description of one simulated counting run.
 
     mu_per_mode and params accept either one value for all modes or one
-    per mode. bin_width must divide the mode duration; it defaults to a
-    fifth of it.
+    per mode. bin_width must divide the mode duration; 0.0, the default
+    and the INI's value, stands for a fifth of it.
     """
 
     input_state: PolarizationState = field(default_factory=lambda: standard_state("D"))
@@ -74,7 +74,7 @@ class ExperimentConfig:
     detector_efficiency: float = 0.57
     dark_rate: float = 15.0
     transmission_to_detector: float = 0.07
-    bin_width: float | None = None
+    bin_width: float = 0.0
     trials: int = 1_000_000
 
     def __post_init__(self):
@@ -93,7 +93,7 @@ class ExperimentConfig:
             raise ValueError("dark_rate must be nonnegative")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        bw = self.schedule.mode_duration / 5.0 if self.bin_width is None else float(self.bin_width)
+        bw = self.schedule.mode_duration / 5.0 if self.bin_width == 0.0 else float(self.bin_width)
         if bw <= 0:
             raise ValueError("bin_width must be positive")
         ratio = self.schedule.mode_duration / bw
@@ -139,21 +139,14 @@ class CountHistogram:
         """The bins of each window, in the order of windows."""
         return _window_slices(self.bin_edges, self.windows)
 
-    def window_counts(self, label: str, mode: int | None = None) -> int:
-        total = 0
-        for win, bins in zip(self.windows, self.window_slices):
-            if win.label == label and (mode is None or win.mode == mode):
-                total += int(self.counts[bins].sum())
-        return total
-
     def mode_counts(self, label: str) -> np.ndarray:
-        """Counts per mode window for 'input' or 'output'."""
-        modes = sorted({w.mode for w in self.windows if w.label == label and w.mode is not None})
-        return np.array([self.window_counts(label, m) for m in modes], dtype=np.int64)
+        """Counts in each mode window of 'input' or 'output', in mode order."""
+        return np.array([int(self.counts[bins].sum()) for win, bins in zip(self.windows, self.window_slices)
+                         if win.label == label and win.mode is not None], dtype=np.int64)
 
-    @property
-    def is_noise_run(self) -> bool:
-        return all(m == 0.0 for m in self.mu_per_mode)
+    def window_counts(self, label: str) -> int:
+        """Counts summed over the mode windows of label."""
+        return int(self.mode_counts(label).sum())
 
 
 def _window_slices(bin_edges: np.ndarray, windows: Sequence[Window]) -> tuple[slice, ...]:
@@ -268,23 +261,12 @@ class ParamEstimate:
     mode_fidelity_err: np.ndarray
 
 
-def _parallel_orthogonal(histograms: Sequence[CountHistogram], input_state: PolarizationState,
-                         missing: str) -> tuple[CountHistogram, CountHistogram]:
-    """The runs analyzed parallel and orthogonal to the input state (the
-    last of each kind wins); noise runs are skipped. Raises ValueError
-    with the message missing if either is absent."""
-    parallel = orthogonal = None
-    for h in histograms:
-        if h.is_noise_run:
-            continue
-        overlap = expectation(input_state, h.analysis)
-        if overlap > 1.0 - 1e-6:
-            parallel = h
-        elif overlap < 1e-6:
-            orthogonal = h
-    if parallel is None or orthogonal is None:
-        raise ValueError(missing)
-    return parallel, orthogonal
+def _check_ports(parallel: CountHistogram, orthogonal: CountHistogram, input_state: PolarizationState) -> None:
+    """Raise ValueError unless the runs are analyzed parallel and orthogonal to the input state."""
+    if expectation(input_state, parallel.analysis) < 1.0 - 1e-6:
+        raise ValueError(f"the parallel run is analyzed at {parallel.analysis.label}, not along the input")
+    if expectation(input_state, orthogonal.analysis) > 1e-6:
+        raise ValueError(f"the orthogonal run is analyzed at {orthogonal.analysis.label}, not against the input")
 
 
 def _count_ratio(par: np.ndarray, orth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,28 +276,29 @@ def _count_ratio(par: np.ndarray, orth: np.ndarray) -> tuple[np.ndarray, np.ndar
         return np.where(tot > 0, par / tot, np.nan), np.where(tot > 0, np.sqrt(par * orth / tot**3), np.nan)
 
 
-def estimate_params(histograms: Sequence[CountHistogram], config: ExperimentConfig) -> ParamEstimate:
+def estimate_params(parallel: CountHistogram, orthogonal: CountHistogram, noise: CountHistogram,
+                    config: ExperimentConfig) -> ParamEstimate:
     """Invert the counting model for eta, p_n and the conditional fidelity.
 
-    The noise floor comes from the no-input runs, dark-count corrected.
-    The efficiency comes from the background-subtracted sum of both
-    analyzer ports, corrected for T_det and mu. The conditional fidelity
-    is the raw count ratio S_par / (S_par + S_orth); noise is part of
-    the retrieved state by convention, so it is not subtracted there.
-    Errors are Poissonian.
+    parallel and orthogonal are the runs of config analyzed along and
+    against its input state; noise is a run with no input (all
+    mu_per_mode zero) at any analyzer port. The noise floor comes from
+    the noise run, dark-count corrected. The efficiency comes from the
+    background-subtracted sum of both analyzer ports, corrected for
+    T_det and mu. The conditional fidelity is the raw count ratio
+    S_par / (S_par + S_orth); noise is part of the retrieved state by
+    convention, so it is not subtracted there. Errors are Poissonian.
+    Runs at the wrong port, or a noise run with input, raise ValueError.
     """
-    parallel, orthogonal = _parallel_orthogonal(
-        histograms, config.input_state,
-        "need histograms at the analyzer settings parallel and orthogonal to the input state")
-    noise = [h for h in histograms if h.is_noise_run]
-    if not noise:
-        raise ValueError("need a no-input noise run (all mu_per_mode zero) to estimate the noise floor")
+    _check_ports(parallel, orthogonal, config.input_state)
+    if any(noise.mu_per_mode):
+        raise ValueError("the noise run must have no input (all mu_per_mode zero)")
     t_det = config.t_det
     dark = config.dark_per_gate
     n_modes = config.schedule.n_modes
 
-    n_noise = sum(h.window_counts("output") for h in noise)
-    noise_exposure = sum(h.trials for h in noise) * n_modes  # gate windows observed
+    n_noise = noise.window_counts("output")
+    noise_exposure = noise.trials * n_modes  # gate windows observed
     p_n_hat = (n_noise - noise_exposure * dark) / (noise_exposure * t_det)
     p_n_err = np.sqrt(max(n_noise, 1)) / (noise_exposure * t_det)
 
@@ -354,10 +337,16 @@ class TransmissionEstimate:
     fidelity_err: np.ndarray
 
 
-def estimate_transmission(histograms: Sequence[CountHistogram], config: ExperimentConfig) -> TransmissionEstimate:
-    """Characterize the unabsorbed, transmitted input from the input windows."""
-    parallel, orthogonal = _parallel_orthogonal(histograms, config.input_state,
-                                                "need parallel and orthogonal analyzer runs")
+def estimate_transmission(parallel: CountHistogram, orthogonal: CountHistogram,
+                          config: ExperimentConfig) -> TransmissionEstimate:
+    """Characterize the unabsorbed, transmitted input from the input windows.
+
+    parallel and orthogonal are the runs of config analyzed along and
+    against its input state; a run at the wrong port raises ValueError.
+    A mode with no input (mu = 0) transmits nothing, and all four of its
+    values are NaN.
+    """
+    _check_ports(parallel, orthogonal, config.input_state)
     par_m = parallel.mode_counts("input").astype(float)
     orth_m = orthogonal.mode_counts("input").astype(float)
     if (par_m + orth_m).sum() == 0:
@@ -365,14 +354,16 @@ def estimate_transmission(histograms: Sequence[CountHistogram], config: Experime
     trials = parallel.trials
     dark = config.dark_per_gate
     mu = np.asarray(parallel.mu_per_mode, dtype=float)
-    denom = trials * mu * config.t_det
-    weak = denom[(mu > 0) & (denom ** 2 == 0.0)]
+    lit = mu > 0
+    denom = np.where(lit, trials * mu * config.t_det, np.nan)
+    weak = denom[denom ** 2 == 0.0]
     if weak.size:
         raise EstimationError(f"signal too weak to estimate: trials * mu * T_det = {weak[0]:g} "
                               "underflows when squared")
     trans = (par_m + orth_m - 2.0 * trials * dark) / denom
     trans_err = np.sqrt(par_m + orth_m) / denom
-    return TransmissionEstimate(trans, trans_err, *_count_ratio(par_m, orth_m))
+    return TransmissionEstimate(trans, trans_err, *_count_ratio(np.where(lit, par_m, 0.0),
+                                                                np.where(lit, orth_m, 0.0)))
 
 
 def _histogram_lines(hist: CountHistogram) -> Iterator[str]:

@@ -77,7 +77,6 @@ class DensityMatrixEstimate:
     log_likelihood: float
     iterations: int
     converged: bool
-    ll_trace: np.ndarray
     low_rank: bool
 
 
@@ -145,7 +144,6 @@ def mle_state(data: TomographyData) -> DensityMatrixEstimate:
 
     t = _linear_inversion_seed(data)
     ll = ll_of(t)
-    trace = [ll]
     step = 0.1 * np.linalg.norm(t) + 1e-12
     converged = False
     iters = 0
@@ -172,7 +170,6 @@ def mle_state(data: TomographyData) -> DensityMatrixEstimate:
             break
         delta = ll_cand - ll
         t, ll = cand, ll_cand
-        trace.append(ll)
         step *= 1.3
         if delta <= _LL_TOL * max(1.0, abs(ll)):
             converged = True
@@ -186,7 +183,7 @@ def mle_state(data: TomographyData) -> DensityMatrixEstimate:
     rho = 0.5 * (rho + rho.conj().T)
     state = PolarizationState(rho)
     low_rank = bool(np.linalg.eigvalsh(rho).min() < _LOW_RANK_EIG)
-    return DensityMatrixEstimate(state, ll, iters, converged, np.asarray(trace), low_rank)
+    return DensityMatrixEstimate(state, ll, iters, converged, low_rank)
 
 
 def monte_carlo_errors(data: TomographyData, target: PolarizationState, *,

@@ -1,9 +1,10 @@
-"""The public API is what the commands use; test oracles stay in tests/."""
+"""The public API is what the commands use and the README shows; test oracles stay in tests/."""
 
 import ast
 import importlib
 import os
 import pkgutil
+import re
 
 import afcmem
 
@@ -52,3 +53,11 @@ def test_oracles_not_importable_from_afcmem():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     # bloch was a property of the state class
     assert not hasattr(afcmem.PolarizationState, "bloch")
+
+
+def test_readme_python_blocks_run():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -269,6 +269,20 @@ def test_simulate_estimate_contents(tmp_path):
         assert f"\n{q}," in text
 
 
+def test_simulate_zero_mu_mode_transmits_nan_without_warnings(tmp_path):
+    # a mode with no input has no transmitted light: its row is NaN, not
+    # inf from a division by mu = 0 or a ratio of dark counts
+    out = os.path.join(tmp_path, "z")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--seed", "1", "--mu", "1.4,0,1,1,1", "--out", out]) == 0
+    rows = [l for l in _read(os.path.join(out, "transmitted.csv")).decode().splitlines()
+            if l and not l.startswith("#")][1:]
+    assert rows[1] == "2,nan,nan,nan,nan"
+    for row in rows[:1] + rows[2:]:
+        assert all(0.0 < float(v) < 1.0 for v in row.split(",")[1:]), row
+
+
 def test_tomography_from_counts_file(tmp_path):
     counts = os.path.join(tmp_path, "counts.csv")
     ideal = {"H": ("H", 1000, "V", 0), "V": ("V", 1000, "H", 0),

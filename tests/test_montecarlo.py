@@ -78,7 +78,7 @@ def test_output_ratio_near_measured_working_point():
     # |D> stored and analyzed in D/A at the mu = 1.4 working point
     exp = _row_config(MU_SCAN[1])
     par, orth, noise = _triple(exp, 25)
-    est = estimate_params([par, orth, noise], exp)
+    est = estimate_params(par, orth, noise, exp)
     assert abs(est.fidelity_hat - 0.855) < 3.0 * est.fidelity_err
     model = model_conditional_fidelity(exp, standard_setting("D"), standard_setting("A"))
     assert abs(est.fidelity_hat - model) < 3.0 * est.fidelity_err
@@ -114,7 +114,7 @@ def test_modes_scale_independently():
 def test_estimator_closure_high_mu_row():
     rec = MU_SCAN[2]
     exp = _row_config(rec)
-    est = estimate_params(_triple(exp, 220), exp)
+    est = estimate_params(*_triple(exp, 220), exp)
     assert abs(est.eta_hat - rec.eta) < 3.0 * est.eta_err
     assert abs(est.p_n_hat - rec.p_n) < 3.0 * est.p_n_err
     pred = fidelity_vs_photon_number(rec.mu, rec.p_n / rec.eta, F_C_MEAN)
@@ -135,7 +135,7 @@ def test_estimator_closure_over_random_configs(eta, p_n, f_c, mus, label, seed):
     par = simulate_run(exp, standard_setting(label), seed=seed)
     orth = simulate_run(exp, standard_setting(orthogonal_label(label)), seed=seed + 1)
     noise = simulate_run(replace(exp, mu_per_mode=0.0), standard_setting(label), seed=seed + 2)
-    est = estimate_params([par, orth, noise], exp)
+    est = estimate_params(par, orth, noise, exp)
     assert abs(est.eta_hat - eta) < 5.0 * est.eta_err
     assert abs(est.p_n_hat - p_n) < 5.0 * est.p_n_err
     model = model_conditional_fidelity(exp, par.analysis, orth.analysis)
@@ -147,7 +147,7 @@ def test_estimator_noiseless_recovers_unit_fidelity():
     mem = MemoryParams(eta=0.04, p_n=0.0, f_c=1.0)
     exp = ExperimentConfig(input_state=standard_state("D"), mu_per_mode=1.4,
                            params=mem, dark_rate=0.0, trials=10**5)
-    est = estimate_params(_triple(exp, 42), exp)
+    est = estimate_params(*_triple(exp, 42), exp)
     assert est.fidelity_hat == 1.0
     assert est.p_n_hat == 0.0
 
@@ -157,23 +157,30 @@ def test_estimator_low_mu_row_matches_global_prediction():
     # statistics; the row's own mu1 = 0.256 sits 1.5 percentage points higher
     rec = MU_SCAN[0]
     exp = _row_config(rec, trials=200_000)
-    est = estimate_params(_triple(exp, 41), exp)
+    est = estimate_params(*_triple(exp, 41), exp)
     assert abs(est.fidelity_hat - 0.785) < 3.0 * est.fidelity_err
 
 
 def test_estimator_requires_all_runs():
+    # each run goes in by its role; a run in the wrong role is an error, not a silent swap
     exp = _row_config(MU_SCAN[1], trials=10**4)
     par, orth, noise = _triple(exp, 5)
-    with pytest.raises(ValueError):
-        estimate_params([par, noise], exp)
-    with pytest.raises(ValueError):
-        estimate_params([par, orth], exp)
+    with pytest.raises(ValueError, match="parallel"):
+        estimate_params(orth, par, noise, exp)
+    with pytest.raises(ValueError, match="orthogonal"):
+        estimate_params(par, par, noise, exp)
+    with pytest.raises(ValueError, match="noise"):
+        estimate_params(par, orth, par, exp)
+    with pytest.raises(ValueError, match="parallel"):
+        estimate_transmission(orth, par, exp)
+    with pytest.raises(ValueError, match="orthogonal"):
+        estimate_transmission(par, par, exp)
 
 
 def test_transmission_closure():
     exp = _row_config(MU_SCAN[1])
     par, orth, _ = _triple(exp, 50)
-    tr = estimate_transmission([par, orth], exp)
+    tr = estimate_transmission(par, orth, exp)
     assert tr.transmission.shape == (5,)
     assert np.all(np.abs(tr.transmission - ETA_T_MEAN) < 3.0 * tr.transmission_err)
     assert np.all(np.abs(tr.fidelity - F_T_MEAN) < 3.0 * tr.fidelity_err)
@@ -184,9 +191,9 @@ def test_estimators_reject_underflowing_signal():
     exp = replace(_row_config(MU_SCAN[1], trials=10**6), mu_per_mode=1e-170)
     par, orth, noise = _triple(exp, 60)
     with pytest.raises(EstimationError, match="underflows"):
-        estimate_params([par, orth, noise], exp)
+        estimate_params(par, orth, noise, exp)
     with pytest.raises(EstimationError, match="underflows"):
-        estimate_transmission([par, orth], exp)
+        estimate_transmission(par, orth, exp)
 
 
 def test_histogram_export(tmp_path):

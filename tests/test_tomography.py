@@ -13,6 +13,8 @@ from afcmem.tomography import (
     SETTING_LABELS,
     ProcessMatrix,
     TomographyData,
+    _linear_inversion_seed,
+    _quadratic_forms,
     mle_state,
     monte_carlo_errors,
     process_tomography,
@@ -58,11 +60,24 @@ def test_mle_recovers_maximally_mixed():
 
 
 def test_mle_log_likelihood_monotone():
+    # the ascent starts at the linear inversion and accepts no step that lowers
+    # the likelihood, so it ends above its start, at a maximum no nearby state beats
     data, _ = _simulated_data("D")
     est = mle_state(data)
-    diffs = np.diff(est.ll_trace)
-    assert (diffs >= -1e-9 * np.abs(est.ll_trace[:-1])).all()
-    assert est.log_likelihood == pytest.approx(est.ll_trace[-1])
+    n = data.counts.astype(float)
+    t0 = _linear_inversion_seed(data)
+    m0 = np.einsum("i,jik,k->j", t0, _quadratic_forms(data), t0) + data.backgrounds
+    assert est.log_likelihood >= np.sum(n * np.log(m0) - m0)
+
+    def at_best_flux(rho):  # the data have no background
+        m = np.array([np.trace(rho @ s.projector).real for s in data.settings])
+        m *= n.sum() / m.sum()
+        return np.sum(n * np.log(m) - m)
+
+    assert est.log_likelihood == pytest.approx(at_best_flux(est.state.rho), rel=1e-8)
+    for label in SETTING_LABELS:
+        nearby = 0.99 * est.state.rho + 0.01 * standard_state(label).rho
+        assert at_best_flux(nearby) < est.log_likelihood
 
 
 def test_mle_matches_measured_state_fidelity():
