@@ -11,10 +11,12 @@ weight gamma on the threshold occupation). When the transmitted part of
 the input is also characterized, the cheat must additionally reproduce
 the transmitted fidelity and transmission, which constrains the
 strategy mix and lowers the achievable benchmark; that optimum is found
-on a feasibility-filtered grid with local refinement. The grid is
-evaluated one eta_m1 row at a time, in one numpy pass over all of the
-row's feasible (q, delta) cells, whose Poisson tables are stacked
-zero-padded in one array.
+on a feasibility-filtered grid with local refinement. Each grid level
+lists its feasible (eta_m1, q) cells in row-major order and evaluates
+them in blocks of a fixed number of cells, which may span eta_m1 rows:
+one numpy pass per block covers all of its (cell, delta) candidates,
+with their Poisson tables stacked zero-padded in one array, so the
+memory a level needs does not grow with the number of feasible cells.
 
 All bounds read their photon-number statistics from one table builder,
 which covers mu up to 600 without truncating the distribution.
@@ -36,6 +38,10 @@ from .refdata import ETA_M_BENCH, ETA_T_MEAN, F_T_MEAN
 
 _NAN = float("nan")
 _PMF_REL_CUTOFF = 1e-15
+# feasible (eta_m1, q) cells per block of the transmitted-bound search: at
+# the default grid a call then peaks near 0.3 MiB of numpy allocation,
+# where one pass over a whole level would take several MiB
+_BLOCK_CELLS = 32
 
 
 @dataclass(frozen=True)
@@ -179,6 +185,21 @@ def _threshold(mu: float, eta_m: float, matching: str) -> BoundResult:
     return BoundResult(float(bound[0, 0]), params, bool(degenerate[0, 0]))
 
 
+def _feasible_cells(eta1_axis, q_axis, f1, f_t: float, eta_t: float):
+    """Feasible (eta_m1, q) cells of the transmitted cheat, as flat indices
+    into the plane in row-major order, with the p and eta that f_t and
+    eta_t pin there; f1 is strategy 1's fidelity on eta1_axis."""
+    half = 0.5 * (1.0 + q_axis)
+    den = half - f1[:, None]
+    # infeasible cells may divide by 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = (eta_t / eta1_axis)[:, None] * (half - f_t) / den
+        eta = (eta_t - p * eta1_axis[:, None]) / (1.0 - p)
+    cells = np.flatnonzero((np.abs(den) >= 1e-14) & (0.0 <= p) & (p <= 1.0 - 1e-12)
+                           & (0.0 <= eta) & (eta <= 1.0 - 1e-12))
+    return cells, p.ravel()[cells], eta.ravel()[cells]
+
+
 def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float = ETA_T_MEAN,
                                   eta_m: float = ETA_M_BENCH, *, grid_points: int = 50,
                                   refine_rounds: int = 2, matching: str = "exp") -> BoundResult:
@@ -193,8 +214,9 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     efficiency eta_m pin p, eta and eta_m2 once (eta_m1, delta, q) are
     chosen, so those three are searched on a grid (eta_m1 log spaced)
     with feasibility filtering, then refined around the best cell. Each
-    eta_m1 row is evaluated in one batched pass over all its (q, delta)
-    cells.
+    level's feasible (eta_m1, q) cells are evaluated in fixed-size
+    blocks, one batched pass over all (cell, delta) candidates of a
+    block.
 
     The always-feasible point p = 0, q = 2 f_t - 1, eta = eta_t seeds
     the search (its emitter must carry the whole output budget, so
@@ -229,44 +251,40 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     tables1 = _poisson_tables(mu)
 
     def search(eta1_axis, q_axis, delta_axis, incumbent):
-        best_local = incumbent
-        best_grid = None
         fm1, nmin1, gamma1, _ = _threshold_eval(tables1, _p_emit(mu, eta1_axis, matching)[None, :])
-        half = 0.5 * (1.0 + q_axis)
-        for i, eta1 in enumerate(eta1_axis):
-            f1 = fm1[0, i]
-            # feasible q cells of this eta_m1 row; infeasible ones may divide by 0
-            den = half - f1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p = (eta_t / eta1) * (half - f_t) / den
-                eta = (eta_t - p * eta1) / (1.0 - p)
-            cell = ((np.abs(den) >= 1e-14) & (0.0 <= p) & (p <= 1.0 - 1e-12)
-                    & (0.0 <= eta) & (eta <= 1.0 - 1e-12))
-            p, eta, q = p[cell], eta[cell], q_axis[cell]
+        cells, p, eta = _feasible_cells(eta1_axis, q_axis, fm1[0], f_t, eta_t)
+        best_obj, winner = incumbent.bound, None
+        for lo in range(0, cells.size, _BLOCK_CELLS):
             # (cell, delta) block; w1 is strategy 1's share of the output budget
-            w1 = p[:, None] * delta_axis * eta1
-            eta_m2 = (eta_m - w1) / ((1.0 - p) * (1.0 - eta))[:, None]
+            blk = slice(lo, lo + _BLOCK_CELLS)
+            i, j = np.divmod(cells[blk], q_axis.size)
+            pb, etab, eta1 = p[blk], eta[blk], eta1_axis[i]
+            w1 = pb[:, None] * delta_axis * eta1[:, None]
+            eta_m2 = (eta_m - w1) / ((1.0 - pb) * (1.0 - etab))[:, None]
             ok = (eta_m2 > 0.0) & (eta_m2 <= 1.0)
-            if not ok.any():
-                continue
-            mu2 = (1.0 - eta) * mu
-            # budgets outside (0, 1] are replaced by 1 and masked out of obj
-            fm2, nmin2, gamma2, _ = _threshold_eval(
-                _poisson_tables(mu2), _p_emit(mu2[:, None], np.where(ok, eta_m2, 1.0), matching))
-            obj = np.where(ok, (w1 * f1 + (eta_m - w1) * fm2) / eta_m, -np.inf)
-            # first maximum in row-major (q, delta) order: earlier cells win exact ties
+            mu2 = (1.0 - etab) * mu
+            p_emit = _p_emit(mu2[:, None], np.where(ok, eta_m2, 1.0), matching)
+            # eta_m2 outside (0, 1], and budgets that underflow to 0 (mu near the
+            # float floor), are masked out of obj; their budget is set to 1
+            ok &= p_emit > 0.0
+            p_emit[~ok] = 1.0
+            fm2, nmin2, gamma2, _ = _threshold_eval(_poisson_tables(mu2), p_emit)
+            obj = np.where(ok, (w1 * fm1[0, i, None] + (eta_m - w1) * fm2) / eta_m, -np.inf)
+            # first maximum in row-major (eta_m1, q, delta) order, and a later block
+            # must beat it strictly: earlier cells win exact ties
             c, k = np.unravel_index(np.argmax(obj), obj.shape)
-            if obj[c, k] > best_local.bound:
-                if p[c] > 0:
-                    n_min, gam = int(nmin1[0, i]), float(gamma1[0, i])
+            if obj[c, k] > best_obj:
+                if pb[c] > 0:
+                    n_min, gam = int(nmin1[0, i[c]]), float(gamma1[0, i[c]])
                 else:
                     n_min, gam = int(nmin2[c, k]), float(gamma2[c, k])
-                params = StrategyParams(p=float(p[c]), eta_bs=float(eta[c]), q=float(q[c]),
-                                        delta=float(delta_axis[k]), eta_m1=float(eta1),
+                best_obj = obj[c, k]
+                winner = StrategyParams(p=float(pb[c]), eta_bs=float(etab[c]), q=float(q_axis[j[c]]),
+                                        delta=float(delta_axis[k]), eta_m1=float(eta1[c]),
                                         eta_m2=float(eta_m2[c, k]), n_min=n_min, gamma=gam)
-                best_local = BoundResult(float(obj[c, k]), params)
-                best_grid = params
-        return best_local, best_grid
+        if winner is None:
+            return incumbent, None
+        return BoundResult(float(best_obj), winner), winner
 
     eta1_axis = np.geomspace(eta1_lo, eta1_hi, grid_points)
     q_axis = np.linspace(q_lo, q_hi, grid_points)

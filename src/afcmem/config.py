@@ -2,7 +2,8 @@
 
 Every tunable lives in a flat [section] key = value file. Unknown
 sections or keys are rejected rather than ignored, so a typo cannot
-silently fall back to a default. The merged configuration has a
+silently fall back to a default, and a key that sizes a computation
+must lie in its accepted range (_LIMITS). The merged configuration has a
 canonical text rendering whose sha256 prefix is stamped into every
 output file, which is what makes re-runs auditable.
 """
@@ -68,6 +69,16 @@ _SCHEMA: dict[str, dict[str, Any]] = {
         "resamples": 120,
         "bound_points": 12,
     },
+}
+
+
+# Accepted ranges of the keys that size a computation, checked when a
+# config file is loaded, before anything is allocated or written. Each
+# bound-search level evaluates grid_points^3 candidates, and there are
+# refine_rounds + 1 levels.
+_LIMITS: dict[tuple[str, str], tuple[int, int]] = {
+    ("bounds", "grid_points"): (2, 256),
+    ("bounds", "refine_rounds"): (0, 16),
 }
 
 
@@ -155,7 +166,12 @@ def load_config(path: str | None) -> dict[str, dict[str, Any]]:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return parse_config_text(text, source=path)
+    cfg = parse_config_text(text, source=path)
+    for (section, key), (lo, hi) in _LIMITS.items():
+        if not lo <= cfg[section][key] <= hi:
+            raise ConfigError(f"{path}: [{section}] {key} = {cfg[section][key]} is outside "
+                              f"the accepted range [{lo}, {hi}]")
+    return cfg
 
 
 def canonical_text(cfg: Mapping[str, Mapping[str, Any]]) -> str:

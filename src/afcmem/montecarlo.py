@@ -288,7 +288,10 @@ def estimate_params(parallel: CountHistogram, orthogonal: CountHistogram, noise:
     T_det and mu. The conditional fidelity is the raw count ratio
     S_par / (S_par + S_orth); noise is part of the retrieved state by
     convention, so it is not subtracted there. Errors are Poissonian.
-    Runs at the wrong port, or a noise run with input, raise ValueError.
+    The per-mode fidelities are the same ratio in each output mode; a
+    mode with no input (mu = 0) stores no qubit, and both of its values
+    are NaN. Runs at the wrong port, or a noise run with input, raise
+    ValueError.
     """
     _check_ports(parallel, orthogonal, config.input_state)
     if any(noise.mu_per_mode):
@@ -321,8 +324,9 @@ def estimate_params(parallel: CountHistogram, orthogonal: CountHistogram, noise:
     fid = s_par / (s_par + s_orth)
     fid_err = np.sqrt(s_par * s_orth / (s_par + s_orth) ** 3) if s_par and s_orth else 1.0 / (s_par + s_orth)
 
-    fid_m, fid_m_err = _count_ratio(parallel.mode_counts("output").astype(float),
-                                    orthogonal.mode_counts("output").astype(float))
+    lit = np.asarray(parallel.mu_per_mode, dtype=float) > 0
+    fid_m, fid_m_err = _count_ratio(np.where(lit, parallel.mode_counts("output"), 0.0),
+                                    np.where(lit, orthogonal.mode_counts("output"), 0.0))
     return ParamEstimate(float(eta_hat), float(eta_err), float(p_n_hat), float(p_n_err),
                          float(fid), float(fid_err), fid_m, fid_m_err)
 

@@ -9,6 +9,7 @@ cell-by-cell reference kept here.
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from afcmem.bounds import (
     threshold_bound,
     transmitted_constrained_bound,
 )
+from afcmem.refdata import ETA_M_BENCH, ETA_T_MEAN, F_T_MEAN
 
 
 def _series_bound(mu, n_terms=100):
@@ -275,6 +277,9 @@ _SMALL_MU = st.floats(math.log(2.3e-308), 0.0).map(math.exp)
 @given(mu=st.one_of(st.floats(1e-3, 600.0), _SMALL_MU), eta_m=st.floats(0.005, 1.0),
        f_t=st.floats(0.55, 0.99), eta_t=st.floats(0.05, 0.9),
        matching=st.sampled_from(["exp", "linear"]))
+# strategy 2's emission budget underflows to 0 on some cells here; the
+# search divided 0 by 0 there
+@example(mu=math.exp(-708.0), eta_m=0.005, f_t=0.55, eta_t=0.05, matching="exp")
 def test_bound_ordering_property(mu, eta_m, f_t, eta_t, matching):
     plain = poisson_conditional_bound(mu)
     thr = threshold_bound(mu, eta_m, matching=matching).bound
@@ -334,6 +339,13 @@ def test_transmitted_strategy_parameters_physical():
 @example(mu=0.5, f_t=0.75, eta_t=0.1, eta_m=0.0385, grid_points=3, refine_rounds=1, matching="exp")
 @example(mu=0.5, f_t=0.75, eta_t=0.296, eta_m=0.0385, grid_points=3, refine_rounds=1, matching="exp")
 @example(mu=3.6, f_t=0.75, eta_t=0.296, eta_m=0.0385, grid_points=3, refine_rounds=1, matching="exp")
+# levels of several blocks of feasible cells: the default grid; a grid with
+# 2 f_t - 1 on it, whose winning p = 0 cells tie across eta_m1 rows in
+# different blocks; and a winner in the last cell of a block
+@example(mu=8.2, f_t=F_T_MEAN, eta_t=ETA_T_MEAN, eta_m=ETA_M_BENCH, grid_points=50, refine_rounds=2,
+         matching="exp")
+@example(mu=1.4, f_t=0.75, eta_t=0.4, eta_m=0.02, grid_points=21, refine_rounds=1, matching="exp")
+@example(mu=1.4, f_t=0.6, eta_t=0.1, eta_m=0.0385, grid_points=41, refine_rounds=1, matching="exp")
 def test_batched_search_equals_cell_by_cell_reference(mu, f_t, eta_t, eta_m, grid_points,
                                                       refine_rounds, matching):
     kwargs = dict(grid_points=grid_points, refine_rounds=refine_rounds, matching=matching)
@@ -341,6 +353,19 @@ def test_batched_search_equals_cell_by_cell_reference(mu, f_t, eta_t, eta_m, gri
     ref = _reference_transmitted(mu, f_t, eta_t, eta_m, **kwargs)
     # NaN fields (the fallback's eta_m1) compare unequal, so match the reprs
     assert repr(got) == repr(ref)
+
+
+def test_transmitted_bound_peak_allocation():
+    # the search evaluates each level in fixed-size blocks of cells; one
+    # pass over a whole default level would allocate several MiB
+    transmitted_constrained_bound(8.2)
+    tracemalloc.start()
+    try:
+        transmitted_constrained_bound(8.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4 * 2 ** 20
 
 
 def test_transmitted_refinement_never_hurts():

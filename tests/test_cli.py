@@ -1,12 +1,15 @@
 import filecmp
 import hashlib
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afcmem
 from afcmem.bounds import threshold_bound
 from afcmem.cli import build_parser, main
 from afcmem.config import (
@@ -14,6 +17,7 @@ from afcmem.config import (
     canonical_text,
     config_hash,
     default_config,
+    load_config,
     parse_config_text,
 )
 from afcmem.refdata import ETA_M_BENCH
@@ -281,6 +285,15 @@ def test_simulate_zero_mu_mode_transmits_nan_without_warnings(tmp_path):
     assert rows[1] == "2,nan,nan,nan,nan"
     for row in rows[:1] + rows[2:]:
         assert all(0.0 < float(v) < 1.0 for v in row.split(",")[1:]), row
+    # nor does it store a qubit: its per-mode fidelity was a count ratio of
+    # noise and dark counts (0.488 here)
+    fids = dict(l.split(",", 1) for l in _read(os.path.join(out, "estimate.csv")).decode().splitlines()
+                if l.startswith("fidelity_mode_"))
+    assert fids.pop("fidelity_mode_2") == "nan,nan"
+    assert len(fids) == 4
+    for value in fids.values():
+        fid, err = map(float, value.split(","))
+        assert 0.5 < fid < 1.0 and 0.0 < err < 0.05
 
 
 def test_tomography_from_counts_file(tmp_path):
@@ -463,3 +476,40 @@ def test_tomography_rejections(tmp_path, capsys, counts, labels, message):
     err = _exits_cleanly(["tomography", "--seed", "3", "--config", cfg, "--out", out], 2, capsys)
     assert message in err
     assert not _csvs(out)
+
+
+def _capped_main(argv, cwd):
+    """Run main(argv) in a child process with 512 MiB of address space and
+    60 s of CPU time, so an unchecked size fails the test, not the machine."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "resource.setrlimit(resource.RLIMIT_CPU, (60, 60))\n"
+            "from afcmem.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(afcmem.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("key", ["grid_points", "refine_rounds"])
+@pytest.mark.parametrize("command", ["bounds", "reproduce-paper"])
+def test_bound_search_size_limits(tmp_path, command, key):
+    # grid_points = 1e9 asked for a 7.45 GiB axis, and refine_rounds = 1e9 ran without end
+    out = os.path.join(tmp_path, "o")
+    argv = [command, "--seed", "1", "--config", _ini(tmp_path, f"[bounds]\n{key} = 1000000000\n"),
+            "--out", out]
+    proc = _capped_main(argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert f"[bounds] {key} = 1000000000 is outside" in proc.stderr
+    assert not _csvs(out)
+
+
+def test_bound_search_limits_are_inclusive(tmp_path):
+    for key, (lo, hi) in (("grid_points", (2, 256)), ("refine_rounds", (0, 16))):
+        for value in (lo, hi):
+            assert load_config(_ini(tmp_path, f"[bounds]\n{key} = {value}\n"))["bounds"][key] == value
+        for value in (lo - 1, hi + 1):
+            with pytest.raises(ConfigError, match=f"{key} = {value} is outside"):
+                load_config(_ini(tmp_path, f"[bounds]\n{key} = {value}\n"))
