@@ -42,6 +42,10 @@ _PMF_REL_CUTOFF = 1e-15
 # the default grid a call then peaks near 0.3 MiB of numpy allocation,
 # where one pass over a whole level would take several MiB
 _BLOCK_CELLS = 32
+# smallest emission budget of the scalar bounds: a subnormal budget x is
+# resolved only to 5e-324 / x relative, and the bound is a ratio over it;
+# from here up that error stays below 1e-12
+_MIN_P_EMIT = 5e-312
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,9 @@ def threshold_bound(mu: float, eta_m: float, *, matching: str = "exp") -> BoundR
     photon arrived; at equality the threshold degenerates to n_min = 1
     (flagged, not an error) and the bound equals the plain conditional
     benchmark. Supported mean photon numbers run from the smallest
-    normal float to 600; mu outside raises ValueError.
+    normal float to 600; mu outside raises ValueError, and so does an
+    emission budget that underflows below 5e-312 (eta_m mu near the
+    float floor), where too few of its digits are left for the bound.
     """
     _check_mu(mu)
     if not 0.0 < eta_m <= 1.0:
@@ -176,10 +182,16 @@ def threshold_bound(mu: float, eta_m: float, *, matching: str = "exp") -> BoundR
     return _threshold(mu, eta_m, matching)
 
 
-def _threshold(mu: float, eta_m: float, matching: str) -> BoundResult:
+def _threshold(mu: float, eta_m: float, matching: str, budget: str = "emission budget") -> BoundResult:
     """threshold_bound without the input checks; the transmitted bound's
-    fallback runs it at (1 - eta_t) mu, which may be subnormal."""
+    fallback runs it at (1 - eta_t) mu, which may be subnormal. An
+    emission budget below _MIN_P_EMIT raises ValueError: the bound is a
+    ratio over the budget, and a subnormal budget carries too few digits
+    for it (0 divides 0 by 0)."""
     p_emit = _p_emit(mu, eta_m, matching).reshape(1, 1)
+    if not p_emit[0, 0] >= _MIN_P_EMIT:
+        raise ValueError(f"{budget} P_emit = {p_emit[0, 0]:.3g} (mu = {mu:.3g}, "
+                         f"eta_m = {eta_m:.3g}) underflows: it must be at least {_MIN_P_EMIT:.3g}")
     bound, n_min, gamma, degenerate = _threshold_eval(_poisson_tables(mu), p_emit)
     params = StrategyParams(eta_m1=eta_m, n_min=int(n_min[0, 0]), gamma=float(gamma[0, 0]))
     return BoundResult(float(bound[0, 0]), params, bool(degenerate[0, 0]))
@@ -221,8 +233,10 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     The always-feasible point p = 0, q = 2 f_t - 1, eta = eta_t seeds
     the search (its emitter must carry the whole output budget, so
     eta_m2 = eta_m / (1 - eta_t)), and the result is never below that
-    fallback. On exact objective ties the first candidate in row-major
-    (eta_m1, q, delta) grid order is kept.
+    fallback; a fallback emission budget that underflows below 5e-312
+    raises ValueError, as in threshold_bound. On exact objective ties
+    the first candidate in row-major (eta_m1, q, delta) grid order is
+    kept.
     """
     _check_mu(mu)
     if not 0.0 < eta_t < 1.0:
@@ -235,7 +249,7 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
         raise ValueError("grid_points must be >= 2")
 
     eta_m2_fb = min(eta_m / (1.0 - eta_t), 1.0)
-    fallback_thr = _threshold((1.0 - eta_t) * mu, eta_m2_fb, matching)
+    fallback_thr = _threshold((1.0 - eta_t) * mu, eta_m2_fb, matching, "fallback emission budget")
     best = BoundResult(
         fallback_thr.bound,
         StrategyParams(p=0.0, eta_bs=eta_t, q=2.0 * f_t - 1.0, delta=0.0,

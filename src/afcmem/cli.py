@@ -261,10 +261,12 @@ def cmd_tomography(cfg, seed, out) -> int:
         est, f_hat, sigma = _fit_state(data, l, tomo["resamples"], _derived_seed(seed, 500, i))
         states.append(est.state)
         rows.append((l, f_hat, sigma, est.state.purity,
-                     est.log_likelihood, est.iterations, est.converged, est.low_rank))
+                     est.log_likelihood, est.iterations, est.converged, est.low_rank,
+                     sigma.resamples_skipped, sigma.resamples_unconverged))
     write_csv(os.path.join(out, "state_fidelity.csv"), meta,
               ["input", "fidelity", "fidelity_err", "purity",
-               "log_likelihood", "iterations", "converged", "low_rank"], rows)
+               "log_likelihood", "iterations", "converged", "low_rank",
+               "resamples_skipped", "resamples_unconverged"], rows)
 
     proc = _export_chi(labels, states, tomo["project"], os.path.join(out, "chi.csv"), meta)
     print(f"tomography: chi00={proc.chi00:.4f}; state fidelities " +

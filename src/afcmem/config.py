@@ -75,10 +75,13 @@ _SCHEMA: dict[str, dict[str, Any]] = {
 # Accepted ranges of the keys that size a computation, checked when a
 # config file is loaded, before anything is allocated or written. Each
 # bound-search level evaluates grid_points^3 candidates, and there are
-# refine_rounds + 1 levels.
+# refine_rounds + 1 levels. The bootstrap fits all of its resamples in
+# one batch, about 1.5 kB of arrays per resample (15 MB at 10,000).
 _LIMITS: dict[tuple[str, str], tuple[int, int]] = {
     ("bounds", "grid_points"): (2, 256),
     ("bounds", "refine_rounds"): (0, 16),
+    ("tomography", "resamples"): (100, 10_000),
+    ("reproduce", "resamples"): (100, 10_000),
 }
 
 

@@ -1,9 +1,17 @@
 """Qubit state and process tomography on photon counting data.
 
 State reconstruction is maximum likelihood over Poissonian counts with
-the density matrix parametrized as T^dag T / tr(T^dag T), T lower
-triangular (4 real parameters), so every iterate is physical. Process
-reconstruction is linear inversion of the four-input action
+the unnormalized density matrix parametrized as T^dag T, T lower
+triangular with a real diagonal (4 real parameters t = (a, d, Re c,
+Im c); James, Kwiat, Munro & White, PRA 64, 052312 (2001)), so every
+iterate is physical and tr(T^dag T) carries the overall flux. One
+batched fitter serves the fit of the data and every bootstrap
+resample: each row of an (R, 4) parameter array takes damped
+(Levenberg-Marquardt) Newton steps on the analytic gradient and Hessian
+of its Poisson log-likelihood, starting from the linear inversion, and
+stops on its own gradient norm (the KKT condition of the unconstrained
+parameters). Process reconstruction is linear inversion of the
+four-input action
 
     rho_out = sum_kl chi_kl sigma_k rho_in sigma_l^dag
 
@@ -20,12 +28,22 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EstimationError
-from .polarization import PAULIS, AnalysisSetting, PolarizationState, fidelity, standard_setting
+from .polarization import _PURITY_TOL, PAULIS, AnalysisSetting, PolarizationState, standard_setting
 from .tableio import write_csv
 
 SETTING_LABELS = ("H", "V", "D", "A", "R", "L")
 
-_LL_TOL = 1e-10
+# a fit row stops once |grad LL| |t| / (2 sum n) falls to _GRAD_TOL; that is
+# about the relative error left in t, and Newton steps take it from 1e-6
+# to rounding in one or two steps more
+_GRAD_TOL = 1e-12
+_MAX_STEPS = 100
+# Levenberg-Marquardt damping, relative to the largest Hessian eigenvalue:
+# divided by 10 after an accepted step, multiplied by 10 after a rejected
+# one; a row whose damping passes _DAMP_MAX has no ascent step left
+_DAMP_START = 1e-3
+_DAMP_MIN = 1e-15
+_DAMP_MAX = 1e12
 _MAX_ITER = 10_000
 _PROJ_TOL = 1e-9
 _LOW_RANK_EIG = 1e-9
@@ -71,7 +89,8 @@ class TomographyData:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrixEstimate:
-    """Maximum-likelihood state with its ascent diagnostics."""
+    """Maximum-likelihood state with its fit diagnostics: the Newton steps
+    tried and whether the gradient stop was reached."""
 
     state: PolarizationState
     log_likelihood: float
@@ -80,134 +99,220 @@ class DensityMatrixEstimate:
     low_rank: bool
 
 
-def _quadratic_forms(data: TomographyData) -> np.ndarray:
-    """Per-setting matrices Q with tr(T^dag T P) = t . Q t, t = (a, d, Re c, Im c)."""
-    qs = np.zeros((len(data.settings), 4, 4))
-    for j, setting in enumerate(data.settings):
-        p = setting.projector
-        p00, p11 = p[0, 0].real, p[1, 1].real
-        re01, im01 = p[0, 1].real, p[0, 1].imag
-        q = qs[j]
-        q[0, 0] = p00
-        q[2, 2] = p00
-        q[3, 3] = p00
-        q[1, 1] = p11
-        q[1, 2] = q[2, 1] = re01
-        q[1, 3] = q[3, 1] = -im01
+class BootstrapSigma(float):
+    """The bootstrap fidelity sigma, a float, with the resamples it did not
+    rest on fully: all-zero resamples skipped, and fitted resamples whose
+    fit stopped short of the gradient stop (they still count)."""
+
+    resamples_skipped: int
+    resamples_unconverged: int
+
+    def __new__(cls, sigma: float, skipped: int, unconverged: int):
+        self = super().__new__(cls, sigma)
+        self.resamples_skipped = skipped
+        self.resamples_unconverged = unconverged
+        return self
+
+
+def _design(settings: Sequence[AnalysisSetting]) -> np.ndarray:
+    """Linear-inversion rows (P00, P11, 2 Re P01, 2 Im P01), so that
+    tr(M P) = row . (M00, M11, Re M01, Im M01) for Hermitian M."""
+    return np.array([[s.projector[0, 0].real, s.projector[1, 1].real,
+                      2.0 * s.projector[0, 1].real, 2.0 * s.projector[0, 1].imag] for s in settings])
+
+
+def _forms(projectors: np.ndarray) -> np.ndarray:
+    """Matrices Q (..., 4, 4) with tr(T^dag T P) = t . Q t, t = (a, d, Re c, Im c),
+    for projectors (..., 2, 2)."""
+    qs = np.zeros(projectors.shape[:-2] + (4, 4))
+    qs[..., 0, 0] = qs[..., 2, 2] = qs[..., 3, 3] = projectors[..., 0, 0].real
+    qs[..., 1, 1] = projectors[..., 1, 1].real
+    qs[..., 1, 2] = qs[..., 2, 1] = projectors[..., 0, 1].real
+    qs[..., 1, 3] = qs[..., 3, 1] = -projectors[..., 0, 1].imag
     return qs
 
 
+def _quadratic_forms(data: TomographyData) -> np.ndarray:
+    """_forms of data's analyzer settings."""
+    return _forms(np.stack([s.projector for s in data.settings]))
+
+
 def _t_params_to_rho(t: np.ndarray) -> np.ndarray:
-    a, d, c_re, c_im = t
+    """Normalized T^dag T / tr(T^dag T) (R, 2, 2) for rows t = (a, d, Re c, Im c) (R, 4)."""
+    a, d, c_re, c_im = t.T
     c = c_re + 1j * c_im
-    m = np.array([[a * a + abs(c) ** 2, np.conj(c) * d], [c * d, d * d]], dtype=complex)
-    return m
+    m = np.empty((len(t), 2, 2), dtype=complex)
+    m[:, 0, 0] = a * a + c_re * c_re + c_im * c_im
+    m[:, 0, 1] = np.conj(c) * d
+    m[:, 1, 0] = c * d
+    m[:, 1, 1] = d * d
+    return m / (m[:, 0, 0].real + m[:, 1, 1].real)[:, None, None]
+
+
+def _linear_inversion(design: np.ndarray, counts: np.ndarray, backgrounds: np.ndarray) -> np.ndarray:
+    """Least-squares T^dag T (R, 2, 2) for each row of counts (R, k), its
+    eigenvalues clipped to at least 1e-6 of the largest (and of 1)."""
+    x = np.linalg.lstsq(design, (counts - backgrounds).T, rcond=None)[0].T
+    m = np.empty((len(x), 2, 2), dtype=complex)
+    m[:, 0, 0] = x[:, 0]
+    m[:, 1, 1] = x[:, 1]
+    m[:, 0, 1] = x[:, 2] + 1j * x[:, 3]
+    m[:, 1, 0] = x[:, 2] - 1j * x[:, 3]
+    w, v = np.linalg.eigh(m)
+    w = np.maximum(w, np.maximum(w.max(axis=1), 1.0)[:, None] * 1e-6)
+    return (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
+def _cholesky_params(m: np.ndarray) -> np.ndarray:
+    """t = (a, d, Re c, Im c) (R, 4) with T^dag T = m for positive m (R, 2, 2):
+    d = sqrt(m11), c = m10 / d, a = sqrt(m00 - |c|^2)."""
+    d = np.sqrt(m[:, 1, 1].real)
+    c = m[:, 1, 0] / d
+    return np.stack([np.sqrt(m[:, 0, 0].real - np.abs(c) ** 2), d, c.real, c.imag], axis=1)
 
 
 def _linear_inversion_seed(data: TomographyData) -> np.ndarray:
-    """Least-squares inversion, clipped to positive and Cholesky factored."""
-    rows = []
-    for setting in data.settings:
-        p = setting.projector
-        rows.append([p[0, 0].real, p[1, 1].real, 2.0 * p[0, 1].real, 2.0 * p[0, 1].imag])
-    a = np.asarray(rows)
-    b = data.counts - data.backgrounds
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    m = np.array([[x[0], x[2] + 1j * x[3]], [x[2] - 1j * x[3], x[1]]], dtype=complex)
-    w, v = np.linalg.eigh(m)
-    floor = max(w.max(), 1.0) * 1e-6
-    w = np.clip(w, floor, None)
-    m = (v * w) @ v.conj().T
-    tchol = np.linalg.cholesky(m)
-    return np.array([tchol[0, 0].real, tchol[1, 1].real, tchol[1, 0].real, tchol[1, 0].imag])
+    """The state the fit of data starts from, as t = (a, d, Re c, Im c)."""
+    return _cholesky_params(_linear_inversion(_design(data.settings), data.counts[None, :],
+                                              data.backgrounds))[0]
+
+
+def _model(qs: np.ndarray, bg: np.ndarray, t: np.ndarray):
+    """Expected counts m_j = t . Q_j t + b_j (R, k) and Q_j t (R, k, 4) per row
+    of t (R, 4) and of qs (R, k, 4, 4)."""
+    qt = np.einsum("rjab,rb->rja", qs, t)
+    return np.maximum(np.einsum("rja,ra->rj", qt, t) + bg, 1e-300), qt
+
+
+def _derivatives(qs: np.ndarray, n: np.ndarray, m: np.ndarray, qt: np.ndarray):
+    """Gradient (R, 4) and Hessian (R, 4, 4) in t of sum_j [n_j log m_j - m_j]."""
+    r = n / m
+    grad = 2.0 * np.einsum("rj,rja->ra", r - 1.0, qt)
+    hess = 2.0 * np.einsum("rj,rjab->rab", r - 1.0, qs) \
+        - 4.0 * np.einsum("rj,rja,rjb->rab", r / m, qt, qt)
+    return grad, hess
+
+
+def _fit(qs: np.ndarray, n: np.ndarray, bg: np.ndarray, t: np.ndarray):
+    """Maximize each row's log-likelihood sum_j [n_j log m_j - m_j] from its
+    start t (R, 4); n holds the counts (R, k).
+
+    A step solves (|H| + lam s) step = grad, with |H| the Hessian's
+    eigenvalues taken by absolute value (an ascent direction even where
+    the likelihood is not concave in t), s the largest of them and lam
+    the row's damping. It is taken only if the log-likelihood does not
+    fall; the change is summed as n log1p(dm / m) - dm over the change
+    dm of each expected count, so that its sign stays exact next to a
+    log-likelihood many orders larger. A row stops once |grad| |t| /
+    (2 sum n) <= _GRAD_TOL (converged), once its damping passes
+    _DAMP_MAX, or after _MAX_STEPS steps. Returns t, the
+    log-likelihoods, the steps tried per row and the converged mask.
+    """
+    t = np.array(t, dtype=float)
+    m, qt = _model(qs, bg, t)
+    grad, hess = _derivatives(qs, n, m, qt)
+    half_total = 0.5 * n.sum(axis=1)
+    lam = np.full(len(t), _DAMP_START)
+    steps = np.zeros(len(t), dtype=np.int64)
+    converged = np.zeros(len(t), dtype=bool)
+    active = np.ones(len(t), dtype=bool)
+    while True:
+        kkt = np.linalg.norm(grad, axis=1) * np.linalg.norm(t, axis=1) / half_total
+        converged |= active & (kkt <= _GRAD_TOL)
+        active &= ~converged & (steps < _MAX_STEPS)
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        # the complex Hermitian solver, which the seeds and the process fit
+        # load anyway: the real symmetric one adds about 0.2 MB of LAPACK
+        # to the process's peak resident memory, for a 4 x 4 problem
+        w, v = np.linalg.eigh(-hess[rows].astype(complex))
+        w = np.abs(w)
+        w += lam[rows, None] * w.max(axis=1, keepdims=True)
+        step = np.einsum("rab,rb->ra", v, np.einsum("rba,rb->ra", v.conj(), grad[rows]) / w).real
+        dm = np.einsum("ra,rjab,rb->rj", step, qs[rows], 2.0 * t[rows] + step)
+        with np.errstate(over="ignore"):
+            ratio = np.clip(dm / m[rows], -1.0 + 1e-16, 1e300)
+        ok = np.sum(n[rows] * np.log1p(ratio) - dm, axis=1) >= 0.0
+        steps[rows] += 1
+        up = rows[ok]
+        t[up] += step[ok]
+        m[up], qt[up] = _model(qs[up], bg, t[up])
+        grad[up], hess[up] = _derivatives(qs[up], n[up], m[up], qt[up])
+        lam[rows] = np.where(ok, np.maximum(lam[rows] * 0.1, _DAMP_MIN), lam[rows] * 10.0)
+        active[rows[lam[rows] > _DAMP_MAX]] = False
+    ll = np.sum(n * np.log(m) - m, axis=1)
+    return t, ll, steps, converged
+
+
+def _fit_rows(settings: Sequence[AnalysisSetting], counts: np.ndarray, backgrounds: np.ndarray):
+    """Fit each row of counts (R, k) from its linear inversion; returns the
+    normalized rho (R, 2, 2), the log-likelihoods, the Newton steps tried
+    and the converged mask.
+
+    T^dag T has rho11 = d^2, so a state near H puts d near 0, where a and
+    |c| trade along an almost flat ring and Newton steps crawl. A row
+    whose start has rho00 > rho11 is therefore fitted in the basis order
+    (V, H): its projectors and start are conjugated by sigma_x, and so is
+    the fitted state.
+    """
+    start = _linear_inversion(_design(settings), counts, backgrounds)
+    flip = np.where((start[:, 0, 0].real > start[:, 1, 1].real)[:, None, None], PAULIS[1], PAULIS[0])
+    projectors = np.stack([s.projector for s in settings])
+    qs = _forms(flip[:, None] @ projectors @ flip[:, None])
+    t, ll, steps, converged = _fit(qs, counts, backgrounds, _cholesky_params(flip @ start @ flip))
+    return flip @ _t_params_to_rho(t) @ flip, ll, steps, converged
 
 
 def mle_state(data: TomographyData) -> DensityMatrixEstimate:
     """Maximum-likelihood density matrix from counting data.
 
     Maximizes sum_j [n_j log m_j - m_j] with m_j = tr(rho~ P_j) + b_j
-    and rho~ = T^dag T by monotone gradient ascent with backtracking;
-    the trace of rho~ absorbs the overall flux, so no separate scale
-    parameter is needed. Stops when the relative log-likelihood change
-    drops below _LL_TOL or after _MAX_ITER accepted steps.
+    over rho~ = T^dag T, whose trace absorbs the overall flux, so no
+    separate scale parameter is needed. This is the one-row call of the
+    batched fitter that monte_carlo_errors uses: damped Newton steps
+    from the linear inversion, each accepted only if the likelihood
+    does not fall, until the gradient stop |grad| |t| / (2 sum n) <=
+    1e-12 (converged=True), or until 100 steps or a step too damped to
+    move (converged=False). iterations counts the Newton steps tried,
+    rejected ones included.
     """
     if data.counts.sum() <= 0:
         raise EstimationError("no counts to fit")
-    qs = _quadratic_forms(data)
-    n = data.counts.astype(float)
-    bg = data.backgrounds
-
-    def ll_of(t):
-        m = np.einsum("i,jik,k->j", t, qs, t) + bg
-        m = np.clip(m, 1e-300, None)
-        return float(np.sum(n * np.log(m) - m))
-
-    t = _linear_inversion_seed(data)
-    ll = ll_of(t)
-    step = 0.1 * np.linalg.norm(t) + 1e-12
-    converged = False
-    iters = 0
-    for iters in range(1, _MAX_ITER + 1):
-        qt = qs @ t
-        m = qt @ t + bg
-        m = np.clip(m, 1e-300, None)
-        grad = 2.0 * (n / m - 1.0) @ qt
-        gnorm = np.linalg.norm(grad)
-        if gnorm == 0.0:
-            converged = True
-            break
-        direction = grad / gnorm
-        accepted = False
-        while step > 1e-16 * (np.linalg.norm(t) + 1.0):
-            cand = t + step * direction
-            ll_cand = ll_of(cand)
-            if ll_cand >= ll:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            converged = True  # no ascent direction left at machine precision
-            break
-        delta = ll_cand - ll
-        t, ll = cand, ll_cand
-        step *= 1.3
-        if delta <= _LL_TOL * max(1.0, abs(ll)):
-            converged = True
-            break
-
-    rho_unnorm = _t_params_to_rho(t)
-    tr = np.trace(rho_unnorm).real
-    if tr <= 0:
-        raise EstimationError("degenerate fit, zero trace")
-    rho = rho_unnorm / tr
-    rho = 0.5 * (rho + rho.conj().T)
-    state = PolarizationState(rho)
-    low_rank = bool(np.linalg.eigvalsh(rho).min() < _LOW_RANK_EIG)
-    return DensityMatrixEstimate(state, ll, iters, converged, low_rank)
+    rho, ll, steps, converged = _fit_rows(data.settings, data.counts[None, :].astype(float),
+                                          data.backgrounds)
+    low_rank = bool(np.linalg.eigvalsh(rho[0]).min() < _LOW_RANK_EIG)
+    return DensityMatrixEstimate(PolarizationState(rho[0]), float(ll[0]), int(steps[0]),
+                                 bool(converged[0]), low_rank)
 
 
 def monte_carlo_errors(data: TomographyData, target: PolarizationState, *,
-                       resamples: int = 200, seed: int = 0) -> float:
+                       resamples: int = 200, seed: int = 0) -> BootstrapSigma:
     """Bootstrap error of the fidelity by Poisson-resampling each recorded count.
 
-    Returns the sample standard deviation of the reconstructed state's
-    fidelity against target. Resamples that come out all zero are skipped.
+    Draws all resamples at once, rng.poisson(counts, size=(resamples,
+    k)) (the same draws as resamples one at a time), skips those that
+    come out all zero, and fits the rest in one call of mle_state's
+    batched fitter. Returns the sample standard deviation of the fitted
+    states' fidelity tr(rho target) to a pure target, as a float that
+    also carries how many resamples were skipped and how many fits
+    stopped short of the gradient stop (those are kept).
     """
     if resamples < 100:
         raise ValueError(f"resamples must be >= 100, got {resamples}")
     if data.counts.sum() <= 0:
         raise EstimationError("no counts to resample")
+    if target.purity < 1.0 - _PURITY_TOL:
+        raise ValueError(f"fidelity needs a pure target, got purity {target.purity}")
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(resamples):
-        counts = rng.poisson(data.counts)
-        if counts.sum() == 0:
-            continue
-        est = mle_state(TomographyData(data.settings, counts, data.backgrounds))
-        samples.append(fidelity(est.state, target))
-    if not samples:
+    counts = rng.poisson(data.counts, size=(resamples, data.counts.size))
+    counts = counts[counts.sum(axis=1) > 0].astype(float)
+    if len(counts) == 0:
         raise EstimationError("all resamples were empty")
-    return float(np.std(samples, ddof=1))
+    rho, _, _, converged = _fit_rows(data.settings, counts, data.backgrounds)
+    fid = np.clip(np.einsum("rab,ba->r", rho, target.rho).real, 0.0, 1.0)
+    return BootstrapSigma(float(np.std(fid, ddof=1)), resamples - len(counts),
+                          int(np.count_nonzero(~converged)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Test oracles: independent state and channel algebra that no command runs.
 
 Channel propagation, the chi <-> Choi change of frame, random CPTP
-channels, the trace distance and the Bloch vector. The tests use them
-to check the reconstructions in afcmem against known answers.
+channels, the trace distance and the Bloch vector; the closed-form
+six-setting state MLE, and the normalized gradient ascent that the
+state fit used before its Newton fitter. The tests use them to check
+the reconstructions in afcmem against known answers.
 """
 
 import numpy as np
 
 from afcmem.errors import EstimationError
 from afcmem.polarization import PAULIS, PolarizationState
-from afcmem.tomography import _PAULI_DAGGERS, ProcessMatrix
+from afcmem.tomography import _PAULI_DAGGERS, ProcessMatrix, TomographyData, _quadratic_forms
 
 # columns (sigma_k (x) I)|Omega>, the frame mapping chi to the Choi matrix
 _OMEGA = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
@@ -59,3 +61,64 @@ def random_process_matrix(seed: int) -> ProcessMatrix:
     sandwich = np.kron(np.eye(2), w_isqrt)
     chi = choi_to_chi(sandwich @ choi @ sandwich)
     return ProcessMatrix(0.5 * (chi + chi.conj().T), projected=True)
+
+
+def closed_form_rho(counts) -> np.ndarray:
+    """MLE of six equal-exposure settings without background, inside the Bloch
+    ball: r_i = (n+ - n-) / (n+ + n-) on each axis, counts in SETTING_LABELS order."""
+    h, v, d, a, r, l = (float(c) for c in counts)
+    x, y, z = (d - a) / (d + a), (r - l) / (r + l), (h - v) / (h + v)
+    return 0.5 * (np.eye(2) + x * PAULIS[1] + y * PAULIS[2] + z * PAULIS[3])
+
+
+def ascent_mle(data: TomographyData):
+    """The state fit before the Newton fitter, kept as the reference for its
+    log-likelihood: normalized gradient ascent with backtracking from the
+    linear inversion, stopping once an accepted step gains less than
+    1e-10 |LL| (or after 10,000 steps). Returns (rho, log-likelihood)."""
+    qs = _quadratic_forms(data)
+    n = data.counts.astype(float)
+    bg = data.backgrounds
+
+    def ll_of(t):
+        m = np.einsum("i,jik,k->j", t, qs, t) + bg
+        m = np.clip(m, 1e-300, None)
+        return float(np.sum(n * np.log(m) - m))
+
+    rows = [[s.projector[0, 0].real, s.projector[1, 1].real, 2.0 * s.projector[0, 1].real,
+             2.0 * s.projector[0, 1].imag] for s in data.settings]
+    x, *_ = np.linalg.lstsq(np.asarray(rows), n - bg, rcond=None)
+    m = np.array([[x[0], x[2] + 1j * x[3]], [x[2] - 1j * x[3], x[1]]], dtype=complex)
+    w, v = np.linalg.eigh(m)
+    w = np.clip(w, max(w.max(), 1.0) * 1e-6, None)
+    tchol = np.linalg.cholesky((v * w) @ v.conj().T)
+    t = np.array([tchol[0, 0].real, tchol[1, 1].real, tchol[1, 0].real, tchol[1, 0].imag])
+
+    ll = ll_of(t)
+    step = 0.1 * np.linalg.norm(t) + 1e-12
+    for _ in range(10_000):
+        qt = qs @ t
+        m = np.clip(qt @ t + bg, 1e-300, None)
+        grad = 2.0 * (n / m - 1.0) @ qt
+        gnorm = np.linalg.norm(grad)
+        if gnorm == 0.0:
+            break
+        direction = grad / gnorm
+        accepted = False
+        while step > 1e-16 * (np.linalg.norm(t) + 1.0):
+            cand = t + step * direction
+            ll_cand = ll_of(cand)
+            if ll_cand >= ll:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        delta = ll_cand - ll
+        t, ll = cand, ll_cand
+        step *= 1.3
+        if delta <= 1e-10 * max(1.0, abs(ll)):
+            break
+    a, d, c = t[0], t[1], t[2] + 1j * t[3]
+    rho = np.array([[a * a + abs(c) ** 2, np.conj(c) * d], [c * d, d * d]], dtype=complex)
+    return rho / np.trace(rho).real, ll

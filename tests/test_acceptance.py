@@ -200,12 +200,12 @@ def test_reproduction_is_byte_identical(tmp_path):
         "effective_config.ini": "2039b37d7438acbe4377c2720ea85eb8a42cc8840813cf7148610e7dd5ee60ed",
         "fig2_histogram.csv": "7cb13f4cfa74a85adfb9950786245cde5b9c826b48a59f1618e168388317c7fa",
         "fig3a.csv": "9893bcae16b2644c8587f412db73a318ccaa1da117f5f88df389ae6d77b877d0",
-        "fig3b_chi.csv": "4fe9bba14fe12b23e5bd4241e26ef2f72bfdb582e0cbdb6d54ef1b3e680a0d40",
+        "fig3b_chi.csv": "f4179d5816d2235d54ac6f98fbceba0243ba38e039250e783f3ac2a6649b42f4",
         "figD1_bounds.csv": "197c2db3576a1dd625ed1164985a30a6383fcf9bc5ff554edb9584323b7f5198",
-        "summary.csv": "1c3dd1c678b5f4c282e0917a51de74970669eda083f9ee4e402bc3939ec5fa56",
+        "summary.csv": "f84fa2a8110e474ed980b63189f6308dd575f174d832982ff46bdb2a6e94c3ae",
         "table1.csv": "fb525e2adb8e00bb9dfc9869f1eb3b98c013ba6a81261d144dc337d69bbd20e4",
         "tableA1.csv": "252958aa21779586c84368f05b5badbd92ec0c39d3d0399ef054493b86edde16",
-        "tableB1.csv": "d229b2a9ac48b15310e8b2a00ecb51aaa2c8ffd62cd4cbddaa88c31b735dce07",
+        "tableB1.csv": "fdf4b598631220adf6d78a403ed64af4e26ce3d20c1b0458b17071064339fab5",
         "tableC1.csv": "94a0591971ada7e3587a63a3b60259891fa78456eba59f8cebfd529715422619",
         "verdicts.csv": "79c5252442a8b0b00514a25ad5b1a8d1b6ebf7cc1e803a21a2f9fb28bc56f1ee",
     }

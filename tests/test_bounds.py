@@ -223,6 +223,17 @@ def test_bounds_reject_subnormal_mu():
     assert threshold_bound(sys.float_info.min, 0.5).bound == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+def test_bounds_reject_underflowing_emission_budget():
+    # eta_m mu underflows to 0 here, and the bound divided 0 by 0 (nan)
+    with pytest.raises(ValueError, match="emission budget P_emit = 0 .* underflows"):
+        threshold_bound(1e-300, 1e-30)
+    # the fallback's subnormal budget (1e-320) kept too few digits: 0.666502 < 2/3
+    with pytest.raises(ValueError, match="fallback emission budget P_emit = 1e-320 .* underflows"):
+        transmitted_constrained_bound(1e-300, 0.9, 0.5, 1e-20, grid_points=4, refine_rounds=0)
+    # a subnormal budget with its digits left still gives 2/3 at the float floor
+    assert threshold_bound(sys.float_info.min, 0.005).bound == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
 def test_threshold_monotone_in_measurement_efficiency():
     for mu in (0.5, 1.4, 8.2):
         etas = np.linspace(0.01, 1.0, 25)

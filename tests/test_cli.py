@@ -67,8 +67,8 @@ def test_tomography_bytes_pinned(tmp_path):
     digests = {name: hashlib.sha256(_read(os.path.join(out, name))).hexdigest()
                for name in sorted(os.listdir(out))}
     assert digests == {
-        "chi.csv": "3e7e38f4e3a025beffcf067df9ee13dcd48f4f24e6edd6a4b49cf6079495c181",
-        "state_fidelity.csv": "338ebdb5c012e3e644f7ea16897bff31bd035a466c478a6e7344e9ab8d2e58c3",
+        "chi.csv": "c96f0c9496cf64bd24d4aa817d304312a027189dcef9d5d8476df650f5b83fb1",
+        "state_fidelity.csv": "992141793ceb93bf5444ed1d2aa419afb3fe56a2dbfbf591794ff7b181d7f34e",
     }
 
 
@@ -396,12 +396,15 @@ def test_fig3a_threshold_uses_configured_matching(tmp_path):
     assert rows[1][0] == "0.5" and rows[1][-1] == "0.80163107274"
 
 
+def _one_line_error(err):
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    return err
+
+
 def _exits_cleanly(argv, code, capsys):
     """main(argv) returns code with a one-line error message and no traceback."""
     assert main(argv) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
-    return err
+    return _one_line_error(capsys.readouterr().err)
 
 
 def _ini(tmp_path, text):
@@ -444,6 +447,15 @@ def test_bounds_command_rejects_subnormal_mu(tmp_path, capsys):
     out = os.path.join(tmp_path, "o")
     err = _exits_cleanly(["bounds", "--mu", "1e-320", "--out", out], 2, capsys)
     assert "mu must be at least" in err
+    assert not _csvs(out)
+
+
+def test_bounds_command_rejects_underflowing_emission_budget(tmp_path, capsys):
+    # eta_m mu underflows to 0: the threshold bound was nan
+    out = os.path.join(tmp_path, "o")
+    err = _exits_cleanly(["bounds", "--mu", "1e-300", "--config",
+                          _ini(tmp_path, "[bounds]\neta_m = 1e-30\n"), "--out", out], 2, capsys)
+    assert "emission budget P_emit = 0" in err
     assert not _csvs(out)
 
 
@@ -513,3 +525,29 @@ def test_bound_search_limits_are_inclusive(tmp_path):
         for value in (lo - 1, hi + 1):
             with pytest.raises(ConfigError, match=f"{key} = {value} is outside"):
                 load_config(_ini(tmp_path, f"[bounds]\n{key} = {value}\n"))
+
+
+@pytest.mark.parametrize("value", [50, 1_000_000_000])
+@pytest.mark.parametrize("command, section", [("tomography", "tomography"),
+                                              ("reproduce-paper", "reproduce")])
+def test_bootstrap_resample_limits(tmp_path, command, section, value):
+    # resamples = 50 exited 2 only after the simulation had run, and 1e9 ran
+    # without end; the bootstrap holds arrays of about 1.5 kB per resample
+    out = os.path.join(tmp_path, "o")
+    argv = [command, "--seed", "1", "--config",
+            _ini(tmp_path, f"[{section}]\nresamples = {value}\n"), "--out", out]
+    proc = _capped_main(argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"[{section}] resamples = {value} is outside the accepted range [100, 10000]" \
+        in _one_line_error(proc.stderr)
+    assert not _csvs(out)
+
+
+def test_resample_limits_are_inclusive(tmp_path):
+    for section in ("tomography", "reproduce"):
+        for value in (100, 10_000):
+            cfg = load_config(_ini(tmp_path, f"[{section}]\nresamples = {value}\n"))
+            assert cfg[section]["resamples"] == value
+        for value in (99, 10_001):
+            with pytest.raises(ConfigError, match=f"resamples = {value} is outside"):
+                load_config(_ini(tmp_path, f"[{section}]\nresamples = {value}\n"))

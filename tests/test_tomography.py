@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from afcmem import tomography
 from afcmem.errors import EstimationError
 from afcmem.memory import MemoryParams
 from afcmem.montecarlo import ExperimentConfig, simulate_run
@@ -13,6 +14,7 @@ from afcmem.tomography import (
     SETTING_LABELS,
     ProcessMatrix,
     TomographyData,
+    _fit_rows,
     _linear_inversion_seed,
     _quadratic_forms,
     mle_state,
@@ -20,7 +22,8 @@ from afcmem.tomography import (
     process_tomography,
     project_process_matrix,
 )
-from oracles import apply_process, chi_to_choi, choi_to_chi, random_process_matrix, trace_distance
+from oracles import apply_process, ascent_mle, chi_to_choi, choi_to_chi, closed_form_rho, \
+    random_process_matrix, trace_distance
 
 BASIS_STATES = [standard_state(l) for l in ("H", "V", "D", "R")]
 
@@ -108,6 +111,102 @@ def test_bootstrap_input_validation():
     empty = TomographyData.from_counts({s: 0 for s in SETTING_LABELS})
     with pytest.raises(EstimationError):
         monte_carlo_errors(empty, target=standard_state("D"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(counts=st.lists(st.integers(500, 5000), min_size=6, max_size=6))
+@example(counts=[4500, 500, 3000, 1000, 2600, 1400])  # Bloch length 0.99, near H
+@example(counts=[500, 4500, 1000, 3000, 1400, 2600])  # its mirror, near V
+def test_mle_matches_closed_form_inside_bloch_ball(counts):
+    # six equal-exposure settings without background: the flux separates from
+    # the three axes, so the MLE is r_i = (n+ - n-) / (n+ + n-) inside the ball
+    rho = closed_form_rho(counts)
+    assume(np.linalg.eigvalsh(rho).min() > 5e-4)
+    est = mle_state(TomographyData.from_counts(dict(zip(SETTING_LABELS, counts))))
+    assert est.converged
+    assert np.abs(est.state.rho - rho).max() < 1e-9
+
+
+def test_fit_never_below_old_ascent_likelihood():
+    # every fit ends at or above the log-likelihood of the gradient ascent it
+    # replaced, backgrounds included; resamples go through the batched fitter
+    # in one call, and each row agrees with its own one-row fit
+    rng = np.random.default_rng(2024)
+    settings_ = tuple(standard_setting(s) for s in SETTING_LABELS)
+    bases = [_simulated_data(label, trials=100_000, seed=900)[0].counts for label in "HVDR"]
+    bases += [np.array([1000, 0, 500, 500, 500, 500]), np.array([5, 0, 3, 2, 2, 3])]
+    for base in bases:
+        for level in (0.0, 0.05, 0.3):
+            bg = np.full(6, level * base.mean())
+            data = TomographyData(settings_, base + rng.poisson(bg), bg)
+            ref = ascent_mle(data)[1]
+            assert mle_state(data).log_likelihood >= ref - 1e-9 * abs(ref)
+            draws = rng.poisson(data.counts, size=(6, 6))
+            draws = draws[draws.sum(axis=1) > 0]
+            rho, ll, _, converged = _fit_rows(settings_, draws.astype(float), bg)
+            assert converged.all()
+            for row, n in enumerate(draws):
+                one = TomographyData(settings_, n, bg)
+                ref = ascent_mle(one)[1]
+                assert ll[row] >= ref - 1e-9 * abs(ref)
+                single = mle_state(one)
+                assert single.log_likelihood == pytest.approx(ll[row], rel=1e-12)
+                assert np.abs(single.state.rho - rho[row]).max() < 1e-9
+
+
+@pytest.mark.parametrize("counts, bg", [([2668, 3231, 4249, 1675, 352, 5641], 0.0),
+                                       ([2650, 4189, 4159, 2536, 6762, 270], 6.956),
+                                       ([1, 1, 1, 3, 2, 1], 0.288)])
+def test_fit_log_likelihood_never_falls_step_by_step(monkeypatch, counts, bg):
+    # a full Newton step overshoots on these data: taking every step lowered
+    # the log-likelihood by 70, 386 and 219 on the way; the fit takes none
+    # that lowers it
+    settings_ = tuple(standard_setting(s) for s in SETTING_LABELS)
+    lls = []
+    for k in range(10):
+        monkeypatch.setattr(tomography, "_MAX_STEPS", k)
+        lls.append(_fit_rows(settings_, np.array([counts], dtype=float), np.full(6, bg))[1][0])
+    assert all(b >= a - 1e-12 * abs(a) for a, b in zip(lls, lls[1:]))
+
+
+def test_bootstrap_sigma_calibrated():
+    # the seed-to-seed spread of the fitted fidelity over the median bootstrap
+    # sigma, at input D, mu = 1.4: a faster bootstrap must not shrink the error
+    # bars the verdicts use. Over 60 seeds the spread itself is uncertain by
+    # 1 / sqrt(2 * 59) = 0.09 relative; allow 3 of that
+    target = standard_state("D")
+    fids, sigmas = [], []
+    for k in range(60):
+        data, _ = _simulated_data("D", seed=1000 + 10 * k)
+        fids.append(fidelity(mle_state(data).state, target))
+        sigmas.append(monte_carlo_errors(data, target, resamples=100, seed=k))
+    ratio = np.std(fids, ddof=1) / np.median(sigmas)
+    assert abs(ratio - 1.0) < 3.0 / np.sqrt(2 * 59)
+
+
+def test_bootstrap_reports_what_it_drops():
+    # with one count in all, about 1/e of the resamples are all zero and
+    # skipped; the batch draws the same numbers as one resample at a time
+    data = TomographyData.from_counts({"H": 1, "V": 0, "D": 0, "A": 0, "R": 0, "L": 0})
+    sigma = monte_carlo_errors(data, standard_state("H"), resamples=200, seed=5)
+    rng = np.random.default_rng(5)
+    one_at_a_time = np.stack([rng.poisson(data.counts) for _ in range(200)])
+    assert isinstance(sigma, float)
+    assert sigma.resamples_skipped == np.count_nonzero(one_at_a_time.sum(axis=1) == 0) > 0
+    assert sigma.resamples_unconverged == 0
+
+
+@pytest.mark.parametrize("counts", [[1000, 0, 500, 500, 500, 500], [0, 1000, 500, 500, 500, 500],
+                                    [100000, 10, 50000, 50000, 50000, 50000]],
+                         ids=["pure-H", "pure-V", "near-H"])
+def test_bootstrap_fits_converge_near_pure_states(counts):
+    # near H, T^dag T puts d near 0 and Newton steps crawl along a flat ring
+    # of (a, c); fitted in the (H, V) order only, 90-200 of 200 rows stopped
+    # short, which shrank the pure-H sigma by a third
+    data = TomographyData.from_counts(dict(zip(SETTING_LABELS, counts)))
+    for seed in (1, 2):
+        sigma = monte_carlo_errors(data, standard_state("D"), resamples=200, seed=seed)
+        assert sigma.resamples_unconverged == 0
 
 
 def test_apply_process_identity():
