@@ -69,8 +69,8 @@ def _mu_grid(section, mu_list):
         mus = np.asarray(mu_list, dtype=float)
     else:
         lo, hi, n = section["mu_min"], section["mu_max"], section["n_points"]
-        if not 0.0 < lo < hi or n < 2:
-            raise ConfigError(f"need 0 < mu_min < mu_max and n_points >= 2, got ({lo}, {hi}, {n})")
+        if not 0.0 < lo < hi:
+            raise ConfigError(f"need 0 < mu_min < mu_max, got ({lo}, {hi})")
         mus = np.linspace(lo, hi, n)
     if (mus <= 0).any():
         raise ConfigError("photon numbers must be positive")
@@ -155,9 +155,7 @@ def _fit_state(data: TomographyData, label: str, resamples: int, seed: int):
 def _export_chi(labels, states, project: bool, path: str, meta):
     """Process matrix from the ideal inputs and the fitted states, written to path."""
     proc = process_tomography([standard_state(l) for l in labels], states, project=project)
-    export_process_matrix(proc.chi, path, projected=proc.projected,
-                          metadata={**meta, "chi00": proc.chi00, "tp_defect": proc.tp_defect(),
-                                    "min_eigenvalue": proc.min_eigenvalue()})
+    export_process_matrix(proc, path, meta)
     return proc
 
 

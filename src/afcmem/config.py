@@ -76,10 +76,18 @@ _SCHEMA: dict[str, dict[str, Any]] = {
 # config file is loaded, before anything is allocated or written. Each
 # bound-search level evaluates grid_points^3 candidates, and there are
 # refine_rounds + 1 levels. The bootstrap fits all of its resamples in
-# one batch, about 1.5 kB of arrays per resample (15 MB at 10,000).
+# one batch, about 1.5 kB of arrays per resample (15 MB at 10,000). A
+# bound-curve point ([bounds] n_points, [reproduce] bound_points) costs
+# one plain, one threshold and one transmitted bound, about 50 ms at the
+# default grid on a 2-core Xeon, so 1,000 points take about a minute. A
+# [predict] point costs about 45 us and 60 B of CSV there, so 100,000
+# points take about 5 s and 18 MB. A mu grid needs its two end points.
 _LIMITS: dict[tuple[str, str], tuple[int, int]] = {
     ("bounds", "grid_points"): (2, 256),
     ("bounds", "refine_rounds"): (0, 16),
+    ("bounds", "n_points"): (2, 1_000),
+    ("reproduce", "bound_points"): (1, 1_000),
+    ("predict", "n_points"): (2, 100_000),
     ("tomography", "resamples"): (100, 10_000),
     ("reproduce", "resamples"): (100, 10_000),
 }

@@ -15,14 +15,17 @@ four-input action
 
     rho_out = sum_kl chi_kl sigma_k rho_in sigma_l^dag
 
-in the Pauli basis (I, X, Y, Z), followed by alternating projections
-onto the trace-preserving affine subspace and the positive cone.
+in the Pauli basis (I, X, Y, Z) (Chuang & Nielsen, J. Mod. Opt. 44,
+2455 (1997)), followed by alternating projections onto the
+trace-preserving affine subspace A(chi) = I and the positive cone,
+where A(chi) = sum_kl chi_kl sigma_l sigma_k. On 2 x 2 matrices
+A A^* = 8 I, with A^*(Y)_kl = tr(sigma_k sigma_l Y), so the Frobenius
+projection onto that subspace is chi - A^*(A(chi) - I) / 8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -132,11 +135,6 @@ def _forms(projectors: np.ndarray) -> np.ndarray:
     return qs
 
 
-def _quadratic_forms(data: TomographyData) -> np.ndarray:
-    """_forms of data's analyzer settings."""
-    return _forms(np.stack([s.projector for s in data.settings]))
-
-
 def _t_params_to_rho(t: np.ndarray) -> np.ndarray:
     """Normalized T^dag T / tr(T^dag T) (R, 2, 2) for rows t = (a, d, Re c, Im c) (R, 4)."""
     a, d, c_re, c_im = t.T
@@ -169,12 +167,6 @@ def _cholesky_params(m: np.ndarray) -> np.ndarray:
     d = np.sqrt(m[:, 1, 1].real)
     c = m[:, 1, 0] / d
     return np.stack([np.sqrt(m[:, 0, 0].real - np.abs(c) ** 2), d, c.real, c.imag], axis=1)
-
-
-def _linear_inversion_seed(data: TomographyData) -> np.ndarray:
-    """The state the fit of data starts from, as t = (a, d, Re c, Im c)."""
-    return _cholesky_params(_linear_inversion(_design(data.settings), data.counts[None, :],
-                                              data.backgrounds))[0]
 
 
 def _model(qs: np.ndarray, bg: np.ndarray, t: np.ndarray):
@@ -318,8 +310,6 @@ def monte_carlo_errors(data: TomographyData, target: PolarizationState, *,
 # ---------------------------------------------------------------------------
 # process matrices
 
-_PAULI_DAGGERS = PAULIS.conj().transpose(0, 2, 1)
-
 
 @dataclass(frozen=True, eq=False)
 class ProcessMatrix:
@@ -347,56 +337,23 @@ class ProcessMatrix:
         return float(self.chi[0, 0].real)
 
     def tp_defect(self) -> float:
-        """Frobenius distance of sum_kl chi_kl sigma_l^dag sigma_k from the identity."""
-        op = np.einsum("kl,lab,kbc->ac", self.chi, PAULIS, PAULIS)
-        return float(np.linalg.norm(op - np.eye(2)))
+        """Frobenius distance of A(chi) = sum_kl chi_kl sigma_l sigma_k from the identity."""
+        return float(np.linalg.norm(_tp_map(self.chi) - np.eye(2)))
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.chi).min())
 
 
-def _hermitian_basis_4() -> list[np.ndarray]:
-    basis = []
-    for i in range(4):
-        e = np.zeros((4, 4), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            e = np.zeros((4, 4), dtype=complex)
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(e)
-            e = np.zeros((4, 4), dtype=complex)
-            e[i, j] = 1.0j / np.sqrt(2.0)
-            e[j, i] = -1.0j / np.sqrt(2.0)
-            basis.append(e)
-    return basis
-
-
-@cache
-def _tp_projector():
-    """Affine projection data for the constraint sum chi_kl sigma_l sigma_k = I."""
-    basis = _hermitian_basis_4()
-    gs = [s / np.sqrt(2.0) for s in PAULIS]
-    m = np.zeros((4, len(basis)))
-    for a, b_a in enumerate(basis):
-        op = np.einsum("kl,lab,kbc->ac", b_a, PAULIS, PAULIS)
-        for b, g in enumerate(gs):
-            m[b, a] = np.trace(g @ op).real
-    target = np.array([np.sqrt(2.0), 0.0, 0.0, 0.0])
-    correction = m.T @ np.linalg.inv(m @ m.T)
-    return basis, m, target, correction
+def _tp_map(chi: np.ndarray) -> np.ndarray:
+    """A(chi) = sum_kl chi_kl sigma_l sigma_k, which is I exactly when chi is trace preserving."""
+    return np.einsum("kl,lab,kbc->ac", chi, PAULIS, PAULIS)
 
 
 def _project_tp(chi: np.ndarray) -> np.ndarray:
-    basis, m, target, correction = _tp_projector()
+    """The Frobenius-nearest Hermitian chi with A(chi) = I: the Hermitian part
+    minus A^*(A(chi) - I) / 8, A^*(Y)_kl = tr(sigma_k sigma_l Y)."""
     chi = 0.5 * (chi + chi.conj().T)
-    r = np.array([np.trace(b @ chi).real for b in basis])
-    r = r - correction @ (m @ r - target)
-    out = np.zeros((4, 4), dtype=complex)
-    for coef, b in zip(r, basis):
-        out += coef * b
-    return out
+    return chi - np.einsum("kab,lbc,ca->kl", PAULIS, PAULIS, _tp_map(chi) - np.eye(2)) / 8.0
 
 
 def _project_psd(chi: np.ndarray) -> np.ndarray:
@@ -434,16 +391,12 @@ def process_tomography(inputs: Sequence[PolarizationState],
         raise ValueError("inputs and outputs must pair up")
     if len(inputs) < 4:
         raise ValueError("need at least 4 input states")
-    span = np.stack([s.rho.reshape(4) for s in inputs])
-    if np.linalg.matrix_rank(span, tol=1e-9) < 4:
+    rhos = np.stack([s.rho for s in inputs])
+    if np.linalg.matrix_rank(rhos.reshape(-1, 4), tol=1e-9) < 4:
         raise ValueError("input states must span the operator space")
-    n = len(inputs)
-    a = np.empty((4 * n, 16), dtype=complex)
-    b = np.empty(4 * n, dtype=complex)
-    for i, (sin, sout) in enumerate(zip(inputs, outputs)):
-        block = np.einsum("kab,bc,lcd->klad", PAULIS, sin.rho, _PAULI_DAGGERS)
-        a[4 * i:4 * i + 4, :] = block.reshape(16, 4).T
-        b[4 * i:4 * i + 4] = sout.rho.reshape(4)
+    # row (input n, entry ad) of the system: (sigma_k rho_n sigma_l^dag)_ad against chi_kl
+    a = np.einsum("kab,nbc,lcd->nadkl", PAULIS, rhos, PAULIS).reshape(-1, 16)
+    b = np.stack([s.rho for s in outputs]).reshape(-1)
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
     chi_lin = x.reshape(4, 4)
     if not project:
@@ -452,11 +405,12 @@ def process_tomography(inputs: Sequence[PolarizationState],
     return ProcessMatrix(chi_proj, projected=True, iterations=iters)
 
 
-def export_process_matrix(chi: np.ndarray, path: str, *, projected: bool,
+def export_process_matrix(proc: ProcessMatrix, path: str,
                           metadata: Mapping[str, object] | None = None) -> None:
-    """Write the 16 chi entries as (row, col, re, im) rows."""
-    meta = dict(metadata or {})
-    meta["projection_applied"] = "yes" if projected else "no"
-    chi = np.asarray(chi, dtype=complex)
-    rows = ((i, j, chi[i, j].real, chi[i, j].imag) for i in range(4) for j in range(4))
+    """Write the 16 chi entries as (row, col, re, im) rows, after a preamble
+    with chi00, tp_defect, min_eigenvalue and projection_applied."""
+    meta = {**(metadata or {}), "chi00": proc.chi00, "tp_defect": proc.tp_defect(),
+            "min_eigenvalue": proc.min_eigenvalue(),
+            "projection_applied": "yes" if proc.projected else "no"}
+    rows = ((i, j, proc.chi[i, j].real, proc.chi[i, j].imag) for i in range(4) for j in range(4))
     write_csv(path, meta, ["row", "col", "re", "im"], rows)

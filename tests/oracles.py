@@ -11,7 +11,9 @@ import numpy as np
 
 from afcmem.errors import EstimationError
 from afcmem.polarization import PAULIS, PolarizationState
-from afcmem.tomography import _PAULI_DAGGERS, ProcessMatrix, TomographyData, _quadratic_forms
+from afcmem.tomography import ProcessMatrix, TomographyData
+
+_PAULI_DAGGERS = PAULIS.conj().transpose(0, 2, 1)
 
 # columns (sigma_k (x) I)|Omega>, the frame mapping chi to the Choi matrix
 _OMEGA = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
@@ -76,7 +78,11 @@ def ascent_mle(data: TomographyData):
     log-likelihood: normalized gradient ascent with backtracking from the
     linear inversion, stopping once an accepted step gains less than
     1e-10 |LL| (or after 10,000 steps). Returns (rho, log-likelihood)."""
-    qs = _quadratic_forms(data)
+    # T = sum_i t_i E_i, so tr(T^dag T P_j) = t . Q_j t with Q_j,ik = Re tr(E_i^dag E_k P_j)
+    e = np.zeros((4, 2, 2), dtype=complex)
+    e[0, 0, 0], e[1, 1, 1], e[2, 1, 0], e[3, 1, 0] = 1.0, 1.0, 1.0, 1.0j
+    projectors = np.stack([s.projector for s in data.settings])
+    qs = np.einsum("iba,kbc,jca->jik", e.conj(), e, projectors).real
     n = data.counts.astype(float)
     bg = data.backgrounds
 

@@ -200,7 +200,7 @@ def test_reproduction_is_byte_identical(tmp_path):
         "effective_config.ini": "2039b37d7438acbe4377c2720ea85eb8a42cc8840813cf7148610e7dd5ee60ed",
         "fig2_histogram.csv": "7cb13f4cfa74a85adfb9950786245cde5b9c826b48a59f1618e168388317c7fa",
         "fig3a.csv": "9893bcae16b2644c8587f412db73a318ccaa1da117f5f88df389ae6d77b877d0",
-        "fig3b_chi.csv": "f4179d5816d2235d54ac6f98fbceba0243ba38e039250e783f3ac2a6649b42f4",
+        "fig3b_chi.csv": "2e1d9981f2b19364ece963630dccf85a4cb4f9cf4ebce237ab41845f9bad4bc6",
         "figD1_bounds.csv": "197c2db3576a1dd625ed1164985a30a6383fcf9bc5ff554edb9584323b7f5198",
         "summary.csv": "f84fa2a8110e474ed980b63189f6308dd575f174d832982ff46bdb2a6e94c3ae",
         "table1.csv": "fb525e2adb8e00bb9dfc9869f1eb3b98c013ba6a81261d144dc337d69bbd20e4",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import afcmem
 from afcmem.bounds import threshold_bound
-from afcmem.cli import build_parser, main
+from afcmem.cli import _stage_fig_d1, build_parser, main
 from afcmem.config import (
     ConfigError,
     canonical_text,
@@ -67,7 +67,7 @@ def test_tomography_bytes_pinned(tmp_path):
     digests = {name: hashlib.sha256(_read(os.path.join(out, name))).hexdigest()
                for name in sorted(os.listdir(out))}
     assert digests == {
-        "chi.csv": "c96f0c9496cf64bd24d4aa817d304312a027189dcef9d5d8476df650f5b83fb1",
+        "chi.csv": "696ee8b125e6ee2924ec436011a58a6f9bd4018f6bd3a974fa78b444211b9246",
         "state_fidelity.csv": "992141793ceb93bf5444ed1d2aa419afb3fe56a2dbfbf591794ff7b181d7f34e",
     }
 
@@ -504,27 +504,51 @@ def _capped_main(argv, cwd):
                           capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("key", ["grid_points", "refine_rounds"])
-@pytest.mark.parametrize("command", ["bounds", "reproduce-paper"])
-def test_bound_search_size_limits(tmp_path, command, key):
-    # grid_points = 1e9 asked for a 7.45 GiB axis, and refine_rounds = 1e9 ran without end
+@pytest.mark.parametrize("command, section, key, value", [
+    pytest.param(command, "bounds", key, 1_000_000_000, id=f"{command}-{key}")
+    for command in ("bounds", "reproduce-paper") for key in ("grid_points", "refine_rounds")
+] + [
+    pytest.param(command, section, key, value, id=f"{command}-{key}-{value}")
+    for command, section, key in (("bounds", "bounds", "n_points"), ("predict", "predict", "n_points"),
+                                  ("reproduce-paper", "reproduce", "bound_points"))
+    for value in (0, 1_000_000_000)
+])
+def test_bound_search_size_limits(tmp_path, command, section, key, value):
+    # grid_points or n_points = 1e9 asked for a 7.45 GiB axis, refine_rounds = 1e9 ran
+    # without end, and bound_points = 0 ended in an IndexError after writing 8 CSVs
     out = os.path.join(tmp_path, "o")
-    argv = [command, "--seed", "1", "--config", _ini(tmp_path, f"[bounds]\n{key} = 1000000000\n"),
+    argv = [command, "--seed", "1", "--config", _ini(tmp_path, f"[{section}]\n{key} = {value}\n"),
             "--out", out]
     proc = _capped_main(argv, tmp_path)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert f"[bounds] {key} = 1000000000 is outside" in proc.stderr
+    assert f"[{section}] {key} = {value} is outside" in _one_line_error(proc.stderr)
     assert not _csvs(out)
 
 
+_SIZE_LIMITS = [("bounds", "grid_points", 2, 256), ("bounds", "refine_rounds", 0, 16),
+                ("bounds", "n_points", 2, 1000), ("reproduce", "bound_points", 1, 1000),
+                ("predict", "n_points", 2, 100_000)]
+
+
 def test_bound_search_limits_are_inclusive(tmp_path):
-    for key, (lo, hi) in (("grid_points", (2, 256)), ("refine_rounds", (0, 16))):
+    for section, key, lo, hi in _SIZE_LIMITS:
         for value in (lo, hi):
-            assert load_config(_ini(tmp_path, f"[bounds]\n{key} = {value}\n"))["bounds"][key] == value
+            assert load_config(_ini(tmp_path, f"[{section}]\n{key} = {value}\n"))[section][key] == value
         for value in (lo - 1, hi + 1):
-            with pytest.raises(ConfigError, match=f"{key} = {value} is outside"):
-                load_config(_ini(tmp_path, f"[bounds]\n{key} = {value}\n"))
+            with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = {value} is outside"):
+                load_config(_ini(tmp_path, f"[{section}]\n{key} = {value}\n"))
+
+
+def test_single_bound_point_reproduces(tmp_path):
+    # the lower limit of bound_points: a one-point figD1 curve at mu = 0.5
+    cfg = load_config(_ini(tmp_path, "[bounds]\ngrid_points = 4\nrefine_rounds = 0\n"
+                                     "[reproduce]\nbound_points = 1\n"))
+    summary = []
+    _stage_fig_d1(cfg, 1, str(tmp_path), {}, lambda *row: summary.append(row))
+    rows = [l for l in _read(os.path.join(tmp_path, "figD1_bounds.csv")).decode().splitlines()
+            if l and not l.startswith("#")]
+    assert len(rows) == 2 and rows[1].startswith("0.5,")
+    assert len(summary) == 3 and all(value == reference for _, _, value, reference, _ in summary)
 
 
 @pytest.mark.parametrize("value", [50, 1_000_000_000])

@@ -14,9 +14,11 @@ from afcmem.tomography import (
     SETTING_LABELS,
     ProcessMatrix,
     TomographyData,
+    _design,
     _fit_rows,
-    _linear_inversion_seed,
-    _quadratic_forms,
+    _linear_inversion,
+    _project_tp,
+    _tp_map,
     mle_state,
     monte_carlo_errors,
     process_tomography,
@@ -68,8 +70,8 @@ def test_mle_log_likelihood_monotone():
     data, _ = _simulated_data("D")
     est = mle_state(data)
     n = data.counts.astype(float)
-    t0 = _linear_inversion_seed(data)
-    m0 = np.einsum("i,jik,k->j", t0, _quadratic_forms(data), t0) + data.backgrounds
+    rho0 = _linear_inversion(_design(data.settings), data.counts[None, :], data.backgrounds)[0]
+    m0 = np.array([np.trace(rho0 @ s.projector).real for s in data.settings]) + data.backgrounds
     assert est.log_likelihood >= np.sum(n * np.log(m0) - m0)
 
     def at_best_flux(rho):  # the data have no background
@@ -305,6 +307,22 @@ def test_projection_cptp_and_idempotent_over_random_inputs(near, channel, scale,
     assert wrapped.tp_defect() < 1e-6
     again, _ = project_process_matrix(proj)
     assert np.abs(again - proj).max() < 1e-8
+
+
+@settings(derandomize=True, deadline=None)
+@given(scale=st.floats(0.01, 5.0), parts=arrays(np.float64, (4, 4, 4), elements=st.floats(-1.0, 1.0)))
+def test_tp_projection_is_orthogonal_over_random_inputs(scale, parts):
+    # Hermitian X and Y at scales 0.01-5: P(X) is trace preserving, P is idempotent,
+    # and X - P(X) is orthogonal to every direction P(Y) - P(0) within the subspace
+    g = parts[0::2] + 1j * parts[1::2]
+    x, y = scale * 0.5 * (g + g.conj().transpose(0, 2, 1))
+    px = _project_tp(x)
+    size = 1.0 + np.linalg.norm(x)
+    assert np.linalg.norm(_tp_map(px) - np.eye(2)) <= 1e-12 * size
+    assert np.linalg.norm(_project_tp(px) - px) <= 1e-12 * size
+    direction = _project_tp(y) - _project_tp(np.zeros((4, 4)))
+    inner = np.trace((x - px).conj().T @ direction).real
+    assert abs(inner) <= 1e-12 * size * (1.0 + np.linalg.norm(direction))
 
 
 def test_random_process_matrix_is_cptp_and_deterministic():
