@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .bounds import (BoundResult, StrategyParams, poisson_conditional_bound, quantumness_verdict,
                      threshold_bound, transmitted_constrained_bound)
 from .errors import ConfigError, EstimationError
-from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number, validate_schedule
+from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number
 from .montecarlo import (CountHistogram, ExperimentConfig, ParamEstimate, TransmissionEstimate,
                          estimate_params, estimate_transmission, export_histogram,
                          model_conditional_fidelity, model_mode_fidelity, sequence_windows,
@@ -35,5 +35,5 @@ __all__ = [
     "model_mode_fidelity", "monte_carlo_errors", "orthogonal_label", "poisson_conditional_bound",
     "process_tomography", "project_process_matrix", "quantumness_verdict", "sequence_windows",
     "simulate_run", "standard_setting", "standard_state", "threshold_bound",
-    "transmitted_constrained_bound", "validate_schedule",
+    "transmitted_constrained_bound",
 ]

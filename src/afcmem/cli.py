@@ -7,10 +7,10 @@ identical. Commands that draw random numbers refuse to run without an
 explicit --seed.
 
 reproduce-paper runs one stage per reference table: table1 (with fig2),
-tableA1, tableB1 (with fig3b), tableC1, fig3a, figD1 and verdicts. Each
+tableA1, tableB1 (with fig3b), tableC1, fig3a, and figD1 with verdicts. Each
 writes its CSV and appends its comparisons to the one summary.csv list.
-The bound and verdict rows, the six-setting tomography and the mu1 band
-are the same helpers that bounds, tomography and predict use.
+The one bound-and-verdict pass, the six-setting tomography and the mu1
+band are the same helpers that bounds, tomography and predict use.
 
 Every simulated configuration comes from _experiment. _pair makes the
 runs analyzed parallel and orthogonal to the input, _triple_run adds the
@@ -36,7 +36,7 @@ from .bounds import poisson_conditional_bound, quantumness_verdict, threshold_bo
     transmitted_constrained_bound
 from .config import _parse_value, canonical_text, config_hash, default_config, load_config
 from .errors import ConfigError, EstimationError
-from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number, validate_schedule
+from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number
 from .montecarlo import ExperimentConfig, estimate_params, estimate_transmission, \
     export_histogram, model_conditional_fidelity, model_mode_fidelity, simulate_run
 from .polarization import STATE_LABELS, fidelity, orthogonal_label, standard_setting, standard_state
@@ -86,30 +86,27 @@ def _mu1_band(p, mus):
     return [(float(mu), *(fidelity_vs_photon_number(mu, m, f_c) for m in band)) for mu in mus]
 
 
-def _bounds_at(b, mu):
-    """Threshold and transmitted bounds at mu under the [bounds] section b."""
-    thr = threshold_bound(mu, b["eta_m"], matching=b["matching"])
-    tra = transmitted_constrained_bound(mu, b["f_t"], b["eta_t"], b["eta_m"],
-                                        grid_points=b["grid_points"],
-                                        refine_rounds=b["refine_rounds"],
-                                        matching=b["matching"])
-    return thr, tra
+def _bound_rows(b, mus):
+    """One pass over mus and then the MU_SCAN working points under the [bounds] section b.
 
-
-def _bound_curve(b, mus):
-    """(mu, plain bound, threshold result, transmitted result) at each mu."""
-    return [(mu, poisson_conditional_bound(mu), *_bounds_at(b, mu)) for mu in map(float, mus)]
-
-
-def _verdict_rows(b):
-    """Verdict rows at the measured working points of the photon-number scan."""
-    rows = []
-    for rec in MU_SCAN:
-        thr, tra = _bounds_at(b, rec.mu)
-        rows.append((rec.mu, rec.fidelity, rec.fidelity_err,
-                     thr.bound, quantumness_verdict(rec.fidelity, rec.fidelity_err, thr.bound, b["k_sigma"]),
-                     tra.bound, quantumness_verdict(rec.fidelity, rec.fidelity_err, tra.bound, b["k_sigma"])))
-    return rows
+    Threshold and transmitted bounds are evaluated once per mu, the plain bound on mus only.
+    Returns the curve rows (mu, plain bound, threshold result, transmitted result) at mus and
+    the verdict rows at the working points.
+    """
+    curve, verdicts = [], []
+    for mu, rec in [(float(mu), None) for mu in mus] + [(rec.mu, rec) for rec in MU_SCAN]:
+        thr = threshold_bound(mu, b["eta_m"], matching=b["matching"])
+        tra = transmitted_constrained_bound(mu, b["f_t"], b["eta_t"], b["eta_m"],
+                                            grid_points=b["grid_points"],
+                                            refine_rounds=b["refine_rounds"],
+                                            matching=b["matching"])
+        if rec is None:
+            curve.append((mu, poisson_conditional_bound(mu), thr, tra))
+        else:
+            f, err, k = rec.fidelity, rec.fidelity_err, b["k_sigma"]
+            verdicts.append((mu, f, err, thr.bound, quantumness_verdict(f, err, thr.bound, k),
+                             tra.bound, quantumness_verdict(f, err, tra.bound, k)))
+    return curve, verdicts
 
 
 def _experiment(cfg, label: str, mu, trials: int, params=None, **detection) -> ExperimentConfig:
@@ -274,17 +271,16 @@ def cmd_tomography(cfg, seed, out) -> int:
 
 def cmd_bounds(cfg, seed, out, mu_list) -> int:
     b = cfg["bounds"]
-    mus = _mu_grid(b, mu_list)
+    curve, vrows = _bound_rows(b, _mu_grid(b, mu_list))
     meta = _metadata("bounds", seed, cfg, eta_m=b["eta_m"], f_t=b["f_t"], eta_t=b["eta_t"],
                      matching=b["matching"])
     rows = [(mu, plain, thr.bound, tra.bound, thr.params.n_min, thr.params.gamma,
              tra.params.p, tra.params.q, tra.params.delta, tra.params.eta_m1, tra.params.eta_m2)
-            for mu, plain, thr, tra in _bound_curve(b, mus)]
+            for mu, plain, thr, tra in curve]
     write_csv(os.path.join(out, "bound_curve.csv"), meta,
               ["mu", "plain", "threshold", "transmitted", "threshold_n_min", "threshold_gamma",
                "strategy_p", "strategy_q", "strategy_delta", "strategy_eta_m1", "strategy_eta_m2"],
               rows)
-    vrows = _verdict_rows(b)
     write_csv(os.path.join(out, "verdicts.csv"), meta, _VERDICT_HEADER, vrows)
     print("bounds: " + "; ".join(f"mu={r[0]:g}: {r[4]}" for r in vrows))
     return 0
@@ -405,25 +401,22 @@ def _stage_fig3a(cfg, seed, out, meta, check):
     check("fig3a", "band_ordering_violations", sum(not lo <= mid <= hi for _, lo, mid, hi, _ in rows), 0, 0)
 
 
-def _stage_fig_d1(cfg, seed, out, meta, check):
-    """The three classical benchmarks over a log photon-number grid."""
-    rows = [(mu, plain, thr.bound, tra.bound) for mu, plain, thr, tra in
-            _bound_curve(cfg["bounds"], np.geomspace(0.5, 10.0, cfg["reproduce"]["bound_points"]))]
+def _stage_bounds(cfg, seed, out, meta, check):
+    """figD1, the three classical benchmarks over a log photon-number grid, then the
+    quantumness verdicts at the measured working points against the published ones."""
+    curve, verdicts = _bound_rows(cfg["bounds"], np.geomspace(0.5, 10.0, cfg["reproduce"]["bound_points"]))
+    rows = [(mu, plain, thr.bound, tra.bound) for mu, plain, thr, tra in curve]
     write_csv(os.path.join(out, "figD1_bounds.csv"), meta,
               ["mu", "plain", "threshold", "transmitted"], rows)
     arr = np.asarray(rows)
     check("figD1", "plain_le_threshold_violations", int((arr[:, 1] > arr[:, 2] + 1e-12).sum()), 0, 0)
     check("figD1", "transmitted_le_threshold_violations", int((arr[:, 3] > arr[:, 2] + 1e-12).sum()), 0, 0)
     check("figD1", "bound_floor_deficit", max(0.0, 2.0 / 3.0 - float(arr[:, 1:].min())), 0.0, 0.0)
-
-
-def _stage_verdicts(cfg, seed, out, meta, check):
-    """Quantumness verdicts at the measured working points, against the published ones."""
-    rows = []
-    for row, expected in zip(_verdict_rows(cfg["bounds"]), EXPECTED_VERDICTS):
-        rows.append((*row, expected))
+    vrows = []
+    for row, expected in zip(verdicts, EXPECTED_VERDICTS):
+        vrows.append((*row, expected))
         check("verdicts", f"verdict_matches(mu={row[0]:g})", float(row[4] == expected), 1.0, 0.0)
-    write_csv(os.path.join(out, "verdicts.csv"), meta, _VERDICT_HEADER + ["expected"], rows)
+    write_csv(os.path.join(out, "verdicts.csv"), meta, _VERDICT_HEADER + ["expected"], vrows)
 
 
 def cmd_reproduce_paper(cfg, seed, out) -> int:
@@ -437,7 +430,7 @@ def cmd_reproduce_paper(cfg, seed, out) -> int:
 
     check("schedule", "total_storage_us", StorageSchedule(**cfg["schedule"]).total_storage, 515.0, 1e-9)
     for stage in (_stage_table1, _stage_table_a1, _stage_table_b1, _stage_table_c1,
-                  _stage_fig3a, _stage_fig_d1, _stage_verdicts):
+                  _stage_fig3a, _stage_bounds):
         stage(cfg, seed, out, meta, check)
     write_csv(os.path.join(out, "summary.csv"), meta,
               ["table", "quantity", "value", "reference", "tolerance", "abs_error", "status"], summary)
@@ -483,9 +476,7 @@ def main(argv=None) -> int:
         if args.command == "show-defaults":
             return cmd_show_defaults()
         cfg = load_config(args.config)
-        problems = validate_schedule(StorageSchedule(**cfg["schedule"]))
-        if problems:
-            raise ConfigError("; ".join(problems))
+        StorageSchedule(**cfg["schedule"])  # a timing violation exits 2 before anything is written
         seed = args.seed
         if seed is not None and not 0 <= seed < 2 ** 64:
             raise ConfigError("--seed must fit in an unsigned 64-bit integer")

@@ -59,7 +59,8 @@ class StorageSchedule:
     comb; the input mode train and the first transfer pulse must fit
     inside it. The radio-frequency decoupling train (rf_pulse_count
     pi pulses, XY-4 phase pattern for the default count of 4) must fit
-    inside the spin storage time.
+    inside the spin storage time. A schedule that breaks any of these
+    raises ValueError when it is built.
     """
 
     comb_delay: float = 15.0
@@ -70,40 +71,32 @@ class StorageSchedule:
     rf_pulse_duration: float = 120.0
     rf_pulse_count: int = 4
 
+    def __post_init__(self):
+        """Check every timing constraint; one ValueError names all the violations."""
+        violations = [f"{name} must be positive, got {getattr(self, name)}"
+                      for name in ("comb_delay", "spin_storage", "mode_duration", "control_duration",
+                                   "rf_pulse_duration")
+                      if not getattr(self, name) > 0]
+        if self.n_modes < 1:
+            violations.append(f"n_modes must be >= 1, got {self.n_modes}")
+        if self.rf_pulse_count < 0:
+            violations.append(f"rf_pulse_count must be >= 0, got {self.rf_pulse_count}")
+        if not violations:
+            train = self.n_modes * self.mode_duration + self.control_duration
+            if train > self.comb_delay + 1e-12:
+                violations.append(f"mode train plus transfer pulse ({train:g} us) exceeds "
+                                  f"the comb delay ({self.comb_delay:g} us)")
+            rf = self.rf_pulse_count * self.rf_pulse_duration
+            if rf > self.spin_storage + 1e-12:
+                violations.append(f"rf decoupling train ({rf:g} us) exceeds "
+                                  f"the spin storage time ({self.spin_storage:g} us)")
+        if violations:
+            raise ValueError("; ".join(violations))
+
     @property
     def total_storage(self) -> float:
         """Echo emission time: comb delay plus spin storage."""
         return self.comb_delay + self.spin_storage
-
-
-def validate_schedule(schedule: StorageSchedule) -> list[str]:
-    """Check every schedule constraint; return violation messages.
-
-    An empty list means the schedule is valid. Violations are returned,
-    not raised, so callers can report all of them at once.
-    """
-    s = schedule
-    violations = []
-    for name in ("comb_delay", "spin_storage", "mode_duration", "control_duration", "rf_pulse_duration"):
-        if getattr(s, name) <= 0:
-            violations.append(f"{name} must be positive, got {getattr(s, name)}")
-    if s.n_modes < 1:
-        violations.append(f"n_modes must be >= 1, got {s.n_modes}")
-    if s.rf_pulse_count < 0:
-        violations.append(f"rf_pulse_count must be >= 0, got {s.rf_pulse_count}")
-    if violations:
-        return violations
-    train = s.n_modes * s.mode_duration + s.control_duration
-    if train > s.comb_delay + 1e-12:
-        violations.append(
-            f"mode train plus transfer pulse ({train:g} us) exceeds the comb delay ({s.comb_delay:g} us)"
-        )
-    rf = s.rf_pulse_count * s.rf_pulse_duration
-    if rf > s.spin_storage + 1e-12:
-        violations.append(
-            f"rf decoupling train ({rf:g} us) exceeds the spin storage time ({s.spin_storage:g} us)"
-        )
-    return violations
 
 
 def fidelity_vs_photon_number(mu: float, mu_1: float, f_c: float) -> float:

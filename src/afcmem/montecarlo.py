@@ -46,6 +46,10 @@ _REL_TOL = 1e-9
 # histogram bins are turned into Python floats and ints this many at a time,
 # so the exporter never holds them for the whole histogram at once
 _EXPORT_CHUNK = 64
+# at its peak the simulate command holds 64 B per bin (tracemalloc): three
+# histograms of edges and counts, and the run it draws or exports; 128 MiB cap
+_BYTES_PER_BIN = 64
+_MAX_BINS = (128 << 20) // _BYTES_PER_BIN
 
 
 def _as_tuple(value, n: int, name: str) -> tuple:
@@ -64,7 +68,8 @@ class ExperimentConfig:
 
     mu_per_mode and params accept either one value for all modes or one
     per mode. bin_width must divide the mode duration; 0.0, the default
-    and the INI's value, stands for a fifth of it.
+    and the INI's value, stands for a fifth of it. n_bins, the bins over
+    total storage plus one mode train, may not exceed _MAX_BINS.
     """
 
     input_state: PolarizationState = field(default_factory=lambda: standard_state("D"))
@@ -76,6 +81,7 @@ class ExperimentConfig:
     transmission_to_detector: float = 0.07
     bin_width: float = 0.0
     trials: int = 1_000_000
+    n_bins: int = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.schedule.n_modes
@@ -99,7 +105,13 @@ class ExperimentConfig:
         ratio = self.schedule.mode_duration / bw
         if abs(ratio - round(ratio)) > _REL_TOL * ratio:
             raise ValueError(f"bin_width {bw} does not divide the mode duration {self.schedule.mode_duration}")
+        span = self.schedule.total_storage + self.schedule.n_modes * self.schedule.mode_duration
+        bins = span / bw
+        if not bins <= _MAX_BINS:
+            raise ValueError(f"bin_width {bw:g} us over the {span:g} us sequence span gives {bins:.3g} "
+                             f"histogram bins, more than the {_MAX_BINS} allowed ({_BYTES_PER_BIN} B each)")
         object.__setattr__(self, "bin_width", bw)
+        object.__setattr__(self, "n_bins", int(round(bins)))
 
     @property
     def t_det(self) -> float:
@@ -227,10 +239,8 @@ def simulate_run(config: ExperimentConfig, analysis: AnalysisSetting, *, seed: i
     rng = np.random.default_rng(seed)
     schedule = config.schedule
     windows = sequence_windows(schedule)
-    span = schedule.total_storage + schedule.n_modes * schedule.mode_duration
-    n_bins = int(round(span / config.bin_width))
-    edges = np.arange(n_bins + 1) * config.bin_width
-    lam = np.zeros(n_bins)
+    edges = np.arange(config.n_bins + 1) * config.bin_width
+    lam = np.zeros(config.n_bins)
 
     lam_in, lam_out = _mode_rates(config, analysis)
     for win, bins in zip(windows, _window_slices(edges, windows)):

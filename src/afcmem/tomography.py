@@ -357,9 +357,10 @@ def _project_tp(chi: np.ndarray) -> np.ndarray:
 
 
 def _project_psd(chi: np.ndarray) -> np.ndarray:
+    """Nearest positive semidefinite chi, exactly Hermitian (V diag(w) V^dag is not, by ~1e-18)."""
     w, v = np.linalg.eigh(0.5 * (chi + chi.conj().T))
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
+    m = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return 0.5 * (m + m.conj().T)
 
 
 def project_process_matrix(chi: np.ndarray) -> tuple[np.ndarray, int]:
@@ -409,7 +410,9 @@ def export_process_matrix(proc: ProcessMatrix, path: str,
                           metadata: Mapping[str, object] | None = None) -> None:
     """Write the 16 chi entries as (row, col, re, im) rows, after a preamble
     with chi00, tp_defect, min_eigenvalue and projection_applied."""
-    meta = {**(metadata or {}), "chi00": proc.chi00, "tp_defect": proc.tp_defect(),
+    tp_defect = proc.tp_defect()  # below 1e-14 a rounding residue of the projection, written as 0
+    meta = {**(metadata or {}), "chi00": proc.chi00,
+            "tp_defect": tp_defect if tp_defect >= 1e-14 else 0.0,
             "min_eigenvalue": proc.min_eigenvalue(),
             "projection_applied": "yes" if proc.projected else "no"}
     rows = ((i, j, proc.chi[i, j].real, proc.chi[i, j].imag) for i in range(4) for j in range(4))

@@ -32,7 +32,6 @@ from afcmem.memory import (
     MemoryParams,
     StorageSchedule,
     fidelity_vs_photon_number,
-    validate_schedule,
 )
 from afcmem.montecarlo import ExperimentConfig, estimate_params, simulate_run
 from afcmem.polarization import fidelity, standard_setting, standard_state
@@ -173,10 +172,11 @@ def test_verdicts_match_reported_conclusions():
 # 8. cycle timing of the five-mode storage sequence
 def test_schedule_validates_and_detects_violations():
     schedule = StorageSchedule()
-    assert validate_schedule(schedule) == []
     assert schedule.total_storage == pytest.approx(515.0)
-    assert validate_schedule(StorageSchedule(n_modes=9)) != []
-    assert validate_schedule(StorageSchedule(spin_storage=400.0)) != []
+    with pytest.raises(ValueError, match="comb delay"):
+        StorageSchedule(n_modes=9)
+    with pytest.raises(ValueError, match="spin storage"):
+        StorageSchedule(spin_storage=400.0)
 
 
 # 9. the full reproduction command is bit-for-bit deterministic
@@ -200,7 +200,7 @@ def test_reproduction_is_byte_identical(tmp_path):
         "effective_config.ini": "2039b37d7438acbe4377c2720ea85eb8a42cc8840813cf7148610e7dd5ee60ed",
         "fig2_histogram.csv": "7cb13f4cfa74a85adfb9950786245cde5b9c826b48a59f1618e168388317c7fa",
         "fig3a.csv": "9893bcae16b2644c8587f412db73a318ccaa1da117f5f88df389ae6d77b877d0",
-        "fig3b_chi.csv": "2e1d9981f2b19364ece963630dccf85a4cb4f9cf4ebce237ab41845f9bad4bc6",
+        "fig3b_chi.csv": "5f6ff8a9f729f917d6f8e94e9c092e51e6bb558d0083ca4c814dba3da3e2044b",
         "figD1_bounds.csv": "197c2db3576a1dd625ed1164985a30a6383fcf9bc5ff554edb9584323b7f5198",
         "summary.csv": "f84fa2a8110e474ed980b63189f6308dd575f174d832982ff46bdb2a6e94c3ae",
         "table1.csv": "fb525e2adb8e00bb9dfc9869f1eb3b98c013ba6a81261d144dc337d69bbd20e4",

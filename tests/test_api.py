@@ -5,6 +5,8 @@ import importlib
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 
 import afcmem
 
@@ -18,7 +20,6 @@ PUBLIC = [
     "monte_carlo_errors", "orthogonal_label", "poisson_conditional_bound", "process_tomography",
     "project_process_matrix", "quantumness_verdict", "sequence_windows", "simulate_run",
     "standard_setting", "standard_state", "threshold_bound", "transmitted_constrained_bound",
-    "validate_schedule",
 ]
 
 
@@ -37,7 +38,7 @@ def _oracle_names():
 
 def test_public_api_pinned():
     assert sorted(afcmem.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 39
     for name in PUBLIC:
         assert hasattr(afcmem, name), name
 
@@ -61,3 +62,18 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_runtime_imports_are_numpy_and_stdlib():
+    # in a fresh interpreter, so that nothing the tests import is counted; what
+    # the bare interpreter already holds (site hooks) is not counted either
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import afcmem.cli\n"
+            "print(' '.join(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(afcmem.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    added = set(proc.stdout.split())
+    assert {"afcmem", "numpy"} <= added
+    assert added - set(sys.stdlib_module_names) == {"afcmem", "numpy"}

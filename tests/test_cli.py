@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import afcmem
 from afcmem.bounds import threshold_bound
-from afcmem.cli import _stage_fig_d1, build_parser, main
+from afcmem.cli import _stage_bounds, build_parser, main
 from afcmem.config import (
     ConfigError,
     canonical_text,
@@ -67,7 +67,7 @@ def test_tomography_bytes_pinned(tmp_path):
     digests = {name: hashlib.sha256(_read(os.path.join(out, name))).hexdigest()
                for name in sorted(os.listdir(out))}
     assert digests == {
-        "chi.csv": "696ee8b125e6ee2924ec436011a58a6f9bd4018f6bd3a974fa78b444211b9246",
+        "chi.csv": "f0a796296914b8b3b1b6f36b2d98c45ea62c01977e7deb9f0f02651fee44913c",
         "state_fidelity.csv": "992141793ceb93bf5444ed1d2aa419afb3fe56a2dbfbf591794ff7b181d7f34e",
     }
 
@@ -540,15 +540,49 @@ def test_bound_search_limits_are_inclusive(tmp_path):
 
 
 def test_single_bound_point_reproduces(tmp_path):
-    # the lower limit of bound_points: a one-point figD1 curve at mu = 0.5
+    # the lower limit of bound_points: a one-point figD1 curve at mu = 0.5,
+    # then the verdicts at the four working points of the photon-number scan
     cfg = load_config(_ini(tmp_path, "[bounds]\ngrid_points = 4\nrefine_rounds = 0\n"
                                      "[reproduce]\nbound_points = 1\n"))
     summary = []
-    _stage_fig_d1(cfg, 1, str(tmp_path), {}, lambda *row: summary.append(row))
+    _stage_bounds(cfg, 1, str(tmp_path), {}, lambda *row: summary.append(row))
     rows = [l for l in _read(os.path.join(tmp_path, "figD1_bounds.csv")).decode().splitlines()
             if l and not l.startswith("#")]
     assert len(rows) == 2 and rows[1].startswith("0.5,")
-    assert len(summary) == 3 and all(value == reference for _, _, value, reference, _ in summary)
+    assert [table for table, *_ in summary] == ["figD1"] * 3 + ["verdicts"] * 4
+    assert all(value == reference for _, _, value, reference, _ in summary)
+
+
+def test_bound_pass_order(tmp_path, monkeypatch):
+    # one pass per command: the --mu grid, then the four working points of the scan
+    seen = {name: [] for name in ("poisson_conditional_bound", "threshold_bound",
+                                  "transmitted_constrained_bound")}
+    for name, mus in seen.items():
+        def record(mu, *args, _bound=getattr(afcmem.cli, name), _mus=mus, **kwargs):
+            _mus.append(mu)
+            return _bound(mu, *args, **kwargs)
+        monkeypatch.setattr(afcmem.cli, name, record)
+    cfg = _ini(tmp_path, "[bounds]\ngrid_points = 4\nrefine_rounds = 0\n")
+    assert main(["bounds", "--mu", "0.8,1.4", "--config", cfg, "--out", os.path.join(tmp_path, "o")]) == 0
+    assert seen["transmitted_constrained_bound"] == [0.8, 1.4, 0.8, 1.4, 3.6, 8.2]
+    assert seen["threshold_bound"] == [0.8, 1.4, 0.8, 1.4, 3.6, 8.2]
+    assert seen["poisson_conditional_bound"] == [0.8, 1.4]
+
+
+@pytest.mark.parametrize("command", ["simulate", "tomography"])
+@pytest.mark.parametrize("section, key, value", [("detection", "bin_width", "1e-12"),
+                                                 ("schedule", "mode_duration", "1e-12"),
+                                                 ("schedule", "comb_delay", "1e12")])
+def test_histogram_size_limit(tmp_path, command, section, key, value):
+    # 5.2e14, 2.6e15 and 4.0e12 histogram bins were accepted before any array was sized
+    out = os.path.join(tmp_path, "o")
+    argv = [command, "--seed", "1", "--config", _ini(tmp_path, f"[{section}]\n{key} = {value}\n"),
+            "--out", out]
+    proc = _capped_main(argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = _one_line_error(proc.stderr)
+    assert "bin_width" in err and "us sequence span" in err and "histogram bins" in err
+    assert not _csvs(out)
 
 
 @pytest.mark.parametrize("value", [50, 1_000_000_000])

@@ -5,7 +5,6 @@ from afcmem.memory import (
     MemoryParams,
     StorageSchedule,
     fidelity_vs_photon_number,
-    validate_schedule,
 )
 from afcmem.refdata import MODE_SCAN, MU_SCAN
 
@@ -62,19 +61,31 @@ def test_memory_params_validation():
 
 def test_schedule_defaults_valid():
     s = StorageSchedule()
-    assert validate_schedule(s) == []
     assert s.total_storage == pytest.approx(515.0, abs=1e-12)
 
 
 def test_schedule_capacity_violations():
     # 9 modes at 1.25 us plus the 5 us control pulse exceed the 15 us comb delay
-    bad = validate_schedule(StorageSchedule(n_modes=9))
-    assert len(bad) == 1 and "comb delay" in bad[0]
+    with pytest.raises(ValueError, match=r"^mode train plus transfer pulse \(16.25 us\) exceeds "
+                                         r"the comb delay \(15 us\)$"):
+        StorageSchedule(n_modes=9)
     # four 120 us pulses do not fit into 400 us of spin storage
-    bad = validate_schedule(StorageSchedule(spin_storage=400.0))
-    assert len(bad) == 1 and "spin storage" in bad[0]
+    with pytest.raises(ValueError, match=r"^rf decoupling train \(480 us\) exceeds "
+                                         r"the spin storage time \(400 us\)$"):
+        StorageSchedule(spin_storage=400.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_modes": 0}, "n_modes must be >= 1, got 0"),  # estimate_params divided by zero modes
+    ({"spin_storage": -600.0}, "spin_storage must be positive, got -600.0"),  # a negative-size histogram
+    ({"comb_delay": float("nan")}, "comb_delay must be positive, got nan"),
+])
+def test_schedule_rejected_when_built(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StorageSchedule(**kwargs)
 
 
 def test_schedule_reports_all_violations():
-    bad = validate_schedule(StorageSchedule(n_modes=0, rf_pulse_count=-1))
-    assert len(bad) == 2
+    with pytest.raises(ValueError, match=r"^n_modes must be >= 1, got 0; "
+                                         r"rf_pulse_count must be >= 0, got -1$"):
+        StorageSchedule(n_modes=0, rf_pulse_count=-1)

@@ -243,8 +243,9 @@ _meta_text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_siz
 def test_histogram_export_matches_per_cell_reference(n_modes, k, noise, spin_storage, label,
                                                       mu, trials, seed, metadata):
     # spin_storage = 3.4375 us puts CP2 inside CP1, where the later window's
-    # label wins, and at k = 2 both ends of CP2 fall exactly on bin centres
-    schedule = StorageSchedule(n_modes=n_modes, spin_storage=spin_storage)
+    # label wins, and at k = 2 both ends of CP2 fall exactly on bin centres;
+    # no decoupling pulses, so that such short spin storage is a valid schedule
+    schedule = StorageSchedule(n_modes=n_modes, spin_storage=spin_storage, rf_pulse_count=0)
     exp = ExperimentConfig(input_state=standard_state("D"), mu_per_mode=0.0 if noise else mu,
                            schedule=schedule, bin_width=schedule.mode_duration / k, trials=trials)
     hist = simulate_run(exp, standard_setting(label), seed=seed)
@@ -279,6 +280,16 @@ def test_config_validation():
                    {"transmission_to_detector": 5e-324, "detector_efficiency": 0.4}):
         with pytest.raises(ValueError):
             ExperimentConfig(params=mem, **kwargs)
+
+
+def test_bin_count_comes_from_the_config():
+    exp = ExperimentConfig(trials=1000)
+    assert exp.n_bins == 2085  # 521.25 us of sequence in 0.25 us bins
+    assert len(simulate_run(exp, standard_setting("D"), seed=1).counts) == exp.n_bins
+    # 5.2e14 bins: rejected as the config is built, before any array is sized
+    with pytest.raises(ValueError, match=r"^bin_width 1e-12 us over the 521.25 us sequence span gives 5.21e\+14 "
+                                         r"histogram bins, more than the 2097152 allowed \(64 B each\)$"):
+        ExperimentConfig(bin_width=1e-12)
 
 
 def test_model_fidelity_helpers_consistent():
