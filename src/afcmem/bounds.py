@@ -12,14 +12,17 @@ the input is also characterized, the cheat must additionally reproduce
 the transmitted fidelity and transmission, which constrains the
 strategy mix and lowers the achievable benchmark; that optimum is found
 on a feasibility-filtered grid with local refinement. Each grid level
-lists its feasible (eta_m1, q) cells in row-major order and evaluates
-them in blocks of a fixed number of cells, which may span eta_m1 rows:
-one numpy pass per block covers all of its (cell, delta) candidates,
-with their Poisson tables stacked zero-padded in one array, so the
-memory a level needs does not grow with the number of feasible cells.
+lists its feasible (eta_m1, q) cells in row-major order, drops the
+cells where no delta of the level lets strategy 2 match the output
+budget (0 < eta_m2 <= 1), and evaluates the rest in blocks of a fixed
+number of cells, which may span eta_m1 rows: one numpy pass per block
+covers all of its (cell, delta) candidates, with their Poisson tables
+stacked zero-padded in one array, so the memory a level needs does not
+grow with the number of feasible cells.
 
 All bounds read their photon-number statistics from one table builder,
-which covers mu up to 600 without truncating the distribution.
+which covers mu up to 600 without truncating the distribution, and
+evaluate the threshold strategy with one evaluator.
 
 Emission matching uses P_emit = 1 - exp(-eta_m mu) by default (the
 memory acts as a loss eta_m before an ideal emitter); the alternative
@@ -38,9 +41,16 @@ from .refdata import ETA_M_BENCH, ETA_T_MEAN, F_T_MEAN
 
 _NAN = float("nan")
 _PMF_REL_CUTOFF = 1e-15
+# largest mean of the Poisson tables, and the photon numbers n and per-n
+# fidelities (n + 1) / (n + 2) of its table, which every smaller table slices
+_MU_MAX = 600.0
+_N = np.arange(math.ceil(_MU_MAX + 20.0 * math.sqrt(_MU_MAX + 1.0) + 25.0) + 1.0)
+_MP = (_N + 1.0) / (_N + 2.0)
+_N.flags.writeable = _MP.flags.writeable = False
 # feasible (eta_m1, q) cells per block of the transmitted-bound search: at
-# the default grid a call then peaks near 0.3 MiB of numpy allocation,
-# where one pass over a whole level would take several MiB
+# the default grid a call then peaks at 0.29-0.33 MiB of numpy allocation
+# (traced over the mu of the default bounds command), where one pass over a
+# whole level would take several MiB
 _BLOCK_CELLS = 32
 # smallest emission budget of the scalar bounds: a subnormal budget x is
 # resolved only to 5e-324 / x relative, and the bound is a ratio over it;
@@ -97,10 +107,10 @@ def _poisson_tables(mus) -> tuple:
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     if mus.min() < 0:
         raise ValueError("mu must be nonnegative")
-    if mus.max() > 600:
+    if mus.max() > _MU_MAX:
         raise ValueError("mu too large for the direct pmf recurrence")
     n_max = np.ceil(mus + 20.0 * np.sqrt(mus + 1.0) + 25.0)
-    n = np.arange(n_max.max() + 1.0)
+    n = _N[: int(n_max.max()) + 1]
     ratios = mus[:, None] / np.maximum(n, 1.0) * (n <= n_max[:, None])
     # math.exp, not np.exp: keeps each row bit-identical to a scalar build
     ratios[:, 0] = [math.exp(-m) for m in mus]
@@ -109,7 +119,7 @@ def _poisson_tables(mus) -> tuple:
     last = n.size - 1 - np.argmax(keep[:, ::-1], axis=1)
     width = last.max() + 1
     pmf = pmf[:, :width] * (n[:width] <= last[:, None])
-    mp = (n[:width] + 1.0) / (n[:width] + 2.0)
+    mp = _MP[:width]
     s_gt = np.zeros_like(pmf)
     w_gt = np.zeros_like(pmf)
     s_gt[:, :-1] = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]
@@ -118,18 +128,16 @@ def _poisson_tables(mus) -> tuple:
 
 
 def _threshold_eval(tables, p_emit: np.ndarray):
-    """Threshold bound for emission probabilities p_emit[r, k] on table row r."""
+    """Threshold bound, n_min and gamma for emission probabilities p_emit[r, k] on table row r."""
     pmf, mp, s_gt, w_gt = tables
     # smallest n with tail(n) < p_emit; tail(N) = 0 guarantees a hit
-    n_min = np.argmax(s_gt[:, None, :] < p_emit[:, :, None], axis=2)
-    # flag emission demands exceeding the whole conditioned mass; the
-    # slack absorbs the truncation of the pmf table at eta_m = 1
-    degenerate = p_emit > s_gt[:, :1] * (1.0 + 1e-9)
-    n_min = np.maximum(n_min, 1)
-    rows = np.arange(len(pmf))[:, None]
-    gamma = np.clip(p_emit - s_gt[rows, n_min], 0.0, pmf[rows, n_min])
-    bound = (gamma * mp[n_min] + w_gt[rows, n_min]) / p_emit
-    return bound, n_min, gamma, degenerate
+    n_min = np.maximum(np.argmax(s_gt[:, None, :] < p_emit[:, :, None], axis=2), 1)
+    # flat indices into the contiguous (row, n) tables
+    at = n_min + (np.arange(len(pmf)) * pmf.shape[1])[:, None]
+    # np.clip(x, 0, top) without its call overhead; NaN propagates the same way
+    gamma = np.minimum(np.maximum(p_emit - s_gt.take(at), 0.0), pmf.take(at))
+    bound = (gamma * mp.take(n_min) + w_gt.take(at)) / p_emit
+    return bound, n_min, gamma
 
 
 def _p_emit(mu: float, eta_m, matching: str):
@@ -192,15 +200,27 @@ def _threshold(mu: float, eta_m: float, matching: str, budget: str = "emission b
     if not p_emit[0, 0] >= _MIN_P_EMIT:
         raise ValueError(f"{budget} P_emit = {p_emit[0, 0]:.3g} (mu = {mu:.3g}, "
                          f"eta_m = {eta_m:.3g}) underflows: it must be at least {_MIN_P_EMIT:.3g}")
-    bound, n_min, gamma, degenerate = _threshold_eval(_poisson_tables(mu), p_emit)
+    tables = _poisson_tables(mu)
+    bound, n_min, gamma = _threshold_eval(tables, p_emit)
+    # flag emission demands exceeding the whole conditioned mass; the
+    # slack absorbs the truncation of the pmf table at eta_m = 1
+    degenerate = p_emit[0, 0] > tables[2][0, 0] * (1.0 + 1e-9)
     params = StrategyParams(eta_m1=eta_m, n_min=int(n_min[0, 0]), gamma=float(gamma[0, 0]))
-    return BoundResult(float(bound[0, 0]), params, bool(degenerate[0, 0]))
+    return BoundResult(float(bound[0, 0]), params, bool(degenerate))
 
 
-def _feasible_cells(eta1_axis, q_axis, f1, f_t: float, eta_t: float):
+def _output_shares(p, delta, eta1, eta, eta_m: float):
+    """Strategy 1's share w1 of the output budget eta_m, and the eta_m2 that
+    strategy 2 must then match; the arguments broadcast."""
+    w1 = p * delta * eta1
+    return w1, (eta_m - w1) / ((1.0 - p) * (1.0 - eta))
+
+
+def _feasible_cells(eta1_axis, q_axis, delta_axis, f1, f_t: float, eta_t: float, eta_m: float):
     """Feasible (eta_m1, q) cells of the transmitted cheat, as flat indices
     into the plane in row-major order, with the p and eta that f_t and
-    eta_t pin there; f1 is strategy 1's fidelity on eta1_axis."""
+    eta_t pin there; f1 is strategy 1's fidelity on eta1_axis. A cell is
+    kept only if some delta of delta_axis may give 0 < eta_m2 <= 1."""
     half = 0.5 * (1.0 + q_axis)
     den = half - f1[:, None]
     # infeasible cells may divide by 0
@@ -209,7 +229,18 @@ def _feasible_cells(eta1_axis, q_axis, f1, f_t: float, eta_t: float):
         eta = (eta_t - p * eta1_axis[:, None]) / (1.0 - p)
     cells = np.flatnonzero((np.abs(den) >= 1e-14) & (0.0 <= p) & (p <= 1.0 - 1e-12)
                            & (0.0 <= eta) & (eta <= 1.0 - 1e-12))
-    return cells, p.ravel()[cells], eta.ravel()[cells]
+    p, eta = p.ravel()[cells], eta.ravel()[cells]
+    # p >= 0, eta_m1 > 0 and (1 - p)(1 - eta) > 0 here, and rounding to nearest is
+    # monotone, so each step of the search's own expression for eta_m2 (same
+    # operands, same order) is monotone in delta: eta_m2 is nonincreasing in delta,
+    # largest at the axis's smallest delta and smallest at its largest. A cell
+    # with eta_m2 <= 0 at the one or eta_m2 > 1 at the other has no candidate;
+    # it would score only -inf, and the kept cells stay in row-major order, so
+    # dropping it moves neither the winner nor the tie rule
+    ends = np.array([delta_axis.min(), delta_axis.max()])
+    _, eta_m2 = _output_shares(p[:, None], ends, eta1_axis[cells // q_axis.size, None], eta[:, None], eta_m)
+    keep = (eta_m2[:, 0] > 0.0) & (eta_m2[:, 1] <= 1.0)
+    return cells[keep], p[keep], eta[keep]
 
 
 def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float = ETA_T_MEAN,
@@ -226,9 +257,11 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     efficiency eta_m pin p, eta and eta_m2 once (eta_m1, delta, q) are
     chosen, so those three are searched on a grid (eta_m1 log spaced)
     with feasibility filtering, then refined around the best cell. Each
-    level's feasible (eta_m1, q) cells are evaluated in fixed-size
-    blocks, one batched pass over all (cell, delta) candidates of a
-    block.
+    level keeps the feasible (eta_m1, q) cells where some delta of the
+    level may give 0 < eta_m2 <= 1 (eta_m2 falls monotonically with
+    delta, so the two ends of the delta axis decide it), and evaluates
+    them in fixed-size blocks, one batched pass over all (cell, delta)
+    candidates of a block.
 
     The always-feasible point p = 0, q = 2 f_t - 1, eta = eta_t seeds
     the search (its emitter must carry the whole output budget, so
@@ -265,16 +298,15 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     tables1 = _poisson_tables(mu)
 
     def search(eta1_axis, q_axis, delta_axis, incumbent):
-        fm1, nmin1, gamma1, _ = _threshold_eval(tables1, _p_emit(mu, eta1_axis, matching)[None, :])
-        cells, p, eta = _feasible_cells(eta1_axis, q_axis, fm1[0], f_t, eta_t)
+        fm1, nmin1, gamma1 = _threshold_eval(tables1, _p_emit(mu, eta1_axis, matching)[None, :])
+        cells, p, eta = _feasible_cells(eta1_axis, q_axis, delta_axis, fm1[0], f_t, eta_t, eta_m)
         best_obj, winner = incumbent.bound, None
         for lo in range(0, cells.size, _BLOCK_CELLS):
             # (cell, delta) block; w1 is strategy 1's share of the output budget
             blk = slice(lo, lo + _BLOCK_CELLS)
             i, j = np.divmod(cells[blk], q_axis.size)
             pb, etab, eta1 = p[blk], eta[blk], eta1_axis[i]
-            w1 = pb[:, None] * delta_axis * eta1[:, None]
-            eta_m2 = (eta_m - w1) / ((1.0 - pb) * (1.0 - etab))[:, None]
+            w1, eta_m2 = _output_shares(pb[:, None], delta_axis, eta1[:, None], etab[:, None], eta_m)
             ok = (eta_m2 > 0.0) & (eta_m2 <= 1.0)
             mu2 = (1.0 - etab) * mu
             p_emit = _p_emit(mu2[:, None], np.where(ok, eta_m2, 1.0), matching)
@@ -282,7 +314,7 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
             # float floor), are masked out of obj; their budget is set to 1
             ok &= p_emit > 0.0
             p_emit[~ok] = 1.0
-            fm2, nmin2, gamma2, _ = _threshold_eval(_poisson_tables(mu2), p_emit)
+            fm2, nmin2, gamma2 = _threshold_eval(_poisson_tables(mu2), p_emit)
             obj = np.where(ok, (w1 * fm1[0, i, None] + (eta_m - w1) * fm2) / eta_m, -np.inf)
             # first maximum in row-major (eta_m1, q, delta) order, and a later block
             # must beat it strictly: earlier cells win exact ties

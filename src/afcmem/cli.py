@@ -34,7 +34,8 @@ import numpy as np
 from . import __version__
 from .bounds import poisson_conditional_bound, quantumness_verdict, threshold_bound, \
     transmitted_constrained_bound
-from .config import _parse_value, canonical_text, config_hash, default_config, load_config
+from .config import _parse_value, canonical_text, check_bound_budget, config_hash, default_config, \
+    load_config
 from .errors import ConfigError, EstimationError
 from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number
 from .montecarlo import ExperimentConfig, estimate_params, estimate_transmission, \
@@ -482,17 +483,25 @@ def main(argv=None) -> int:
             raise ConfigError("--seed must fit in an unsigned 64-bit integer")
         if args.command in _STOCHASTIC and seed is None:
             raise ConfigError(f"--seed is required for '{args.command}'")
+        mu_list = _parse_mu_flag(getattr(args, "mu", None))
+        # the bound search's work budget, before anything is written
+        if args.command == "bounds" and mu_list is not None:
+            check_bound_budget(len(mu_list), "--mu", cfg["bounds"])
+        elif args.command == "bounds":
+            check_bound_budget(cfg["bounds"]["n_points"], "[bounds] n_points", cfg["bounds"])
+        elif args.command == "reproduce-paper":
+            check_bound_budget(cfg["reproduce"]["bound_points"], "[reproduce] bound_points", cfg["bounds"])
         os.makedirs(args.out, exist_ok=True)
         if args.command == "predict":
-            return cmd_predict(cfg, seed, args.out, _parse_mu_flag(args.mu))
+            return cmd_predict(cfg, seed, args.out, mu_list)
         if args.command == "simulate":
             if args.trials is not None and args.trials < 1:
                 raise ConfigError("--trials must be positive")
-            return cmd_simulate(cfg, seed, args.out, _parse_mu_flag(args.mu), args.trials)
+            return cmd_simulate(cfg, seed, args.out, mu_list, args.trials)
         if args.command == "tomography":
             return cmd_tomography(cfg, seed, args.out)
         if args.command == "bounds":
-            return cmd_bounds(cfg, seed, args.out, _parse_mu_flag(args.mu))
+            return cmd_bounds(cfg, seed, args.out, mu_list)
         return cmd_reproduce_paper(cfg, seed, args.out)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

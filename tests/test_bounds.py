@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import afcmem.bounds
 from afcmem.bounds import (
     BoundResult,
     StrategyParams,
@@ -338,25 +339,38 @@ def test_transmitted_strategy_parameters_physical():
     assert 0.0 <= p.eta_bs <= 1.0
 
 
+# inputs of the transmitted-bound search: any f_t, eta_t and eta_m the bound accepts,
+# small grids under both matchings
+_TRANSMITTED_INPUTS = dict(
+    mu=st.floats(0.05, 20.0),
+    f_t=st.floats(0.55, 0.99, exclude_min=True, exclude_max=True),
+    eta_t=st.floats(0.05, 0.9, exclude_min=True, exclude_max=True),
+    eta_m=st.floats(0.005, 1.0, exclude_min=True),
+    grid_points=st.integers(2, 25), refine_rounds=st.integers(0, 3),
+    matching=st.sampled_from(["exp", "linear"]))
+
+
 @settings(deadline=None, max_examples=40)
-@given(mu=st.floats(0.05, 20.0),
-       f_t=st.floats(0.55, 0.99, exclude_min=True, exclude_max=True),
-       eta_t=st.floats(0.05, 0.9, exclude_min=True, exclude_max=True),
-       eta_m=st.floats(0.005, 1.0, exclude_min=True),
-       grid_points=st.integers(2, 25), refine_rounds=st.integers(0, 3),
-       matching=st.sampled_from(["exp", "linear"]))
+@given(**_TRANSMITTED_INPUTS)
 # with 2 f_t - 1 on the q grid the p = 0 cell ties across all deltas, so
 # these cases pin the first-maximum rule and the zeroed table padding
 @example(mu=0.5, f_t=0.75, eta_t=0.1, eta_m=0.0385, grid_points=3, refine_rounds=1, matching="exp")
 @example(mu=0.5, f_t=0.75, eta_t=0.296, eta_m=0.0385, grid_points=3, refine_rounds=1, matching="exp")
 @example(mu=3.6, f_t=0.75, eta_t=0.296, eta_m=0.0385, grid_points=3, refine_rounds=1, matching="exp")
-# levels of several blocks of feasible cells: the default grid; a grid with
-# 2 f_t - 1 on it, whose winning p = 0 cells tie across eta_m1 rows in
-# different blocks; and a winner in the last cell of a block
+# levels of several blocks of feasible cells: the default grid (3, 30 and 41
+# blocks); a grid with 2 f_t - 1 on it, whose winning p = 0 cells tie across
+# eta_m1 rows in three blocks of its first level; and a winner in the last cell
+# of a full block (cell 31 of block 1 at the refined level, which it reaches
+# only because the cell filter drops cells before it)
 @example(mu=8.2, f_t=F_T_MEAN, eta_t=ETA_T_MEAN, eta_m=ETA_M_BENCH, grid_points=50, refine_rounds=2,
          matching="exp")
 @example(mu=1.4, f_t=0.75, eta_t=0.4, eta_m=0.02, grid_points=21, refine_rounds=1, matching="exp")
-@example(mu=1.4, f_t=0.6, eta_t=0.1, eta_m=0.0385, grid_points=41, refine_rounds=1, matching="exp")
+@example(mu=6.2, f_t=0.74, eta_t=0.18, eta_m=0.065, grid_points=27, refine_rounds=1, matching="exp")
+# the cell filter drops feasible cells between kept ones of a multi-block level:
+# because eta_m2 <= 0 at every delta (5 of the first level's 49 cells), and
+# because eta_m2 > 1 at every delta (9 of 55)
+@example(mu=17.2, f_t=0.65, eta_t=0.56, eta_m=0.01, grid_points=18, refine_rounds=1, matching="exp")
+@example(mu=18.1, f_t=0.89, eta_t=0.06, eta_m=0.55, grid_points=10, refine_rounds=1, matching="exp")
 def test_batched_search_equals_cell_by_cell_reference(mu, f_t, eta_t, eta_m, grid_points,
                                                       refine_rounds, matching):
     kwargs = dict(grid_points=grid_points, refine_rounds=refine_rounds, matching=matching)
@@ -366,13 +380,32 @@ def test_batched_search_equals_cell_by_cell_reference(mu, f_t, eta_t, eta_m, gri
     assert repr(got) == repr(ref)
 
 
-def test_transmitted_bound_peak_allocation():
-    # the search evaluates each level in fixed-size blocks of cells; one
-    # pass over a whole default level would allocate several MiB
-    transmitted_constrained_bound(8.2)
+@settings(deadline=None, max_examples=15)
+@given(**_TRANSMITTED_INPUTS)
+def test_block_size_never_changes_the_result(mu, f_t, eta_t, eta_m, grid_points, refine_rounds,
+                                              matching):
+    # one cell per block, a size that splits eta_m1 rows unevenly, and a whole
+    # level in one block: the first maximum in row-major order wins at every size
+    def run():
+        return repr(transmitted_constrained_bound(mu, f_t, eta_t, eta_m, grid_points=grid_points,
+                                                  refine_rounds=refine_rounds, matching=matching))
+    assert afcmem.bounds._BLOCK_CELLS == 32
+    expected = run()
+    for cells in (1, 7, 10_000):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(afcmem.bounds, "_BLOCK_CELLS", cells)
+            assert run() == expected, cells
+
+
+@pytest.mark.parametrize("mu", [0.5, 8.2, 10.0])
+def test_transmitted_bound_peak_allocation(mu):
+    # the search evaluates each level in fixed-size blocks of cells; one pass
+    # over a whole default level would allocate several MiB. The mu are the
+    # ends of the bounds grid and the last working point
+    transmitted_constrained_bound(mu)
     tracemalloc.start()
     try:
-        transmitted_constrained_bound(8.2)
+        transmitted_constrained_bound(mu)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

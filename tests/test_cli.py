@@ -15,6 +15,7 @@ from afcmem.cli import _stage_bounds, build_parser, main
 from afcmem.config import (
     ConfigError,
     canonical_text,
+    check_bound_budget,
     config_hash,
     default_config,
     load_config,
@@ -537,6 +538,46 @@ def test_bound_search_limits_are_inclusive(tmp_path):
         for value in (lo - 1, hi + 1):
             with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = {value} is outside"):
                 load_config(_ini(tmp_path, f"[{section}]\n{key} = {value}\n"))
+
+
+@pytest.mark.parametrize("command, ini, source", [
+    ("bounds", "[bounds]\nn_points = 1000\ngrid_points = 256\nrefine_rounds = 16\n", "[bounds] n_points"),
+    ("reproduce-paper", "[bounds]\ngrid_points = 256\nrefine_rounds = 16\n[reproduce]\nbound_points = 1000\n",
+     "[reproduce] bound_points"),
+], ids=["bounds", "reproduce-paper"])
+def test_bound_search_budget_rejects_keys_that_multiply(tmp_path, command, ini, source):
+    # every key inside its own range: bounds would have run for about 6.6 hours,
+    # and reproduce-paper writes seven CSVs before its bound stage
+    out = os.path.join(tmp_path, "o")
+    argv = [command, "--seed", "1", "--config", _ini(tmp_path, ini), "--out", out]
+    proc = _capped_main(argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = _one_line_error(proc.stderr)
+    assert "bound search of 2.86e+11 candidates exceeds the budget of 1.25e+09" in err
+    assert f"lower {source}, [bounds] grid_points or [bounds] refine_rounds" in err
+    assert not _csvs(out)
+
+
+def test_bound_search_budget_counts_the_mu_flag(tmp_path):
+    # 10,000 --mu values at the default grid ask for 3.75e12 candidates
+    out = os.path.join(tmp_path, "o")
+    proc = _capped_main(["bounds", "--mu", ",".join(["1.0"] * 10_000), "--out", out], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds the budget of 1.25e+09: lower --mu," in _one_line_error(proc.stderr)
+    assert not _csvs(out)
+
+
+def test_bound_search_budget_admits_every_limit_alone():
+    # the budget function only, nothing is run: each key at the top of its
+    # accepted range with the others at their defaults, for the bounds grid and
+    # for reproduce-paper's bound points
+    cfg = default_config()
+    b, grid, points = cfg["bounds"], cfg["bounds"]["n_points"], cfg["reproduce"]["bound_points"]
+    admitted = [(1000, b), (grid, dict(b, grid_points=256)), (grid, dict(b, refine_rounds=16)),
+                (points, dict(b, grid_points=256)), (points, dict(b, refine_rounds=16))]
+    assert max(check_bound_budget(n, "points", bounds) for n, bounds in admitted) == 24 * 3 * 256 ** 3
+    with pytest.raises(ConfigError, match="exceeds the budget"):
+        check_bound_budget(1000, "points", dict(b, grid_points=256, refine_rounds=16))
 
 
 def test_single_bound_point_reproduces(tmp_path):
