@@ -10,15 +10,16 @@ measured memory efficiency (threshold strategy with n_min and a partial
 weight gamma on the threshold occupation). When the transmitted part of
 the input is also characterized, the cheat must additionally reproduce
 the transmitted fidelity and transmission, which constrains the
-strategy mix and lowers the achievable benchmark; that optimum is found
-on a feasibility-filtered grid with local refinement. Each grid level
-lists its feasible (eta_m1, q) cells in row-major order, drops the
-cells where no delta of the level lets strategy 2 match the output
-budget (0 < eta_m2 <= 1), and evaluates the rest in blocks of a fixed
-number of cells, which may span eta_m1 rows: one numpy pass per block
-covers all of its (cell, delta) candidates, with their Poisson tables
-stacked zero-padded in one array, so the memory a level needs does not
-grow with the number of feasible cells.
+strategy mix and lowers the achievable benchmark. One loop over grid
+levels, from the p = 0 fallback, finds that optimum: level 0 spans the
+domain and each later level is centred on the last winner. A level
+lists its feasible (eta_m1, q) cells with p > 0 in row-major order,
+drops those where no delta lets strategy 2 match the output budget
+(0 < eta_m2 <= 1), and evaluates the rest in blocks of a fixed number
+of cells, which may span eta_m1 rows: one numpy pass per block covers
+all of its (cell, delta) candidates, with their Poisson tables stacked
+zero-padded in one array, so the memory a level needs does not grow
+with the number of feasible cells.
 
 All bounds read their photon-number statistics from one table builder,
 which covers mu up to 600 without truncating the distribution, and
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -227,10 +228,10 @@ def _feasible_cells(eta1_axis, q_axis, delta_axis, f1, f_t: float, eta_t: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         p = (eta_t / eta1_axis)[:, None] * (half - f_t) / den
         eta = (eta_t - p * eta1_axis[:, None]) / (1.0 - p)
-    cells = np.flatnonzero((np.abs(den) >= 1e-14) & (0.0 <= p) & (p <= 1.0 - 1e-12)
+    cells = np.flatnonzero((np.abs(den) >= 1e-14) & (0.0 < p) & (p <= 1.0 - 1e-12)
                            & (0.0 <= eta) & (eta <= 1.0 - 1e-12))
     p, eta = p.ravel()[cells], eta.ravel()[cells]
-    # p >= 0, eta_m1 > 0 and (1 - p)(1 - eta) > 0 here, and rounding to nearest is
+    # p > 0, eta_m1 > 0 and (1 - p)(1 - eta) > 0 here, and rounding to nearest is
     # monotone, so each step of the search's own expression for eta_m2 (same
     # operands, same order) is monotone in delta: eta_m2 is nonincreasing in delta,
     # largest at the axis's smallest delta and smallest at its largest. A cell
@@ -255,21 +256,24 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     partially polarized transmitted re-preparation of purity q). The
     measured transmitted fidelity f_t, transmission eta_t and memory
     efficiency eta_m pin p, eta and eta_m2 once (eta_m1, delta, q) are
-    chosen, so those three are searched on a grid (eta_m1 log spaced)
-    with feasibility filtering, then refined around the best cell. Each
-    level keeps the feasible (eta_m1, q) cells where some delta of the
+    chosen, so those three are searched in one loop over grid levels
+    (eta_m1 log spaced): level 0 spans the whole domain, each later one
+    a step of the previous level's spacing each way of the last winner,
+    until a level would start with no winner. Each level keeps the
+    feasible (eta_m1, q) cells with p > 0 where some delta of the
     level may give 0 < eta_m2 <= 1 (eta_m2 falls monotonically with
-    delta, so the two ends of the delta axis decide it), and evaluates
-    them in fixed-size blocks, one batched pass over all (cell, delta)
+    delta, so the ends of the delta axis decide it), and evaluates them
+    in fixed-size blocks, one batched pass over all (cell, delta)
     candidates of a block.
 
     The always-feasible point p = 0, q = 2 f_t - 1, eta = eta_t seeds
     the search (its emitter must carry the whole output budget, so
     eta_m2 = eta_m / (1 - eta_t)), and the result is never below that
-    fallback; a fallback emission budget that underflows below 5e-312
-    raises ValueError, as in threshold_bound. On exact objective ties
-    the first candidate in row-major (eta_m1, q, delta) grid order is
-    kept.
+    fallback, the search's only p = 0 strategy (a grid winner reports
+    strategy 1's n_min and gamma); a fallback emission budget that
+    underflows below 5e-312 raises ValueError, as in threshold_bound. On
+    exact objective ties the first candidate in row-major (eta_m1, q,
+    delta) grid order is kept.
     """
     _check_mu(mu)
     if not 0.0 < eta_t < 1.0:
@@ -282,25 +286,14 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
         raise ValueError("grid_points must be >= 2")
 
     eta_m2_fb = min(eta_m / (1.0 - eta_t), 1.0)
-    fallback_thr = _threshold((1.0 - eta_t) * mu, eta_m2_fb, matching, "fallback emission budget")
-    best = BoundResult(
-        fallback_thr.bound,
-        StrategyParams(p=0.0, eta_bs=eta_t, q=2.0 * f_t - 1.0, delta=0.0,
-                       eta_m1=_NAN, eta_m2=eta_m2_fb,
-                       n_min=fallback_thr.params.n_min, gamma=fallback_thr.params.gamma),
-        degenerate=fallback_thr.degenerate,
-    )
-
-    eta1_lo, eta1_hi = 1e-2, 1.0
-    q_lo, q_hi = 0.0, 1.0
-    d_lo, d_hi = 1.0 / grid_points, 1.0
-
+    fallback = _threshold((1.0 - eta_t) * mu, eta_m2_fb, matching, "fallback emission budget")
+    fallback = replace(fallback, params=replace(fallback.params, p=0.0, eta_bs=eta_t, q=2.0 * f_t - 1.0,
+                                                delta=0.0, eta_m1=_NAN, eta_m2=eta_m2_fb))
     tables1 = _poisson_tables(mu)
 
-    def search(eta1_axis, q_axis, delta_axis, incumbent):
+    def search(eta1_axis, q_axis, delta_axis, best):
         fm1, nmin1, gamma1 = _threshold_eval(tables1, _p_emit(mu, eta1_axis, matching)[None, :])
         cells, p, eta = _feasible_cells(eta1_axis, q_axis, delta_axis, fm1[0], f_t, eta_t, eta_m)
-        best_obj, winner = incumbent.bound, None
         for lo in range(0, cells.size, _BLOCK_CELLS):
             # (cell, delta) block; w1 is strategy 1's share of the output budget
             blk = slice(lo, lo + _BLOCK_CELLS)
@@ -314,44 +307,36 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
             # float floor), are masked out of obj; their budget is set to 1
             ok &= p_emit > 0.0
             p_emit[~ok] = 1.0
-            fm2, nmin2, gamma2 = _threshold_eval(_poisson_tables(mu2), p_emit)
+            fm2 = _threshold_eval(_poisson_tables(mu2), p_emit)[0]
             obj = np.where(ok, (w1 * fm1[0, i, None] + (eta_m - w1) * fm2) / eta_m, -np.inf)
             # first maximum in row-major (eta_m1, q, delta) order, and a later block
             # must beat it strictly: earlier cells win exact ties
             c, k = np.unravel_index(np.argmax(obj), obj.shape)
-            if obj[c, k] > best_obj:
-                if pb[c] > 0:
-                    n_min, gam = int(nmin1[0, i[c]]), float(gamma1[0, i[c]])
-                else:
-                    n_min, gam = int(nmin2[c, k]), float(gamma2[c, k])
-                best_obj = obj[c, k]
-                winner = StrategyParams(p=float(pb[c]), eta_bs=float(etab[c]), q=float(q_axis[j[c]]),
-                                        delta=float(delta_axis[k]), eta_m1=float(eta1[c]),
-                                        eta_m2=float(eta_m2[c, k]), n_min=n_min, gamma=gam)
-        if winner is None:
-            return incumbent, None
-        return BoundResult(float(best_obj), winner), winner
+            if obj[c, k] > best.bound:
+                best = BoundResult(float(obj[c, k]), StrategyParams(
+                    p=float(pb[c]), eta_bs=float(etab[c]), q=float(q_axis[j[c]]), delta=float(delta_axis[k]),
+                    eta_m1=float(eta1[c]), eta_m2=float(eta_m2[c, k]), n_min=int(nmin1[0, i[c]]),
+                    gamma=float(gamma1[0, i[c]])))
+        return best
 
-    eta1_axis = np.geomspace(eta1_lo, eta1_hi, grid_points)
-    q_axis = np.linspace(q_lo, q_hi, grid_points)
-    delta_axis = np.linspace(d_lo, d_hi, grid_points)
-    best, center = search(eta1_axis, q_axis, delta_axis, best)
-
-    for _ in range(refine_rounds):
-        if center is None:
+    best = fallback
+    for level in range(refine_rounds + 1):
+        if level == 0:
+            eta1_axis = np.geomspace(1e-2, 1.0, grid_points)
+            q_axis = np.linspace(0.0, 1.0, grid_points)
+            delta_axis = np.linspace(1.0 / grid_points, 1.0, grid_points)
+        elif best is fallback:
             break
-        ratio = (eta1_hi / eta1_lo) ** (1.0 / (grid_points - 1))
-        eta1_axis = np.geomspace(max(center.eta_m1 / ratio, 1e-4), min(center.eta_m1 * ratio, 1.0), grid_points)
-        dq = (q_hi - q_lo) / (grid_points - 1)
-        q_axis = np.linspace(max(center.q - dq, 0.0), min(center.q + dq, 1.0), grid_points)
-        dd = (d_hi - d_lo) / (grid_points - 1)
-        delta_axis = np.linspace(max(center.delta - dd, 1e-6), min(center.delta + dd, 1.0), grid_points)
-        eta1_lo, eta1_hi = eta1_axis[0], eta1_axis[-1]
-        q_lo, q_hi = q_axis[0], q_axis[-1]
-        d_lo, d_hi = delta_axis[0], delta_axis[-1]
-        best, new_center = search(eta1_axis, q_axis, delta_axis, best)
-        if new_center is not None:
-            center = new_center
+        else:
+            # one step of the previous level's spacing each way of the last winner
+            at = best.params
+            ratio = (eta1_axis[-1] / eta1_axis[0]) ** (1.0 / (grid_points - 1))
+            eta1_axis = np.geomspace(max(at.eta_m1 / ratio, 1e-4), min(at.eta_m1 * ratio, 1.0), grid_points)
+            dq = (q_axis[-1] - q_axis[0]) / (grid_points - 1)
+            q_axis = np.linspace(max(at.q - dq, 0.0), min(at.q + dq, 1.0), grid_points)
+            dd = (delta_axis[-1] - delta_axis[0]) / (grid_points - 1)
+            delta_axis = np.linspace(max(at.delta - dd, 1e-6), min(at.delta + dd, 1.0), grid_points)
+        best = search(eta1_axis, q_axis, delta_axis, best)
     return best
 
 

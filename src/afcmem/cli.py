@@ -300,6 +300,7 @@ def _stage_table1(cfg, seed, out, meta, check):
         mu1_row = rec.p_n / rec.eta
         f_row = fidelity_vs_photon_number(rec.mu, mu1_row, mem.f_c)
         f_model = model_conditional_fidelity(exp, par.analysis, orth.analysis)
+        del par, orth, noise  # the next row's runs are drawn with this row's released
         f_glob = fidelity_vs_photon_number(rec.mu, MU1_MEAN, F_C_MEAN)
         rows.append((rec.mu, rec.eta, est.eta_hat, est.eta_err, rec.p_n, est.p_n_hat,
                      est.p_n_err, mu1_row, rec.mu1, rec.mu1_err, rec.fidelity,
@@ -491,7 +492,6 @@ def main(argv=None) -> int:
             check_bound_budget(cfg["bounds"]["n_points"], "[bounds] n_points", cfg["bounds"])
         elif args.command == "reproduce-paper":
             check_bound_budget(cfg["reproduce"]["bound_points"], "[reproduce] bound_points", cfg["bounds"])
-        os.makedirs(args.out, exist_ok=True)
         if args.command == "predict":
             return cmd_predict(cfg, seed, args.out, mu_list)
         if args.command == "simulate":

@@ -47,7 +47,8 @@ _REL_TOL = 1e-9
 # so the exporter never holds them for the whole histogram at once
 _EXPORT_CHUNK = 64
 # at its peak the simulate command holds 64 B per bin (tracemalloc): three
-# histograms of edges and counts, and the run it draws or exports; 128 MiB cap
+# histograms of edges and counts, and the run it draws or exports; so does
+# reproduce-paper, which holds one row's runs at a time; 128 MiB cap
 _BYTES_PER_BIN = 64
 _MAX_BINS = (128 << 20) // _BYTES_PER_BIN
 
