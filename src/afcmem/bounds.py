@@ -18,8 +18,9 @@ drops those where no delta lets strategy 2 match the output budget
 (0 < eta_m2 <= 1), and evaluates the rest in blocks of a fixed number
 of cells, which may span eta_m1 rows: one numpy pass per block covers
 all of its (cell, delta) candidates, with their Poisson tables stacked
-zero-padded in one array, so the memory a level needs does not grow
-with the number of feasible cells.
+zero-padded in one array and their output shares, emission budgets and
+objective written in place into buffers the level reuses, so the memory
+a level needs does not grow with the number of feasible cells.
 
 All bounds read their photon-number statistics from one table builder,
 which covers mu up to 600 without truncating the distribution, and
@@ -49,10 +50,11 @@ _N = np.arange(math.ceil(_MU_MAX + 20.0 * math.sqrt(_MU_MAX + 1.0) + 25.0) + 1.0
 _MP = (_N + 1.0) / (_N + 2.0)
 _N.flags.writeable = _MP.flags.writeable = False
 # feasible (eta_m1, q) cells per block of the transmitted-bound search: at
-# the default grid a call then peaks at 0.29-0.33 MiB of numpy allocation
-# (traced over the mu of the default bounds command), where one pass over a
+# the default grid a call then peaks at 0.28-0.35 MiB of numpy allocation
+# (traced over the mu of the default bounds command; most of it the (cell,
+# delta, n) comparison of the threshold evaluation), where one pass over a
 # whole level would take several MiB
-_BLOCK_CELLS = 32
+_BLOCK_CELLS = 48
 # smallest emission budget of the scalar bounds: a subnormal budget x is
 # resolved only to 5e-324 / x relative, and the bound is a ratio over it;
 # from here up that error stays below 1e-12
@@ -112,19 +114,24 @@ def _poisson_tables(mus) -> tuple:
         raise ValueError("mu too large for the direct pmf recurrence")
     n_max = np.ceil(mus + 20.0 * np.sqrt(mus + 1.0) + 25.0)
     n = _N[: int(n_max.max()) + 1]
-    ratios = mus[:, None] / np.maximum(n, 1.0) * (n <= n_max[:, None])
+    # the ratios of the recurrence, turned into the pmf in place
+    pmf = mus[:, None] / np.maximum(n, 1.0)
+    pmf *= n <= n_max[:, None]
     # math.exp, not np.exp: keeps each row bit-identical to a scalar build
-    ratios[:, 0] = [math.exp(-m) for m in mus]
-    pmf = np.cumprod(ratios, axis=1)
+    pmf[:, 0] = [math.exp(-m) for m in mus]
+    np.cumprod(pmf, axis=1, out=pmf)
     keep = pmf >= _PMF_REL_CUTOFF * pmf[:, 1:].max(axis=1, keepdims=True)
     last = n.size - 1 - np.argmax(keep[:, ::-1], axis=1)
+    del keep
     width = last.max() + 1
     pmf = pmf[:, :width] * (n[:width] <= last[:, None])
     mp = _MP[:width]
-    s_gt = np.zeros_like(pmf)
-    w_gt = np.zeros_like(pmf)
-    s_gt[:, :-1] = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]
-    w_gt[:, :-1] = np.cumsum((mp * pmf)[:, :0:-1], axis=1)[:, ::-1]
+    # strict upper tails: sums from the top of each row down, written reversed
+    s_gt = np.empty_like(pmf)
+    w_gt = np.empty_like(pmf)
+    s_gt[:, -1] = w_gt[:, -1] = 0.0
+    np.cumsum(pmf[:, :0:-1], axis=1, out=s_gt[:, -2::-1])
+    np.cumsum((mp * pmf)[:, :0:-1], axis=1, out=w_gt[:, -2::-1])
     return pmf, mp, s_gt, w_gt
 
 
@@ -141,12 +148,19 @@ def _threshold_eval(tables, p_emit: np.ndarray):
     return bound, n_min, gamma
 
 
-def _p_emit(mu: float, eta_m, matching: str):
+def _p_emit(mu, eta_m, matching: str, out=None):
+    """Emission probability at efficiency eta_m for input mean mu (the two
+    broadcast), written to out when it is given."""
     if matching == "exp":
-        return -np.expm1(-np.asarray(eta_m) * mu)
+        x = np.multiply(np.negative(eta_m, out=out), mu, out=out)
+        return np.negative(np.expm1(x, out=out), out=out)
     if matching == "linear":
-        return np.asarray(eta_m) * (-np.expm1(-mu))
-    raise ValueError(f"matching must be 'exp' or 'linear', got {matching!r}")
+        return np.multiply(eta_m, -np.expm1(-mu), out=out)
+    raise _matching_error(matching)
+
+
+def _matching_error(matching) -> ValueError:
+    return ValueError(f"matching must be 'exp' or 'linear', got {matching!r}")
 
 
 def _check_mu(mu: float) -> None:
@@ -210,11 +224,15 @@ def _threshold(mu: float, eta_m: float, matching: str, budget: str = "emission b
     return BoundResult(float(bound[0, 0]), params, bool(degenerate))
 
 
-def _output_shares(p, delta, eta1, eta, eta_m: float):
-    """Strategy 1's share w1 of the output budget eta_m, and the eta_m2 that
-    strategy 2 must then match; the arguments broadcast."""
-    w1 = p * delta * eta1
-    return w1, (eta_m - w1) / ((1.0 - p) * (1.0 - eta))
+def _output_shares(p, delta, eta1, eta, eta_m: float, w1=None, eta_m2=None):
+    """Strategy 1's share w1 = p delta eta1 of the output budget eta_m, and the
+    eta_m2 that strategy 2 must then match; the arguments broadcast, and the
+    results are written to w1 and eta_m2 when those are given."""
+    w1 = np.multiply(p, delta, out=w1)
+    w1 *= eta1
+    eta_m2 = np.subtract(eta_m, w1, out=eta_m2)
+    eta_m2 /= (1.0 - p) * (1.0 - eta)
+    return w1, eta_m2
 
 
 def _feasible_cells(eta1_axis, q_axis, delta_axis, f1, f_t: float, eta_t: float, eta_m: float):
@@ -242,6 +260,22 @@ def _feasible_cells(eta1_axis, q_axis, delta_axis, f1, f_t: float, eta_t: float,
     _, eta_m2 = _output_shares(p[:, None], ends, eta1_axis[cells // q_axis.size, None], eta[:, None], eta_m)
     keep = (eta_m2[:, 0] > 0.0) & (eta_m2[:, 1] <= 1.0)
     return cells[keep], p[keep], eta[keep]
+
+
+def check_transmitted_inputs(f_t: float, eta_t: float, eta_m: float, grid_points: int,
+                             matching: str) -> None:
+    """ValueError unless transmitted_constrained_bound accepts these inputs
+    (its checks of every input but mu)."""
+    if not 0.0 < eta_t < 1.0:
+        raise ValueError(f"eta_t must be in (0, 1), got {eta_t}")
+    if not 0.5 < f_t < 1.0:
+        raise ValueError(f"f_t must be in (1/2, 1), got {f_t}")
+    if not 0.0 < eta_m <= 1.0:
+        raise ValueError(f"eta_m must be in (0, 1], got {eta_m}")
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
+    if matching not in ("exp", "linear"):
+        raise _matching_error(matching)
 
 
 def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float = ETA_T_MEAN,
@@ -276,15 +310,7 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     delta) grid order is kept.
     """
     _check_mu(mu)
-    if not 0.0 < eta_t < 1.0:
-        raise ValueError(f"eta_t must be in (0, 1), got {eta_t}")
-    if not 0.5 < f_t < 1.0:
-        raise ValueError(f"f_t must be in (1/2, 1), got {f_t}")
-    if not 0.0 < eta_m <= 1.0:
-        raise ValueError(f"eta_m must be in (0, 1], got {eta_m}")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-
+    check_transmitted_inputs(f_t, eta_t, eta_m, grid_points, matching)
     eta_m2_fb = min(eta_m / (1.0 - eta_t), 1.0)
     fallback = _threshold((1.0 - eta_t) * mu, eta_m2_fb, matching, "fallback emission budget")
     fallback = replace(fallback, params=replace(fallback.params, p=0.0, eta_bs=eta_t, q=2.0 * f_t - 1.0,
@@ -294,28 +320,45 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     def search(eta1_axis, q_axis, delta_axis, best):
         fm1, nmin1, gamma1 = _threshold_eval(tables1, _p_emit(mu, eta1_axis, matching)[None, :])
         cells, p, eta = _feasible_cells(eta1_axis, q_axis, delta_axis, fm1[0], f_t, eta_t, eta_m)
+        # buffers every block reuses; each step writes in place with the operands
+        # and order of the plain expression, so every float is the same: w1, then
+        # the objective; eta_m2, then the emission budget, then eta_m - w1
+        shape = (min(cells.size, _BLOCK_CELLS), delta_axis.size)
+        w1_buf, budget_buf = np.empty(shape), np.empty(shape)
         for lo in range(0, cells.size, _BLOCK_CELLS):
             # (cell, delta) block; w1 is strategy 1's share of the output budget
             blk = slice(lo, lo + _BLOCK_CELLS)
             i, j = np.divmod(cells[blk], q_axis.size)
             pb, etab, eta1 = p[blk], eta[blk], eta1_axis[i]
-            w1, eta_m2 = _output_shares(pb[:, None], delta_axis, eta1[:, None], etab[:, None], eta_m)
+            m = pb.size
+            w1, eta_m2 = _output_shares(pb[:, None], delta_axis, eta1[:, None], etab[:, None], eta_m,
+                                        w1_buf[:m], budget_buf[:m])
             ok = (eta_m2 > 0.0) & (eta_m2 <= 1.0)
             mu2 = (1.0 - etab) * mu
-            p_emit = _p_emit(mu2[:, None], np.where(ok, eta_m2, 1.0), matching)
             # eta_m2 outside (0, 1], and budgets that underflow to 0 (mu near the
             # float floor), are masked out of obj; their budget is set to 1
+            np.copyto(eta_m2, 1.0, where=~ok)
+            p_emit = _p_emit(mu2[:, None], eta_m2, matching, out=eta_m2)
             ok &= p_emit > 0.0
-            p_emit[~ok] = 1.0
+            masked = ~ok
+            np.copyto(p_emit, 1.0, where=masked)
             fm2 = _threshold_eval(_poisson_tables(mu2), p_emit)[0]
-            obj = np.where(ok, (w1 * fm1[0, i, None] + (eta_m - w1) * fm2) / eta_m, -np.inf)
+            # obj = (w1 fm1 + (eta_m - w1) fm2) / eta_m
+            fm2 *= np.subtract(eta_m, w1, out=p_emit)
+            obj = w1
+            obj *= fm1[0, i, None]
+            obj += fm2
+            obj /= eta_m
+            np.copyto(obj, -np.inf, where=masked)
             # first maximum in row-major (eta_m1, q, delta) order, and a later block
             # must beat it strictly: earlier cells win exact ties
             c, k = np.unravel_index(np.argmax(obj), obj.shape)
             if obj[c, k] > best.bound:
+                # the winner's eta_m2 again, as a scalar: its buffer is reused above
+                eta_m2 = _output_shares(pb[c], delta_axis[k], eta1[c], etab[c], eta_m)[1]
                 best = BoundResult(float(obj[c, k]), StrategyParams(
                     p=float(pb[c]), eta_bs=float(etab[c]), q=float(q_axis[j[c]]), delta=float(delta_axis[k]),
-                    eta_m1=float(eta1[c]), eta_m2=float(eta_m2[c, k]), n_min=int(nmin1[0, i[c]]),
+                    eta_m1=float(eta1[c]), eta_m2=float(eta_m2), n_min=int(nmin1[0, i[c]]),
                     gamma=float(gamma1[0, i[c]])))
         return best
 

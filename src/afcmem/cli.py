@@ -32,8 +32,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .bounds import poisson_conditional_bound, quantumness_verdict, threshold_bound, \
-    transmitted_constrained_bound
+from .bounds import check_transmitted_inputs, poisson_conditional_bound, quantumness_verdict, \
+    threshold_bound, transmitted_constrained_bound
 from .config import _parse_value, canonical_text, check_bound_budget, config_hash, default_config, \
     load_config
 from .errors import ConfigError, EstimationError
@@ -421,7 +421,17 @@ def _stage_bounds(cfg, seed, out, meta, check):
     write_csv(os.path.join(out, "verdicts.csv"), meta, _VERDICT_HEADER + ["expected"], vrows)
 
 
+def _check_late_sections(cfg) -> None:
+    """The checks that predict and bounds make on the [predict] and [bounds] values read by
+    reproduce-paper's last two stages, run before its first stage writes anything."""
+    _mu1_band(cfg["predict"], (1.0,))  # mu1, mu1_err and f_c, on one point of the band
+    b = cfg["bounds"]
+    check_transmitted_inputs(b["f_t"], b["eta_t"], b["eta_m"], b["grid_points"], b["matching"])
+    quantumness_verdict(1.0, 0.0, 0.0, b["k_sigma"])  # k_sigma, as the verdicts check it
+
+
 def cmd_reproduce_paper(cfg, seed, out) -> int:
+    _check_late_sections(cfg)
     meta = _metadata("reproduce-paper", seed, cfg)
     summary = []
 

@@ -46,10 +46,13 @@ _REL_TOL = 1e-9
 # histogram bins are turned into Python floats and ints this many at a time,
 # so the exporter never holds them for the whole histogram at once
 _EXPORT_CHUNK = 64
-# at its peak the simulate command holds 64 B per bin (tracemalloc): three
-# histograms of edges and counts, and the run it draws or exports; so does
-# reproduce-paper, which holds one row's runs at a time; 128 MiB cap
+# at its peak the simulate command holds 64 B per bin (tracemalloc, 20,850 to
+# 417,000 bins): three histograms of edges and counts, and the run it draws or
+# exports; so does reproduce-paper, which holds one row's runs at a time. Its
+# first call in a process adds about 0.73 MB that does not grow with the bins, so
+# the 128 MiB of bins at the cap are about 128.7 MiB in all
 _BYTES_PER_BIN = 64
+_FIXED_BYTES = 730_000
 _MAX_BINS = (128 << 20) // _BYTES_PER_BIN
 
 
@@ -110,7 +113,9 @@ class ExperimentConfig:
         bins = span / bw
         if not bins <= _MAX_BINS:
             raise ValueError(f"bin_width {bw:g} us over the {span:g} us sequence span gives {bins:.3g} "
-                             f"histogram bins, more than the {_MAX_BINS} allowed ({_BYTES_PER_BIN} B each)")
+                             f"histogram bins, more than the {_MAX_BINS} allowed ({_BYTES_PER_BIN} B each and "
+                             f"{_FIXED_BYTES / 1e6:.2f} MB more, "
+                             f"{(_MAX_BINS * _BYTES_PER_BIN + _FIXED_BYTES) / 2 ** 20:.1f} MiB in all)")
         object.__setattr__(self, "bin_width", bw)
         object.__setattr__(self, "n_bins", int(round(bins)))
 

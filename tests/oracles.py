@@ -3,12 +3,17 @@
 Channel propagation, the chi <-> Choi change of frame, random CPTP
 channels, the trace distance and the Bloch vector; the closed-form
 six-setting state MLE, and the normalized gradient ascent that the
-state fit used before its Newton fitter. The tests use them to check
-the reconstructions in afcmem against known answers.
+state fit used before its Newton fitter; and the out-of-place build of
+the bounds' Poisson tables. The tests use them to check the
+reconstructions in afcmem against known answers, and the in-place table
+build against the one it replaced.
 """
+
+import math
 
 import numpy as np
 
+from afcmem.bounds import _MP, _MU_MAX, _N, _PMF_REL_CUTOFF
 from afcmem.errors import EstimationError
 from afcmem.polarization import PAULIS, PolarizationState
 from afcmem.tomography import ProcessMatrix, TomographyData
@@ -128,3 +133,29 @@ def ascent_mle(data: TomographyData):
     a, d, c = t[0], t[1], t[2] + 1j * t[3]
     rho = np.array([[a * a + abs(c) ** 2, np.conj(c) * d], [c * d, d * d]], dtype=complex)
     return rho / np.trace(rho).real, ll
+
+
+def poisson_tables(mus) -> tuple:
+    """bounds._poisson_tables as it was built before the in-place build, one
+    temporary per step: pmf, per-n fidelity, and the strict upper-tail sums of
+    the pmf and of the fidelity-weighted pmf."""
+    mus = np.atleast_1d(np.asarray(mus, dtype=float))
+    if mus.min() < 0:
+        raise ValueError("mu must be nonnegative")
+    if mus.max() > _MU_MAX:
+        raise ValueError("mu too large for the direct pmf recurrence")
+    n_max = np.ceil(mus + 20.0 * np.sqrt(mus + 1.0) + 25.0)
+    n = _N[: int(n_max.max()) + 1]
+    ratios = mus[:, None] / np.maximum(n, 1.0) * (n <= n_max[:, None])
+    ratios[:, 0] = [math.exp(-m) for m in mus]
+    pmf = np.cumprod(ratios, axis=1)
+    keep = pmf >= _PMF_REL_CUTOFF * pmf[:, 1:].max(axis=1, keepdims=True)
+    last = n.size - 1 - np.argmax(keep[:, ::-1], axis=1)
+    width = last.max() + 1
+    pmf = pmf[:, :width] * (n[:width] <= last[:, None])
+    mp = _MP[:width]
+    s_gt = np.zeros_like(pmf)
+    w_gt = np.zeros_like(pmf)
+    s_gt[:, :-1] = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]
+    w_gt[:, :-1] = np.cumsum((mp * pmf)[:, :0:-1], axis=1)[:, ::-1]
+    return pmf, mp, s_gt, w_gt

@@ -3,8 +3,9 @@
 The closed-form Poisson-averaged bound and the threshold bound are
 checked against brute-force series built from scipy's Poisson pmf; the
 attack-strategy bounds are checked through their ordering and limit
-properties, and the batched transmitted-bound search against a
-cell-by-cell reference kept here.
+properties, the batched transmitted-bound search against a
+cell-by-cell reference kept here, and the in-place Poisson tables against
+their out-of-place build in oracles.
 """
 
 import math
@@ -27,6 +28,7 @@ from afcmem.bounds import (
     transmitted_constrained_bound,
 )
 from afcmem.refdata import ETA_M_BENCH, ETA_T_MEAN, F_T_MEAN
+from oracles import poisson_tables
 
 
 def _series_bound(mu, n_terms=100):
@@ -395,12 +397,29 @@ def test_block_size_never_changes_the_result(mu, f_t, eta_t, eta_m, grid_points,
     def run():
         return repr(transmitted_constrained_bound(mu, f_t, eta_t, eta_m, grid_points=grid_points,
                                                   refine_rounds=refine_rounds, matching=matching))
-    assert afcmem.bounds._BLOCK_CELLS == 32
+    assert afcmem.bounds._BLOCK_CELLS == 48
     expected = run()
     for cells in (1, 7, 10_000):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(afcmem.bounds, "_BLOCK_CELLS", cells)
             assert run() == expected, cells
+
+
+# 0, and the smallest normal float to 600 both uniform and log-uniform
+_TABLE_MU = st.one_of(st.just(0.0), st.floats(sys.float_info.min, 600.0),
+                     st.floats(math.log(sys.float_info.min), math.log(600.0)).map(math.exp))
+
+
+@settings(deadline=None, max_examples=100)
+@given(mus=st.lists(_TABLE_MU, min_size=1, max_size=6))
+@example(mus=[0.0])
+@example(mus=[sys.float_info.min])
+@example(mus=[600.0])
+@example(mus=[0.0, sys.float_info.min, 0.5, 8.2, 100.0, 600.0])
+def test_in_place_poisson_tables_equal_out_of_place_build(mus):
+    # every table, bit for bit: same shapes, and the same bytes down to the sign of zero
+    for got, ref in zip(afcmem.bounds._poisson_tables(mus), poisson_tables(mus)):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("mu", [0.5, 8.2, 10.0])

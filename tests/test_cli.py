@@ -649,13 +649,21 @@ def test_reproduce_table1_holds_one_row_of_runs(tmp_path, monkeypatch):
     assert table1 <= 1.1 * simulate
 
 
-@pytest.mark.xfail(strict=True, reason="reproduce-paper reads [predict] only in its fig3a stage, "
-                   "after six CSVs are written")
-def test_reproduce_rejects_late_section_before_writing(tmp_path, capsys):
+@pytest.mark.parametrize("section, message", [
+    ("[predict]\nmu1 = -1\n", "mu1 and mu1_err must be nonnegative"),
+    ("[predict]\nf_c = 0.3\n", "f_c = 0.3 outside [1/2, 1]"),
+    ("[bounds]\neta_m = 2\n", "eta_m must be in (0, 1], got 2.0"),
+    ("[bounds]\nmatching = foo\n", "matching must be 'exp' or 'linear', got 'foo'"),
+    ("[bounds]\nf_t = 0.3\n", "f_t must be in (1/2, 1), got 0.3"),
+    ("[bounds]\nk_sigma = -1\n", "error bar and k must be nonnegative"),
+])
+def test_reproduce_rejects_late_section_before_writing(tmp_path, capsys, section, message):
+    # the fig3a and figD1 stages read these values last; six or seven CSVs were
+    # written before the exit 2
     out = os.path.join(tmp_path, "o")
-    cfg = _ini(tmp_path, "[predict]\nmu1 = -1\n")
+    cfg = _ini(tmp_path, section)
     err = _exits_cleanly(["reproduce-paper", "--seed", "1", "--config", cfg, "--out", out], 2, capsys)
-    assert "mu1 and mu1_err must be nonnegative" in err
+    assert message in err
     assert not os.path.exists(out)
 
 

@@ -288,7 +288,8 @@ def test_bin_count_comes_from_the_config():
     assert len(simulate_run(exp, standard_setting("D"), seed=1).counts) == exp.n_bins
     # 5.2e14 bins: rejected as the config is built, before any array is sized
     with pytest.raises(ValueError, match=r"^bin_width 1e-12 us over the 521.25 us sequence span gives 5.21e\+14 "
-                                         r"histogram bins, more than the 2097152 allowed \(64 B each\)$"):
+                                         r"histogram bins, more than the 2097152 allowed \(64 B each and 0.73 MB "
+                                         r"more, 128.7 MiB in all\)$"):
         ExperimentConfig(bin_width=1e-12)
 
 
