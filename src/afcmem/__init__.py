@@ -17,8 +17,8 @@ from .errors import ConfigError, EstimationError
 from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number
 from .montecarlo import (CountHistogram, ExperimentConfig, ParamEstimate, TransmissionEstimate,
                          estimate_params, estimate_transmission, export_histogram,
-                         model_conditional_fidelity, model_mode_fidelity, sequence_windows,
-                         simulate_run)
+                         export_histograms, model_conditional_fidelity, model_mode_fidelity,
+                         sequence_windows, simulate_run)
 from .polarization import (AnalysisSetting, PolarizationState, STATE_LABELS, expectation,
                            fidelity, orthogonal_label, standard_setting, standard_state)
 from .tomography import (DensityMatrixEstimate, ProcessMatrix, SETTING_LABELS, TomographyData,
@@ -30,9 +30,10 @@ __all__ = [
     "EstimationError", "ExperimentConfig", "MemoryParams", "ParamEstimate",
     "PolarizationState", "ProcessMatrix", "SETTING_LABELS", "STATE_LABELS", "StorageSchedule",
     "StrategyParams", "TomographyData", "TransmissionEstimate", "estimate_params",
-    "estimate_transmission", "expectation", "export_histogram", "export_process_matrix",
-    "fidelity", "fidelity_vs_photon_number", "mle_state", "model_conditional_fidelity",
-    "model_mode_fidelity", "monte_carlo_errors", "orthogonal_label", "poisson_conditional_bound",
+    "estimate_transmission", "expectation", "export_histogram", "export_histograms",
+    "export_process_matrix", "fidelity", "fidelity_vs_photon_number", "mle_state",
+    "model_conditional_fidelity", "model_mode_fidelity", "monte_carlo_errors", "orthogonal_label",
+    "poisson_conditional_bound",
     "process_tomography", "project_process_matrix", "quantumness_verdict", "sequence_windows",
     "simulate_run", "standard_setting", "standard_state", "threshold_bound",
     "transmitted_constrained_bound",

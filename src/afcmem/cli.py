@@ -39,7 +39,7 @@ from .config import _parse_value, canonical_text, check_bound_budget, config_has
 from .errors import ConfigError, EstimationError
 from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number
 from .montecarlo import ExperimentConfig, estimate_params, estimate_transmission, \
-    export_histogram, model_conditional_fidelity, model_mode_fidelity, simulate_run
+    export_histogram, export_histograms, model_conditional_fidelity, model_mode_fidelity, simulate_run
 from .polarization import STATE_LABELS, fidelity, orthogonal_label, standard_setting, standard_state
 from .refdata import CHI00_MEASURED, EXPECTED_VERDICTS, F_C_MEAN, MODE_SCAN, MU1_MEAN, \
     MU_SCAN, STATE_SCAN, TRANSMITTED_MODES, matched_noise_floor
@@ -181,8 +181,8 @@ def cmd_simulate(cfg, seed, out, mu_list, trials) -> int:
     par, orth, noise = _triple_run(exp, label, seed, 0)
     est = estimate_params(par, orth, noise, exp)
     meta = _metadata("simulate", seed, cfg)
-    for name, hist in (("parallel", par), ("orthogonal", orth), ("noise", noise)):
-        export_histogram(hist, os.path.join(out, f"histogram_{name}.csv"), meta)
+    export_histograms((par, orth, noise), [os.path.join(out, f"histogram_{name}.csv")
+                                           for name in ("parallel", "orthogonal", "noise")], meta)
     rows = [("eta", est.eta_hat, est.eta_err),
             ("p_n", est.p_n_hat, est.p_n_err),
             ("fidelity", est.fidelity_hat, est.fidelity_err)]

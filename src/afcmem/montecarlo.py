@@ -43,8 +43,10 @@ from .polarization import AnalysisSetting, PolarizationState, expectation, stand
 from .tableio import write_csv_lines
 
 _REL_TOL = 1e-9
-# histogram bins are turned into Python floats and ints this many at a time,
-# so the exporter never holds them for the whole histogram at once
+# bins per step of the histogram exporter: it formats their edges and window
+# labels once for all histograms of the time axis, then writes one joined
+# string per file, so it holds no per-bin data for a whole histogram (chunks of
+# 256 or 1,024 bins were not measurably faster)
 _EXPORT_CHUNK = 64
 # at its peak the simulate command holds 64 B per bin (tracemalloc, 20,850 to
 # 417,000 bins): three histograms of edges and counts, and the run it draws or
@@ -386,32 +388,68 @@ def estimate_transmission(parallel: CountHistogram, orthogonal: CountHistogram,
                                                                 np.where(lit, orth_m, 0.0)))
 
 
-def _histogram_lines(hist: CountHistogram) -> Iterator[str]:
-    """One CSV line per bin, with the text write_csv would give its cells."""
-    labels = [""] * len(hist.counts)
-    for win, bins in zip(hist.windows, hist.window_slices):
-        labels[bins] = [win.label] * (bins.stop - bins.start)
-    tail = hist.analysis.label + "\n"
+def _histogram_chunks(hists: Sequence[CountHistogram]) -> Iterator[list[str]]:
+    """The CSV rows of histograms on one time axis, _EXPORT_CHUNK bins at a
+    time: one joined string per histogram, with the text write_csv would
+    give its cells. Each bin edge is formatted once for all histograms (a
+    row's end is the next row's start), and so is each window label."""
+    axis = hists[0]
+    # the window cells of each window's bins; a later window's label wins where windows overlap
+    spans = [(bins.start, bins.stop, f",{win.label},") for win, bins in zip(axis.windows, axis.window_slices)]
+    tails = [hist.analysis.label + "\n" for hist in hists]
     fmt = "{:.12g}".format
-    start = fmt(float(hist.bin_edges[0]))
-    for a in range(0, len(labels), _EXPORT_CHUNK):
-        b = a + _EXPORT_CHUNK
-        ends = map(fmt, hist.bin_edges[a + 1:b + 1].tolist())
-        for end, count, label in zip(ends, hist.counts[a:b].tolist(), labels[a:b]):
-            yield f"{start},{end},{count},{label},{tail}"
-            start = end
+    end = fmt(float(axis.bin_edges[0]))
+    n = len(axis.counts)
+    for a in range(0, n, _EXPORT_CHUNK):
+        b = min(a + _EXPORT_CHUNK, n)
+        ends = list(map(fmt, axis.bin_edges[a + 1:b + 1].tolist()))
+        starts = [end, *ends[:-1]]
+        end = ends[-1]
+        posts = [",,"] * (b - a)
+        for lo, hi, post in spans:
+            lo, hi = max(lo, a), min(hi, b)
+            if lo < hi:
+                posts[lo - a:hi - a] = [post] * (hi - lo)
+        # a simulated run counts nothing outside the mode windows, so most chunks
+        # are all zeros in every histogram and share one set of rows
+        zeros = [f"{s},{e},0{p}" for s, e, p in zip(starts, ends, posts)]
+        texts = []
+        for hist, tail in zip(hists, tails):
+            counts = hist.counts[a:b].tolist()
+            rows = [f"{s},{e},{c}{p}" for s, e, c, p in zip(starts, ends, counts, posts)] if any(counts) else zeros
+            texts.append(tail.join(rows) + tail)
+        yield texts
+
+
+def export_histograms(hists: Sequence[CountHistogram], paths: Sequence[str],
+                      metadata: Mapping[str, object] | None = None) -> None:
+    """Write histograms that share one time axis as CSVs with one row per bin,
+    in one pass over the axis.
+
+    Each file gets metadata plus its own histogram's analysis, trials and
+    rng_seed, and the bytes write_csv would give. The rows go pre-joined to
+    tableio's one writer, one chunk of bins at a time for every file, so no
+    per-bin data is held for a whole histogram. ValueError unless every
+    histogram has the bin_edges and windows of the first.
+    """
+    if len(paths) != len(hists):
+        raise ValueError(f"{len(hists)} histograms but {len(paths)} paths")
+    axis = hists[0]
+    for hist in hists[1:]:
+        # a memoryview comparison allocates nothing per bin
+        if hist.windows != axis.windows or memoryview(hist.bin_edges) != memoryview(axis.bin_edges):
+            raise ValueError("histograms exported in one pass must share bin_edges and windows")
+    metas = []
+    for hist in hists:
+        meta = dict(metadata or {})
+        meta.setdefault("analysis", hist.analysis.label)
+        meta.setdefault("trials", hist.trials)
+        meta.setdefault("rng_seed", hist.seed)
+        metas.append(meta)
+    write_csv_lines(paths, metas, ["bin_start_us", "bin_end_us", "counts", "window_label", "analysis_label"],
+                    _histogram_chunks(hists))
 
 
 def export_histogram(hist: CountHistogram, path: str, metadata: Mapping[str, object] | None = None) -> None:
-    """Write a histogram as CSV with one row per bin.
-
-    The rows go pre-joined to tableio's one writer: each bin edge is
-    formatted once (a row's end is the next row's start) with the %.12g
-    of write_csv, so the bytes are those write_csv would give.
-    """
-    meta = dict(metadata or {})
-    meta.setdefault("analysis", hist.analysis.label)
-    meta.setdefault("trials", hist.trials)
-    meta.setdefault("rng_seed", hist.seed)
-    write_csv_lines(path, meta, ["bin_start_us", "bin_end_us", "counts", "window_label", "analysis_label"],
-                    _histogram_lines(hist))
+    """Write a histogram as CSV with one row per bin: export_histograms of one."""
+    export_histograms((hist,), (path,), metadata)

@@ -3,15 +3,19 @@
 Channel propagation, the chi <-> Choi change of frame, random CPTP
 channels, the trace distance and the Bloch vector; the closed-form
 six-setting state MLE, and the normalized gradient ascent that the
-state fit used before its Newton fitter; and the out-of-place build of
-the bounds' Poisson tables. The tests use them to check the
-reconstructions in afcmem against known answers, and the in-place table
-build against the one it replaced.
+state fit used before its Newton fitter; the out-of-place build of the
+bounds' Poisson tables; and two values of the transmitted cheat found
+apart from the search, from scipy's Poisson distribution: its
+eta_m2 = 0 face and a dense grid of its objective. The tests use them to
+check the reconstructions in afcmem against known answers, the in-place
+table build against the one it replaced, and the search's value against
+strategies it should not miss.
 """
 
 import math
 
 import numpy as np
+from scipy import stats
 
 from afcmem.bounds import _MP, _MU_MAX, _N, _PMF_REL_CUTOFF
 from afcmem.errors import EstimationError
@@ -159,3 +163,84 @@ def poisson_tables(mus) -> tuple:
     s_gt[:, :-1] = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]
     w_gt[:, :-1] = np.cumsum((mp * pmf)[:, :0:-1], axis=1)[:, ::-1]
     return pmf, mp, s_gt, w_gt
+
+
+def p_emit(mu, eta_m, matching):
+    """Emission probability of a memory of efficiency eta_m for input mean mu."""
+    if matching == "exp":
+        return -np.expm1(-np.asarray(eta_m, dtype=float) * mu)
+    return np.asarray(eta_m, dtype=float) * -math.expm1(-mu)
+
+
+def threshold(mu, p):
+    """Threshold bound of mean mu at emission probabilities p, from scipy's
+    Poisson distribution over n = 0..mu + 40 sqrt(mu) + 100: emit on every
+    n above n_min and on the part of n = n_min that p leaves (n_min >= 1)."""
+    n = np.arange(int(mu + 40.0 * math.sqrt(mu) + 100.0) + 1)
+    pmf = stats.poisson.pmf(n, mu)
+    tail = stats.poisson.sf(n, mu)  # P(N > n)
+    mp = (n + 1.0) / (n + 2.0)
+    w_gt = np.append(np.cumsum((mp * pmf)[:0:-1])[::-1], 0.0)  # sum of mp pmf over N > n
+    p = np.asarray(p, dtype=float)
+    n_min = np.maximum(np.argmax(tail < p[..., None], axis=-1), 1)
+    return ((p - tail[n_min]) * mp[n_min] + w_gt[n_min]) / p
+
+
+def transmitted_face(mu, f_t, eta_t, eta_m, matching="exp", points=6000):
+    """The transmitted cheat on its eta_m2 = 0 face: strategy 1 carries the
+    whole output budget (p delta eta_m1 = eta_m, delta <= 1) and the bound is
+    its fidelity f1(eta_m1). Returns the largest f1 over 6,000 log-spaced
+    eta_m1 in [1e-4, 1] where some q in [0, 1] gives 0 < p <= 1 - 1e-12,
+    0 <= eta <= 1 - 1e-12 and p eta_m1 >= eta_m; -inf where none does.
+
+    The q are found in closed form. With h = (1 + q) / 2 and k = eta_t /
+    eta_m1, p = k (h - f_t) / (h - f1) = k + d / (h - f1), d = k (f1 - f_t).
+    The pole h = f1 lies inside (1/2, 1), and the search keeps |h - f1| >=
+    1e-14, so the q below the pole reach the p between k + d / (1/2 - f1)
+    and k - 1e14 d, and the q above it those between k + d / (1 - f1) and
+    k + 1e14 d, each side monotonically. The conditions ask p in [lo, hi]:
+    lo = eta_m / eta_m1 (the face), and hi the least of 1 - 1e-12, k (eta >=
+    0) and (c - eta_t) / (c - eta_m1), c = 1 - 1e-12, when eta_m1 < c (eta
+    <= c). So an eta_m1 is feasible when [lo, hi] meets either interval.
+    """
+    eta1 = np.geomspace(1e-4, 1.0, points)
+    f1 = threshold(mu, p_emit(mu, eta1, matching))
+    k = eta_t / eta1
+    d = k * (f1 - f_t)
+    c = 1.0 - 1e-12
+    lo = eta_m / eta1
+    hi = np.minimum(np.minimum(c, k), np.where(eta1 < c, (c - eta_t) / (c - eta1), np.inf))
+    feasible = np.zeros(points, dtype=bool)
+    for near, far in ((k + d / (0.5 - f1), k - 1e14 * d), (k + d / (1.0 - f1), k + 1e14 * d)):
+        feasible |= np.maximum(lo, np.minimum(near, far)) <= np.minimum(hi, np.maximum(near, far))
+    return float(f1[feasible].max()) if feasible.any() else -math.inf
+
+
+def transmitted_dense(mu, f_t, eta_t, eta_m, matching="exp", points=12):
+    """The transmitted search's own objective, (w1 f1 + (eta_m - w1) f2) / eta_m
+    with w1 = p delta eta_m1, at its largest over a points^3 grid of eta_m1
+    (log-spaced in [1e-2, 1]), q (in [0, 1]) and delta (in [1/points, 1]),
+    evaluated cell by cell with the search's feasibility conditions; -inf
+    where no cell is feasible."""
+    eta1_axis = np.geomspace(1e-2, 1.0, points)
+    deltas = np.linspace(1.0 / points, 1.0, points)
+    best = -math.inf
+    for eta1, f1 in zip(eta1_axis, threshold(mu, p_emit(mu, eta1_axis, matching))):
+        for q in np.linspace(0.0, 1.0, points):
+            half = 0.5 * (1.0 + q)
+            if abs(half - f1) < 1e-14:
+                continue
+            p = eta_t / eta1 * (half - f_t) / (half - f1)
+            if not 0.0 < p <= 1.0 - 1e-12:
+                continue
+            eta = (eta_t - p * eta1) / (1.0 - p)
+            if not 0.0 <= eta <= 1.0 - 1e-12:
+                continue
+            w1 = p * deltas * eta1
+            eta_m2 = (eta_m - w1) / ((1.0 - p) * (1.0 - eta))
+            ok = (eta_m2 > 0.0) & (eta_m2 <= 1.0)
+            if ok.any():
+                mu2 = (1.0 - eta) * mu
+                f2 = threshold(mu2, p_emit(mu2, eta_m2[ok], matching))
+                best = max(best, float(np.max((w1[ok] * f1 + (eta_m - w1[ok]) * f2) / eta_m)))
+    return best

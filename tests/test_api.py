@@ -15,11 +15,12 @@ PUBLIC = [
     "EstimationError", "ExperimentConfig", "MemoryParams", "ParamEstimate", "PolarizationState",
     "ProcessMatrix", "SETTING_LABELS", "STATE_LABELS", "StorageSchedule", "StrategyParams",
     "TomographyData", "TransmissionEstimate", "estimate_params", "estimate_transmission",
-    "expectation", "export_histogram", "export_process_matrix", "fidelity",
-    "fidelity_vs_photon_number", "mle_state", "model_conditional_fidelity", "model_mode_fidelity",
-    "monte_carlo_errors", "orthogonal_label", "poisson_conditional_bound", "process_tomography",
-    "project_process_matrix", "quantumness_verdict", "sequence_windows", "simulate_run",
-    "standard_setting", "standard_state", "threshold_bound", "transmitted_constrained_bound",
+    "expectation", "export_histogram", "export_histograms", "export_process_matrix",
+    "fidelity", "fidelity_vs_photon_number", "mle_state", "model_conditional_fidelity",
+    "model_mode_fidelity", "monte_carlo_errors", "orthogonal_label", "poisson_conditional_bound",
+    "process_tomography", "project_process_matrix", "quantumness_verdict", "sequence_windows",
+    "simulate_run", "standard_setting", "standard_state", "threshold_bound",
+    "transmitted_constrained_bound",
 ]
 
 
@@ -38,7 +39,7 @@ def _oracle_names():
 
 def test_public_api_pinned():
     assert sorted(afcmem.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 39
+    assert len(PUBLIC) == 40
     for name in PUBLIC:
         assert hasattr(afcmem, name), name
 

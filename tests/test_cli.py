@@ -631,8 +631,11 @@ def test_reproduce_table1_holds_one_row_of_runs(tmp_path, monkeypatch):
     # bin at 417,000 bins against simulate's 66, where _MAX_BINS budgets 64. Both
     # commands hold the same bins, so their peaks compare per bin. The exporter
     # streams 64 bins at a time and peaks below the draws (the same peaks with it at
-    # 20,850 to 83,400 bins), but 417,000 rows under tracemalloc take seconds
-    monkeypatch.setattr(afcmem.cli, "export_histogram", lambda *args: None)
+    # 20,850 to 83,400 bins), but 417,000 rows under tracemalloc take seconds. The
+    # stubs record how many histograms each export got, so that neither goes unused
+    exported = []
+    monkeypatch.setattr(afcmem.cli, "export_histograms", lambda hists, *args: exported.append(len(hists)))
+    monkeypatch.setattr(afcmem.cli, "export_histogram", lambda hist, *args: exported.append(1))
     cfg = load_config(_ini(tmp_path, "[detection]\nbin_width = 0.00125\n[simulate]\ntrials = 1000\n"
                                      "[reproduce]\ntrials = 1000\n"))
 
@@ -647,6 +650,7 @@ def test_reproduce_table1_holds_one_row_of_runs(tmp_path, monkeypatch):
     simulate = peak(lambda: cmd_simulate(cfg, 1, out, None, None))
     table1 = peak(lambda: _stage_table1(cfg, 1, out, {}, lambda *row: None))
     assert table1 <= 1.1 * simulate
+    assert exported == [3, 1]  # simulate's three runs in one pass, then fig2's one
 
 
 @pytest.mark.parametrize("section, message", [

@@ -7,6 +7,7 @@ comfortably wider than the Monte Carlo scatter.
 
 import os
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from afcmem.montecarlo import (
     estimate_params,
     estimate_transmission,
     export_histogram,
+    export_histograms,
     model_conditional_fidelity,
     model_mode_fidelity,
     sequence_windows,
@@ -208,6 +210,25 @@ def test_histogram_export(tmp_path):
     assert len(data) == hist.counts.size
 
 
+def test_histogram_export_memory_does_not_grow_with_the_bins(tmp_path):
+    # the exporter holds one chunk of bins of every histogram at a time (65 and 73
+    # kB here); a label list over the whole axis peaked 8 B per bin higher (219 kB
+    # at 20,850 bins, 714 kB at 83,400)
+    def peak(bin_width):
+        exp = ExperimentConfig(bin_width=bin_width, trials=1000)
+        hists = [simulate_run(exp, standard_setting(label), seed=seed) for seed, label in enumerate("DAD")]
+        for hist in hists:
+            hist.window_slices  # cached, as the estimators leave them
+        paths = [os.path.join(tmp_path, f"{name}.csv") for name in ("par", "orth", "noise")]
+        tracemalloc.start()
+        try:
+            export_histograms(hists, paths, {"seed": 1})
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peak(0.00625) - peak(0.025)) < 64 * 1024
+
+
 def _mask_bins(hist, win):
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
     return np.nonzero((centers >= win.start) & (centers < win.stop))[0]
@@ -227,6 +248,11 @@ def _export_per_cell(hist, path, metadata):
     rows = ((float(hist.bin_edges[i]), float(hist.bin_edges[i + 1]), int(hist.counts[i]), labels[i],
              hist.analysis.label) for i in range(len(hist.counts)))
     write_csv(path, meta, ["bin_start_us", "bin_end_us", "counts", "window_label", "analysis_label"], rows)
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 _meta_text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
@@ -249,12 +275,19 @@ def test_histogram_export_matches_per_cell_reference(n_modes, k, noise, spin_sto
     exp = ExperimentConfig(input_state=standard_state("D"), mu_per_mode=0.0 if noise else mu,
                            schedule=schedule, bin_width=schedule.mode_duration / k, trials=trials)
     hist = simulate_run(exp, standard_setting(label), seed=seed)
+    # the parallel, orthogonal and no-input runs of one configuration, in one pass
+    triple = (hist, simulate_run(exp, standard_setting(orthogonal_label(label)), seed=seed + 1),
+              simulate_run(replace(exp, mu_per_mode=0.0), standard_setting(label), seed=seed + 2))
     with tempfile.TemporaryDirectory() as tmp:
         new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
         export_histogram(hist, new, metadata)
         _export_per_cell(hist, old, metadata)
-        with open(new, "rb") as fh_new, open(old, "rb") as fh_old:
-            assert fh_new.read() == fh_old.read()
+        assert _read_bytes(new) == _read_bytes(old)
+        paths = [os.path.join(tmp, f"{name}.csv") for name in ("parallel", "orthogonal", "noise")]
+        export_histograms(triple, paths, metadata)
+        for path, run in zip(paths, triple):
+            _export_per_cell(run, old, metadata)
+            assert _read_bytes(path) == _read_bytes(old)
     assert hist.window_counts("CP1") == hist.window_counts("CP2") == 0  # blanked
     for name in {w.label for w in hist.windows}:
         wins = [w for w in hist.windows if w.label == name]
@@ -263,6 +296,20 @@ def test_histogram_export_matches_per_cell_reference(n_modes, k, noise, spin_sto
         expected = [sum(int(hist.counts[_mask_bins(hist, w)].sum()) for w in wins if w.mode == m)
                     for m in modes]
         assert hist.mode_counts(name).tolist() == expected
+
+
+def test_histograms_exported_together_share_one_time_axis(tmp_path):
+    exp = _row_config(MU_SCAN[1], trials=10**4)
+    par, orth, noise = _triple(exp, 8)
+    finer = simulate_run(replace(exp, bin_width=0.125), standard_setting("A"), seed=9)
+    fewer_windows = replace(orth, windows=orth.windows[:-1])
+    paths = [os.path.join(tmp_path, f"{name}.csv") for name in ("parallel", "orthogonal", "noise")]
+    for runs in ((par, finer, noise), (par, fewer_windows, noise)):
+        with pytest.raises(ValueError, match="must share bin_edges and windows"):
+            export_histograms(runs, paths)
+    with pytest.raises(ValueError, match="3 histograms but 2 paths"):
+        export_histograms((par, orth, noise), paths[:2])
+    assert os.listdir(tmp_path) == []  # rejected before any file is opened
 
 
 def test_config_validation():
