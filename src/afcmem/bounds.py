@@ -18,9 +18,11 @@ drops those where no delta lets strategy 2 match the output budget
 (0 < eta_m2 <= 1), and evaluates the rest in blocks of a fixed number
 of cells, which may span eta_m1 rows: one numpy pass per block covers
 all of its (cell, delta) candidates, with their Poisson tables stacked
-zero-padded in one array and their output shares, emission budgets and
-objective written in place into buffers the level reuses, so the memory
-a level needs does not grow with the number of feasible cells.
+zero-padded in one array, one sorted search over those tables for every
+candidate's threshold photon number, and their output shares, emission
+budgets and objective written in place into buffers the level reuses.
+A block's memory grows with its candidates and its table entries, not
+with their product, and a level's not with its number of feasible cells.
 
 All bounds read their photon-number statistics from one table builder,
 which covers mu up to 600 without truncating the distribution, and
@@ -50,11 +52,11 @@ _N = np.arange(math.ceil(_MU_MAX + 20.0 * math.sqrt(_MU_MAX + 1.0) + 25.0) + 1.0
 _MP = (_N + 1.0) / (_N + 2.0)
 _N.flags.writeable = _MP.flags.writeable = False
 # feasible (eta_m1, q) cells per block of the transmitted-bound search: at
-# the default grid a call then peaks at 0.28-0.35 MiB of numpy allocation
-# (traced over the mu of the default bounds command; most of it the (cell,
-# delta, n) comparison of the threshold evaluation), where one pass over a
+# the default grid a call then peaks at 0.27-0.31 MiB of traced allocation
+# (mu = 0.5, 1.4, 3.6, 8.2 and 10; most of it the block's (cell, delta)
+# arrays and tables, and the level's feasible cells), where one pass over a
 # whole level would take several MiB
-_BLOCK_CELLS = 48
+_BLOCK_CELLS = 80
 # smallest emission budget of the scalar bounds: a subnormal budget x is
 # resolved only to 5e-324 / x relative, and the bound is a ratio over it;
 # from here up that error stays below 1e-12
@@ -136,16 +138,43 @@ def _poisson_tables(mus) -> tuple:
 
 
 def _threshold_eval(tables, p_emit: np.ndarray):
-    """Threshold bound, n_min and gamma for emission probabilities p_emit[r, k] on table row r."""
+    """Threshold bound, n_min and gamma for emission probabilities p_emit[r, k] on table row r.
+
+    Every p_emit must be finite and above 0, and every row of the tail
+    table s_gt nonincreasing, which the table builder makes exact (its
+    rows are reversed cumulative sums of nonnegative terms, ending in 0).
+    Then the complex keys offset - 1j s_gt, with each row's flat offset
+    as the real part and tail(0) keyed as +inf (numpy orders complex
+    numbers lexicographically), are sorted in the flat table, and one
+    sorted search finds every flat index of n_min: the smallest n >= 1
+    with tail(n) < p_emit, ties included, below the row width.
+    """
     pmf, mp, s_gt, w_gt = tables
-    # smallest n with tail(n) < p_emit; tail(N) = 0 guarantees a hit
-    n_min = np.maximum(np.argmax(s_gt[:, None, :] < p_emit[:, :, None], axis=2), 1)
-    # flat indices into the contiguous (row, n) tables
-    at = n_min + (np.arange(len(pmf)) * pmf.shape[1])[:, None]
-    # np.clip(x, 0, top) without its call overhead; NaN propagates the same way
-    gamma = np.minimum(np.maximum(p_emit - s_gt.take(at), 0.0), pmf.take(at))
-    bound = (gamma * mp.take(n_min) + w_gt.take(at)) / p_emit
+    offsets = np.arange(0, pmf.size, pmf.shape[1])[:, None]
+    keys = _row_keys(offsets, s_gt)
+    keys.imag[::pmf.shape[1]] = -np.inf
+    at = keys.searchsorted(_row_keys(offsets, p_emit), side="right").reshape(p_emit.shape)
+    del keys
+    # the part of p_emit left at n_min, at most its pmf; tail(n_min) < p_emit, so it is above 0
+    gamma = s_gt.take(at)
+    np.subtract(p_emit, gamma, out=gamma)
+    np.minimum(gamma, pmf.take(at), out=gamma)
+    # bound = (gamma mp(n_min) + w_gt(n_min)) / p_emit; n_min is written over at
+    bound = w_gt.take(at)
+    n_min = np.subtract(at, offsets, out=at)
+    fm = mp.take(n_min)
+    fm *= gamma
+    bound += fm
+    bound /= p_emit
     return bound, n_min, gamma
+
+
+def _row_keys(offsets, x):
+    """Flat complex keys offsets - 1j x of a table x, with one offset per row."""
+    keys = np.empty(x.shape, complex)
+    keys.real = offsets
+    np.negative(x, out=keys.imag)
+    return keys.ravel()
 
 
 def _p_emit(mu, eta_m, matching: str, out=None):
@@ -340,7 +369,7 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
             np.copyto(eta_m2, 1.0, where=~ok)
             p_emit = _p_emit(mu2[:, None], eta_m2, matching, out=eta_m2)
             ok &= p_emit > 0.0
-            masked = ~ok
+            masked = np.logical_not(ok, out=ok)
             np.copyto(p_emit, 1.0, where=masked)
             fm2 = _threshold_eval(_poisson_tables(mu2), p_emit)[0]
             # obj = (w1 fm1 + (eta_m - w1) fm2) / eta_m
@@ -348,6 +377,7 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
             obj = w1
             obj *= fm1[0, i, None]
             obj += fm2
+            del fm2  # not held through the next block's evaluation
             obj /= eta_m
             np.copyto(obj, -np.inf, where=masked)
             # first maximum in row-major (eta_m1, q, delta) order, and a later block

@@ -78,8 +78,8 @@ _SCHEMA: dict[str, dict[str, Any]] = {
 # refine_rounds + 1 levels. The bootstrap fits all of its resamples in
 # one batch, about 1.5 kB of arrays per resample (15 MB at 10,000). A
 # bound-curve point ([bounds] n_points, [reproduce] bound_points) costs
-# one plain, one threshold and one transmitted bound, about 15 ms at the
-# default grid on a 2-core Xeon, so 1,000 points take about 15 s. A
+# one plain, one threshold and one transmitted bound, about 12 ms at the
+# default grid on a 2-core Xeon, so 1,000 points take about 12 s. A
 # [predict] point costs about 45 us and 60 B of CSV there, so 100,000
 # points take about 5 s and 18 MB. A mu grid needs its two end points.
 _LIMITS: dict[tuple[str, str], tuple[int, int]] = {

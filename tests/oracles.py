@@ -4,7 +4,8 @@ Channel propagation, the chi <-> Choi change of frame, random CPTP
 channels, the trace distance and the Bloch vector; the closed-form
 six-setting state MLE, and the normalized gradient ascent that the
 state fit used before its Newton fitter; the out-of-place build of the
-bounds' Poisson tables; and two values of the transmitted cheat found
+bounds' Poisson tables and the comparison form of their threshold
+evaluator; and two values of the transmitted cheat found
 apart from the search, from scipy's Poisson distribution: its
 eta_m2 = 0 face and a dense grid of its objective. The tests use them to
 check the reconstructions in afcmem against known answers, the in-place
@@ -163,6 +164,20 @@ def poisson_tables(mus) -> tuple:
     s_gt[:, :-1] = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]
     w_gt[:, :-1] = np.cumsum((mp * pmf)[:, :0:-1], axis=1)[:, ::-1]
     return pmf, mp, s_gt, w_gt
+
+
+def threshold_eval(tables, p_emit):
+    """bounds._threshold_eval as it was before its sorted search: n_min from one
+    (row, k, n) comparison of the tail table with p_emit, then gamma and the
+    bound read from the same tables."""
+    pmf, mp, s_gt, w_gt = tables
+    # smallest n with tail(n) < p_emit; tail(N) = 0 guarantees a hit
+    n_min = np.maximum(np.argmax(s_gt[:, None, :] < p_emit[:, :, None], axis=2), 1)
+    # flat indices into the contiguous (row, n) tables
+    at = n_min + (np.arange(len(pmf)) * pmf.shape[1])[:, None]
+    gamma = np.minimum(np.maximum(p_emit - s_gt.take(at), 0.0), pmf.take(at))
+    bound = (gamma * mp.take(n_min) + w_gt.take(at)) / p_emit
+    return bound, n_min, gamma
 
 
 def p_emit(mu, eta_m, matching):

@@ -5,8 +5,9 @@ checked against brute-force series built from scipy's Poisson pmf; the
 attack-strategy bounds are checked through their ordering and limit
 properties, the batched transmitted-bound search against a
 cell-by-cell reference kept here and its value against the face and dense
-grid of oracles, and the in-place Poisson tables against their
-out-of-place build in oracles.
+grid of oracles, and the in-place Poisson tables and the sorted-search
+threshold evaluator against their out-of-place build and comparison
+form in oracles.
 """
 
 import math
@@ -29,7 +30,7 @@ from afcmem.bounds import (
     transmitted_constrained_bound,
 )
 from afcmem.refdata import ETA_M_BENCH, ETA_T_MEAN, F_T_MEAN
-from oracles import poisson_tables, transmitted_dense, transmitted_face
+from oracles import poisson_tables, threshold_eval, transmitted_dense, transmitted_face
 
 
 def _series_bound(mu, n_terms=100):
@@ -339,7 +340,9 @@ def test_transmitted_never_above_threshold_with_exp_matching():
 @pytest.mark.xfail(strict=True, reason="the search stops below strategies of its own model: at mu = 2.22, "
                    "f_t = 0.965, eta_t = 0.743, eta_m = 0.006 its eta_m2 = 0 face gives 0.869274 "
                    "(0.868134 on a 4,001-point q grid) against the search's 0.846510, and the face "
-                   "beats it at all four working points (ROADMAP item 1)")
+                   "beats it at all four working points (ROADMAP item 1); away from the face, at "
+                   "mu = 5.63, f_t = 0.609, eta_t = 0.663, eta_m = 0.2296 (face infeasible), the "
+                   "dense grid gives 0.8550303 against the search's 0.8550199")
 @settings(deadline=None, max_examples=20)
 @given(mu=st.floats(math.log(0.1), math.log(30.0)).map(math.exp), f_t=st.floats(0.6, 0.99),
        eta_t=st.floats(0.05, 0.9), eta_m=st.floats(0.005, 0.3), matching=st.sampled_from(["exp", "linear"]))
@@ -348,6 +351,7 @@ def test_transmitted_never_above_threshold_with_exp_matching():
 @example(mu=3.6, f_t=F_T_MEAN, eta_t=ETA_T_MEAN, eta_m=ETA_M_BENCH, matching="exp")
 @example(mu=8.2, f_t=F_T_MEAN, eta_t=ETA_T_MEAN, eta_m=ETA_M_BENCH, matching="exp")
 @example(mu=2.22, f_t=0.965, eta_t=0.743, eta_m=0.006, matching="exp")
+@example(mu=5.63, f_t=0.609, eta_t=0.663, eta_m=0.2296, matching="exp")
 def test_transmitted_bound_reaches_independent_oracle(mu, f_t, eta_t, eta_m, matching):
     # the search is a lower estimate of its maximum, so it must not fall below a
     # strategy of the same model found another way
@@ -440,7 +444,7 @@ def test_block_size_never_changes_the_result(mu, f_t, eta_t, eta_m, grid_points,
     def run():
         return repr(transmitted_constrained_bound(mu, f_t, eta_t, eta_m, grid_points=grid_points,
                                                   refine_rounds=refine_rounds, matching=matching))
-    assert afcmem.bounds._BLOCK_CELLS == 48
+    assert afcmem.bounds._BLOCK_CELLS == 80
     expected = run()
     for cells in (1, 7, 10_000):
         with pytest.MonkeyPatch.context() as patch:
@@ -465,11 +469,47 @@ def test_in_place_poisson_tables_equal_out_of_place_build(mus):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("mu", [0.5, 8.2, 10.0])
+# kinds of emission budget on a table row: a tail entry itself (a tie), its
+# neighbours above and below, 1, just above the whole tail (degenerate), 5e-312
+_BUDGET_KINDS = 6
+
+
+def _budgets(s_gt, picks):
+    """Budgets on every row of the tail table s_gt, one column per (column, kind) pick."""
+    cols = []
+    for col, kind in picks:
+        tie = s_gt[:, col % s_gt.shape[1]]
+        cols.append((tie, np.nextafter(tie, np.inf), np.nextafter(tie, -np.inf), np.ones_like(tie),
+                     np.nextafter(s_gt[:, 0], np.inf), np.full_like(tie, 5e-312))[kind])
+    # the evaluator takes budgets above 0: a tie at tail 0 moves up to the smallest one
+    return np.maximum(np.stack(cols, axis=1), np.nextafter(0.0, 1.0))
+
+
+@settings(deadline=None, max_examples=100)
+@given(mus=st.lists(_TABLE_MU, min_size=1, max_size=6),
+       picks=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, _BUDGET_KINDS - 1)),
+                      min_size=1, max_size=12))
+@example(mus=[0.0], picks=[(0, k) for k in range(_BUDGET_KINDS)])
+@example(mus=[sys.float_info.min], picks=[(c, k) for k in range(_BUDGET_KINDS) for c in (0, 1, 2)])
+@example(mus=[600.0], picks=[(c, k) for k in range(_BUDGET_KINDS) for c in (0, 1, 600, 800)])
+@example(mus=[0.0, sys.float_info.min, 0.5, 8.2, 100.0, 600.0],
+         picks=[(c, k) for k in range(_BUDGET_KINDS) for c in (0, 1, 5, 40, 1000)])
+def test_sorted_search_threshold_equals_comparison_oracle(mus, picks):
+    # n_min, gamma and the bound bit for bit, ties at the tail entries included
+    tables = afcmem.bounds._poisson_tables(mus)
+    p_emit = _budgets(tables[2], picks)
+    got = afcmem.bounds._threshold_eval(tables, p_emit)
+    for g, ref in zip(got, threshold_eval(tables, p_emit)):
+        assert g.shape == ref.shape and g.dtype == ref.dtype and g.tobytes() == ref.tobytes()
+    # the flat index of every n_min stays inside its own row
+    assert (got[1] >= 1).all() and (got[1] < tables[0].shape[1]).all()
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.4, 3.6, 8.2, 10.0])
 def test_transmitted_bound_peak_allocation(mu):
     # the search evaluates each level in fixed-size blocks of cells; one pass
     # over a whole default level would allocate several MiB. The mu are the
-    # ends of the bounds grid and the last working point
+    # ends of the bounds grid and three of the working points
     transmitted_constrained_bound(mu)
     tracemalloc.start()
     try:
