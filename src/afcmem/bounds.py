@@ -291,22 +291,6 @@ def _feasible_cells(eta1_axis, q_axis, delta_axis, f1, f_t: float, eta_t: float,
     return cells[keep], p[keep], eta[keep]
 
 
-def check_transmitted_inputs(f_t: float, eta_t: float, eta_m: float, grid_points: int,
-                             matching: str) -> None:
-    """ValueError unless transmitted_constrained_bound accepts these inputs
-    (its checks of every input but mu)."""
-    if not 0.0 < eta_t < 1.0:
-        raise ValueError(f"eta_t must be in (0, 1), got {eta_t}")
-    if not 0.5 < f_t < 1.0:
-        raise ValueError(f"f_t must be in (1/2, 1), got {f_t}")
-    if not 0.0 < eta_m <= 1.0:
-        raise ValueError(f"eta_m must be in (0, 1], got {eta_m}")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    if matching not in ("exp", "linear"):
-        raise _matching_error(matching)
-
-
 def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float = ETA_T_MEAN,
                                   eta_m: float = ETA_M_BENCH, *, grid_points: int = 50,
                                   refine_rounds: int = 2, matching: str = "exp") -> BoundResult:
@@ -339,7 +323,16 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     delta) grid order is kept.
     """
     _check_mu(mu)
-    check_transmitted_inputs(f_t, eta_t, eta_m, grid_points, matching)
+    if not 0.0 < eta_t < 1.0:
+        raise ValueError(f"eta_t must be in (0, 1), got {eta_t}")
+    if not 0.5 < f_t < 1.0:
+        raise ValueError(f"f_t must be in (1/2, 1), got {f_t}")
+    if not 0.0 < eta_m <= 1.0:
+        raise ValueError(f"eta_m must be in (0, 1], got {eta_m}")
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
+    if matching not in ("exp", "linear"):
+        raise _matching_error(matching)
     eta_m2_fb = min(eta_m / (1.0 - eta_t), 1.0)
     fallback = _threshold((1.0 - eta_t) * mu, eta_m2_fb, matching, "fallback emission budget")
     fallback = replace(fallback, params=replace(fallback.params, p=0.0, eta_bs=eta_t, q=2.0 * f_t - 1.0,

@@ -16,8 +16,11 @@ Every simulated configuration comes from _experiment. _pair makes the
 runs analyzed parallel and orthogonal to the input, _triple_run adds the
 no-input run, and the estimators take each run by its role.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 runtime or
-estimation failure.
+main loads the config, checks [schedule] and --seed, parses --mu and
+calls the runner that the command's parser names; each runner checks
+what it reads before its work. Exit codes: 0 success, 2 configuration/
+validation error, 3 runtime or estimation failure. On 2 or 3, main
+removes what the run created of the --out path.
 """
 
 from __future__ import annotations
@@ -26,17 +29,18 @@ import argparse
 import csv
 import functools
 import os
+import shutil
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .bounds import check_transmitted_inputs, poisson_conditional_bound, quantumness_verdict, \
-    threshold_bound, transmitted_constrained_bound
+from .bounds import poisson_conditional_bound, quantumness_verdict, threshold_bound, \
+    transmitted_constrained_bound
 from .config import _parse_value, canonical_text, check_bound_budget, config_hash, default_config, \
     load_config
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError
 from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number
 from .montecarlo import ExperimentConfig, estimate_params, estimate_transmission, \
     export_histogram, export_histograms, model_conditional_fidelity, model_mode_fidelity, simulate_run
@@ -47,7 +51,6 @@ from .tableio import write_csv
 from .tomography import SETTING_LABELS, TomographyData, export_process_matrix, mle_state, \
     monte_carlo_errors, process_tomography
 
-_STOCHASTIC = ("simulate", "tomography", "reproduce-paper")
 _VERDICT_HEADER = ["mu", "fidelity", "fidelity_err", "threshold_bound", "verdict",
                    "transmitted_bound", "verdict_transmitted"]
 
@@ -57,12 +60,9 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _metadata(command: str, seed, cfg, **extra):
-    meta = {"tool": f"afcmem {__version__}", "command": command,
-            "seed": "-" if seed is None else int(seed),
-            "config_sha256": config_hash(cfg)}
-    meta.update(extra)
-    return meta
+def _metadata(args, cfg, **extra):
+    return {"tool": f"afcmem {__version__}", "command": args.command,
+            "seed": "-" if args.seed is None else int(args.seed), "config_sha256": config_hash(cfg), **extra}
 
 
 def _mu_grid(section, mu_list):
@@ -157,30 +157,27 @@ def _export_chi(labels, states, project: bool, path: str, meta):
     return proc
 
 
-def cmd_show_defaults() -> int:
-    sys.stdout.write(canonical_text(default_config()))
-    return 0
-
-
-def cmd_predict(cfg, seed, out, mu_list) -> int:
+def cmd_predict(cfg, args) -> int:
     p = cfg["predict"]
-    rows = _mu1_band(p, _mu_grid(p, mu_list))
-    path = os.path.join(out, "predict_fidelity.csv")
-    write_csv(path, _metadata("predict", seed, cfg, mu1=p["mu1"], mu1_err=p["mu1_err"], f_c=p["f_c"]),
+    rows = _mu1_band(p, _mu_grid(p, args.mu))
+    path = os.path.join(args.out, "predict_fidelity.csv")
+    write_csv(path, _metadata(args, cfg, mu1=p["mu1"], mu1_err=p["mu1_err"], f_c=p["f_c"]),
               ["mu", "band_low", "fidelity", "band_high"], rows)
     print(f"predict: wrote {path} ({len(rows)} points)")
     return 0
 
 
-def cmd_simulate(cfg, seed, out, mu_list, trials) -> int:
-    sim = cfg["simulate"]
+def cmd_simulate(cfg, args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise ConfigError("--trials must be positive")
+    sim, out = cfg["simulate"], args.out
     label = sim["input_state"]
-    mus = sim["mu_per_mode"] if mu_list is None else mu_list
+    mus = sim["mu_per_mode"] if args.mu is None else args.mu
     exp = _experiment(cfg, label, mus[0] if len(mus) == 1 else mus,
-                      sim["trials"] if trials is None else trials)
-    par, orth, noise = _triple_run(exp, label, seed, 0)
+                      sim["trials"] if args.trials is None else args.trials)
+    par, orth, noise = _triple_run(exp, label, args.seed, 0)
     est = estimate_params(par, orth, noise, exp)
-    meta = _metadata("simulate", seed, cfg)
+    meta = _metadata(args, cfg)
     export_histograms((par, orth, noise), [os.path.join(out, f"histogram_{name}.csv")
                                            for name in ("parallel", "orthogonal", "noise")], meta)
     rows = [("eta", est.eta_hat, est.eta_err),
@@ -210,9 +207,7 @@ def _read_counts_file(path: str):
         raise ConfigError(f"cannot read counts file {path}: {exc}") from None
     with fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if row[0].strip().lower() == "input":
+            if not row or row[0].lstrip().startswith("#") or row[0].strip().lower() == "input":
                 continue
             if len(row) != 3:
                 raise ConfigError(f"{path}:{line_no}: expected input,setting,counts")
@@ -223,14 +218,17 @@ def _read_counts_file(path: str):
                 n = int(raw)
             except ValueError:
                 raise ConfigError(f"{path}:{line_no}: counts must be an integer") from None
+            # the fit and the bootstrap use each count as a float64, which is exact up to 2^53
+            if not 0 <= n <= 2 ** 53:
+                raise ConfigError(f"{path}:{line_no}: counts must be in [0, 2^53], got {n}")
             if setting in table.setdefault(inp, {}):
                 raise ConfigError(f"{path}:{line_no}: duplicate entry for {inp}/{setting}")
             table[inp][setting] = n
     return table
 
 
-def cmd_tomography(cfg, seed, out) -> int:
-    tomo = cfg["tomography"]
+def cmd_tomography(cfg, args) -> int:
+    tomo, seed, out = cfg["tomography"], args.seed, args.out
     labels = tomo["input_labels"]
     unknown = [l for l in labels if l not in STATE_LABELS]
     if unknown or len(set(labels)) != len(labels):
@@ -238,7 +236,7 @@ def cmd_tomography(cfg, seed, out) -> int:
     span = np.stack([standard_state(l).rho.reshape(4) for l in labels])
     if np.linalg.matrix_rank(span, tol=1e-9) < 4:
         raise ConfigError("input_labels do not span the state space; process tomography needs 4 independent inputs")
-    meta = _metadata("tomography", seed, cfg)
+    meta = _metadata(args, cfg)
 
     if tomo["counts_file"]:
         table = _read_counts_file(tomo["counts_file"])
@@ -270,18 +268,19 @@ def cmd_tomography(cfg, seed, out) -> int:
     return 0
 
 
-def cmd_bounds(cfg, seed, out, mu_list) -> int:
-    b = cfg["bounds"]
-    curve, vrows = _bound_rows(b, _mu_grid(b, mu_list))
-    meta = _metadata("bounds", seed, cfg, eta_m=b["eta_m"], f_t=b["f_t"], eta_t=b["eta_t"],
+def cmd_bounds(cfg, args) -> int:
+    b, out = cfg["bounds"], args.out
+    points, source = (b["n_points"], "[bounds] n_points") if args.mu is None else (len(args.mu), "--mu")
+    check_bound_budget(points, source, b)
+    curve, vrows = _bound_rows(b, _mu_grid(b, args.mu))
+    meta = _metadata(args, cfg, eta_m=b["eta_m"], f_t=b["f_t"], eta_t=b["eta_t"],
                      matching=b["matching"])
     rows = [(mu, plain, thr.bound, tra.bound, thr.params.n_min, thr.params.gamma,
              tra.params.p, tra.params.q, tra.params.delta, tra.params.eta_m1, tra.params.eta_m2)
             for mu, plain, thr, tra in curve]
     write_csv(os.path.join(out, "bound_curve.csv"), meta,
               ["mu", "plain", "threshold", "transmitted", "threshold_n_min", "threshold_gamma",
-               "strategy_p", "strategy_q", "strategy_delta", "strategy_eta_m1", "strategy_eta_m2"],
-              rows)
+               "strategy_p", "strategy_q", "strategy_delta", "strategy_eta_m1", "strategy_eta_m2"], rows)
     write_csv(os.path.join(out, "verdicts.csv"), meta, _VERDICT_HEADER, vrows)
     print("bounds: " + "; ".join(f"mu={r[0]:g}: {r[4]}" for r in vrows))
     return 0
@@ -421,18 +420,10 @@ def _stage_bounds(cfg, seed, out, meta, check):
     write_csv(os.path.join(out, "verdicts.csv"), meta, _VERDICT_HEADER + ["expected"], vrows)
 
 
-def _check_late_sections(cfg) -> None:
-    """The checks that predict and bounds make on the [predict] and [bounds] values read by
-    reproduce-paper's last two stages, run before its first stage writes anything."""
-    _mu1_band(cfg["predict"], (1.0,))  # mu1, mu1_err and f_c, on one point of the band
-    b = cfg["bounds"]
-    check_transmitted_inputs(b["f_t"], b["eta_t"], b["eta_m"], b["grid_points"], b["matching"])
-    quantumness_verdict(1.0, 0.0, 0.0, b["k_sigma"])  # k_sigma, as the verdicts check it
-
-
-def cmd_reproduce_paper(cfg, seed, out) -> int:
-    _check_late_sections(cfg)
-    meta = _metadata("reproduce-paper", seed, cfg)
+def cmd_reproduce_paper(cfg, args) -> int:
+    check_bound_budget(cfg["reproduce"]["bound_points"], "[reproduce] bound_points", cfg["bounds"])
+    seed, out = args.seed, args.out
+    meta = _metadata(args, cfg)
     summary = []
 
     def check(table, quantity, value, reference, tol):
@@ -455,7 +446,8 @@ def cmd_reproduce_paper(cfg, seed, out) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later main() call."""
+    """The argument parser, built on first use and shared by every later main() call. Each
+    command's parser sets its runner (run) and whether it needs --seed (seeded)."""
     parser = argparse.ArgumentParser(prog="afcmem",
                                      description="Simulation and analysis of a multimode spin-wave "
                                                  "quantum memory for polarization qubits.")
@@ -468,57 +460,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("show-defaults", help="print the built-in configuration")
     p = sub.add_parser("predict", parents=[common], help="fidelity vs photon number from the noise model")
     p.add_argument("--mu", default=None, help="comma-separated photon numbers overriding the grid")
+    p.set_defaults(run=cmd_predict, seeded=False)
     p = sub.add_parser("simulate", parents=[common], help="counting histograms and parameter estimates")
     p.add_argument("--mu", default=None, help="per-mode mean photon number(s)")
     p.add_argument("--trials", type=int, default=None, help="number of storage-and-retrieval trials")
-    sub.add_parser("tomography", parents=[common], help="state and process reconstruction")
+    p.set_defaults(run=cmd_simulate, seeded=True)
+    sub.add_parser("tomography", parents=[common], help="state and process reconstruction") \
+        .set_defaults(run=cmd_tomography, seeded=True)
     p = sub.add_parser("bounds", parents=[common], help="classical benchmarks and verdicts")
     p.add_argument("--mu", default=None, help="comma-separated photon numbers overriding the grid")
-    sub.add_parser("reproduce-paper", parents=[common], help="regenerate the reference tables and figures")
+    p.set_defaults(run=cmd_bounds, seeded=False)
+    sub.add_parser("reproduce-paper", parents=[common], help="regenerate the reference tables and figures") \
+        .set_defaults(run=cmd_reproduce_paper, seeded=True)
     return parser
-
-
-def _parse_mu_flag(raw):
-    return None if raw is None else _parse_value("floatlist", raw, "--mu")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "show-defaults":
+        sys.stdout.write(canonical_text(default_config()))
+        return 0
+    # the outermost directory of --out that this run would create (None if --out exists)
+    path, created = os.path.abspath(args.out), None
+    while not os.path.lexists(path):
+        path, created = os.path.dirname(path), path
     try:
-        if args.command == "show-defaults":
-            return cmd_show_defaults()
         cfg = load_config(args.config)
-        StorageSchedule(**cfg["schedule"])  # a timing violation exits 2 before anything is written
-        seed = args.seed
-        if seed is not None and not 0 <= seed < 2 ** 64:
+        StorageSchedule(**cfg["schedule"])  # a timing violation exits 2 before any command runs
+        if args.seed is not None and not 0 <= args.seed < 2 ** 64:
             raise ConfigError("--seed must fit in an unsigned 64-bit integer")
-        if args.command in _STOCHASTIC and seed is None:
+        if args.seeded and args.seed is None:
             raise ConfigError(f"--seed is required for '{args.command}'")
-        mu_list = _parse_mu_flag(getattr(args, "mu", None))
-        # the bound search's work budget, before anything is written
-        if args.command == "bounds" and mu_list is not None:
-            check_bound_budget(len(mu_list), "--mu", cfg["bounds"])
-        elif args.command == "bounds":
-            check_bound_budget(cfg["bounds"]["n_points"], "[bounds] n_points", cfg["bounds"])
-        elif args.command == "reproduce-paper":
-            check_bound_budget(cfg["reproduce"]["bound_points"], "[reproduce] bound_points", cfg["bounds"])
-        if args.command == "predict":
-            return cmd_predict(cfg, seed, args.out, mu_list)
-        if args.command == "simulate":
-            if args.trials is not None and args.trials < 1:
-                raise ConfigError("--trials must be positive")
-            return cmd_simulate(cfg, seed, args.out, mu_list, args.trials)
-        if args.command == "tomography":
-            return cmd_tomography(cfg, seed, args.out)
-        if args.command == "bounds":
-            return cmd_bounds(cfg, seed, args.out, mu_list)
-        return cmd_reproduce_paper(cfg, seed, args.out)
-    except (ConfigError, ValueError) as exc:
+        if getattr(args, "mu", None) is not None:
+            args.mu = _parse_value("floatlist", args.mu, "--mu")
+        return args.run(cfg, args)
+    except (ConfigError, ValueError, RuntimeError) as exc:  # EstimationError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EstimationError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        return 2 if isinstance(exc, (ConfigError, ValueError)) else 3
 
 
 if __name__ == "__main__":

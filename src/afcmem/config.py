@@ -94,12 +94,14 @@ _LIMITS: dict[tuple[str, str], tuple[int, int]] = {
 
 # Work budget of one command's transmitted-bound search, in candidates:
 # (mu points + the four working points) x (refine_rounds + 1) levels x
-# grid_points^3. A candidate costs 20-39 ns at grid_points = 256 and 32-78 ns
-# at the default 50 on a 2-core Xeon, so the budget is 25 s to under two
-# minutes of search. It admits every key of _LIMITS at its limit with the others at their
-# defaults (the largest, grid_points = 256 under bounds, is 24 x 3 x 256^3 =
-# 1.21e9 candidates), and it rejects keys that multiply: n_points = 1000 with
-# grid_points = 256 and refine_rounds = 16 is 2.9e11, about 3.3 hours.
+# grid_points^3. Over the 24 mu of a default bounds run, a candidate costs
+# 19-35 ns at grid_points = 256 and 31-82 ns at the default 50 on a 2-core
+# Xeon, so the budget is 23 s to under two minutes of search. It admits every
+# key of _LIMITS at its limit with the others at their defaults (the largest,
+# grid_points = 256 under bounds, is 24 x 3 x 256^3 = 1.21e9 candidates), and
+# it rejects keys that multiply: n_points = 1000 with grid_points = 256 and
+# refine_rounds = 16 is 2.9e11, about 3.5 hours (12.6-13.0 s a mu there, or
+# 44-46 ns a candidate).
 _BOUND_CANDIDATES = 1_250_000_000
 
 

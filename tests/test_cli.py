@@ -1,19 +1,22 @@
 import filecmp
 import hashlib
+import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import afcmem
 from afcmem.bounds import threshold_bound
 from afcmem.cli import _stage_bounds, _stage_table1, build_parser, cmd_simulate, main
 from afcmem.config import (
+    _LIMITS,
     ConfigError,
     canonical_text,
     check_bound_budget,
@@ -476,8 +479,8 @@ def test_bounds_command_rejects_underflowing_emission_budget(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def _counts(inputs):
-    return "".join(f"{inp},{s},100\n" for inp in inputs for s in "HVDARL")
+def _counts(inputs, n=100):
+    return "".join(f"{inp},{s},{n}\n" for inp in inputs for s in "HVDARL")
 
 
 _GOOD_COUNTS = _counts("HVDR")
@@ -492,8 +495,16 @@ _GOOD_COUNTS = _counts("HVDR")
     (_GOOD_COUNTS, "H, V, D, D", "distinct members"),
     (_GOOD_COUNTS, "H, V, D, Q", "distinct members"),
     (_GOOD_COUNTS, "H, V, D, A", "do not span"),
+    # 1e23 ended in an OverflowError traceback, and 24 counts at 2^63 - 1 wrapped the
+    # int64 sum and exited 3 with "no counts to fit"
+    ("H,H,100000000000000000000000\n", "H, V, D, R",
+     "counts.csv:2: counts must be in [0, 2^53], got 100000000000000000000000"),
+    (_counts("HVDR", 2 ** 63 - 1), "H, V, D, R",
+     "counts.csv:2: counts must be in [0, 2^53], got 9223372036854775807"),
+    ("H,H,-1\n", "H, V, D, R", "counts.csv:2: counts must be in [0, 2^53], got -1"),
 ], ids=["unreadable", "two-columns", "non-integer", "duplicate-entry", "missing-input",
-        "duplicate-label", "unknown-label", "non-spanning-labels"])
+        "duplicate-label", "unknown-label", "non-spanning-labels", "count-1e23", "counts-at-int64-max",
+        "negative-count"])
 def test_tomography_rejections(tmp_path, capsys, counts, labels, message):
     path = os.path.join(tmp_path, "counts.csv")
     if counts is not None:
@@ -507,18 +518,22 @@ def test_tomography_rejections(tmp_path, capsys, counts, labels, message):
     assert not os.path.exists(out)
 
 
-def _capped_main(argv, cwd):
-    """Run main(argv) in a child process with 512 MiB of address space and
-    60 s of CPU time, so an unchecked size fails the test, not the machine."""
+def _capped(body, args, cwd):
+    """Run body, with main imported and args as sys.argv[1:], in a child process with 512 MiB
+    of address space and 60 s of CPU time, so an unchecked size fails the test, not the machine."""
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
             "resource.setrlimit(resource.RLIMIT_CPU, (60, 60))\n"
-            "from afcmem.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
+            "from afcmem.cli import main\n" + body)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(afcmem.__file__)))
-    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _capped_main(argv, cwd):
+    """main(argv) under _capped; its exit code is the child's."""
+    return _capped("sys.exit(main(sys.argv[1:]))\n", argv, cwd)
 
 
 @pytest.mark.parametrize("command, section, key, value", [
@@ -647,10 +662,77 @@ def test_reproduce_table1_holds_one_row_of_runs(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
     out = str(tmp_path)
-    simulate = peak(lambda: cmd_simulate(cfg, 1, out, None, None))
+    simulate = peak(lambda: cmd_simulate(cfg, build_parser().parse_args(["simulate", "--seed", "1", "--out", out])))
     table1 = peak(lambda: _stage_table1(cfg, 1, out, {}, lambda *row: None))
     assert table1 <= 1.1 * simulate
     assert exported == [3, 1]  # simulate's three runs in one pass, then fig2's one
+
+
+@pytest.mark.parametrize("argv, ini, message", [
+    (["reproduce-paper"], "[reproduce]\ntrials = 100\nresamples = 100\n",
+     "zero output counts in both analyzer ports"),
+    (["simulate"], "[memory]\neta_t = 0\n[detection]\ndark_rate = 0\n", "zero input-window counts"),
+], ids=["reproduce-paper", "simulate"])
+def test_failed_run_removes_the_out_it_made(tmp_path, capsys, argv, ini, message):
+    # both fail on what the random draws gave, after their first CSVs: reproduce-paper
+    # left fig2_histogram.csv and table1.csv, simulate four CSVs
+    out = os.path.join(tmp_path, "o")
+    err = _exits_cleanly(argv + ["--seed", "1", "--config", _ini(tmp_path, ini), "--out", out], 3, capsys)
+    assert message in err
+    assert not os.path.exists(out)
+
+
+def test_failed_run_removes_only_the_directories_it_made(tmp_path, capsys):
+    ini = _ini(tmp_path, "[memory]\neta_t = 0\n[detection]\ndark_rate = 0\n")
+    argv = ["simulate", "--seed", "1", "--config", ini, "--out"]
+    _exits_cleanly(argv + [os.path.join(tmp_path, "a", "b", "c")], 3, capsys)
+    assert not os.path.exists(os.path.join(tmp_path, "a"))
+    # an --out that existed before the run stays, with the files it held
+    out = os.path.join(tmp_path, "kept")
+    os.makedirs(out)
+    with open(os.path.join(out, "sentinel"), "w") as fh:
+        fh.write("x")
+    _exits_cleanly(argv + [out], 3, capsys)
+    assert _read(os.path.join(out, "sentinel")) == b"x"
+    _exits_cleanly(argv + [os.path.join(out, "new")], 3, capsys)
+    assert not os.path.exists(os.path.join(out, "new"))
+    assert _read(os.path.join(out, "sentinel")) == b"x"
+
+
+# every size-limited key at its cheapest accepted value, with few trials: an admitted
+# run of each command below takes milliseconds
+_CHEAPEST = {key: lo for key, (lo, hi) in _LIMITS.items()}
+_FUZZ_COMMANDS = (["predict"], ["bounds"], ["tomography", "--seed", "1"], ["reproduce-paper", "--seed", "1"])
+
+
+@st.composite
+def _limit_changes(draw):
+    """One to three size-limited keys, each just outside its range, 0, 2^63 - 1 or cheapest."""
+    keys = draw(st.lists(st.sampled_from(sorted(_LIMITS)), min_size=1, max_size=3, unique=True))
+    return {key: draw(st.sampled_from((_LIMITS[key][0] - 1, _LIMITS[key][1] + 1, 0, 2 ** 63 - 1,
+                                       _LIMITS[key][0]))) for key in keys}
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(_limit_changes())
+@example({("bounds", "refine_rounds"): 0})  # every key admitted: each command runs
+def test_exit_code_contract_over_size_limits(changes):
+    lines = {"tomography": ["trials = 2000"], "reproduce": ["trials = 2000"]}
+    for (section, key), value in {**_CHEAPEST, **changes}.items():
+        lines.setdefault(section, []).append(f"{key} = {value}")
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = _ini(tmp, "".join(f"[{section}]\n" + "\n".join(keys) + "\n" for section, keys in lines.items()))
+        outs = [os.path.join(tmp, argv[0]) for argv in _FUZZ_COMMANDS]
+        argvs = [argv + ["--config", ini, "--out", out] for argv, out in zip(_FUZZ_COMMANDS, outs)]
+        proc = _capped("import json\nprint(json.dumps([main(json.loads(a)) for a in sys.argv[1:]]))\n",
+                       [json.dumps(argv) for argv in argvs], tmp)
+        assert proc.returncode == 0, proc.stderr
+        # one "error: " line per failed command, and nothing else
+        assert all(line.startswith("error: ") for line in proc.stderr.splitlines()), proc.stderr
+        codes = json.loads(proc.stdout.splitlines()[-1])
+        for argv, out, code in zip(_FUZZ_COMMANDS, outs, codes):
+            assert code in (0, 2, 3), (argv, code, proc.stderr)
+            assert code == 0 or not os.path.exists(out), (argv, code)
 
 
 @pytest.mark.parametrize("section, message", [
@@ -662,8 +744,8 @@ def test_reproduce_table1_holds_one_row_of_runs(tmp_path, monkeypatch):
     ("[bounds]\nk_sigma = -1\n", "error bar and k must be nonnegative"),
 ])
 def test_reproduce_rejects_late_section_before_writing(tmp_path, capsys, section, message):
-    # the fig3a and figD1 stages read these values last; six or seven CSVs were
-    # written before the exit 2
+    # the fig3a and figD1 stages read these values last, after six or seven CSVs
+    # are written; the failed run removes them
     out = os.path.join(tmp_path, "o")
     cfg = _ini(tmp_path, section)
     err = _exits_cleanly(["reproduce-paper", "--seed", "1", "--config", cfg, "--out", out], 2, capsys)
