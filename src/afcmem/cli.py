@@ -14,7 +14,7 @@ band are the same helpers that bounds, tomography and predict use.
 
 Every simulated configuration comes from _experiment. _pair makes the
 runs analyzed parallel and orthogonal to the input, _triple_run adds the
-no-input run, and the estimators take each run by its role.
+no-input run; each run carries its config, and the estimators take runs by role.
 
 main loads the config, checks [schedule] and --seed, parses --mu and
 calls the runner that the command's parser names; each runner checks
@@ -176,7 +176,8 @@ def cmd_simulate(cfg, args) -> int:
     exp = _experiment(cfg, label, mus[0] if len(mus) == 1 else mus,
                       sim["trials"] if args.trials is None else args.trials)
     par, orth, noise = _triple_run(exp, label, args.seed, 0)
-    est = estimate_params(par, orth, noise, exp)
+    est = estimate_params(par, orth, noise)
+    tr = estimate_transmission(par, orth)  # both estimates before the first write
     meta = _metadata(args, cfg)
     export_histograms((par, orth, noise), [os.path.join(out, f"histogram_{name}.csv")
                                            for name in ("parallel", "orthogonal", "noise")], meta)
@@ -186,7 +187,6 @@ def cmd_simulate(cfg, args) -> int:
     rows += [(f"fidelity_mode_{m + 1}", float(est.mode_fidelity[m]), float(est.mode_fidelity_err[m]))
              for m in range(exp.schedule.n_modes)]
     write_csv(os.path.join(out, "estimate.csv"), meta, ["quantity", "value", "error"], rows)
-    tr = estimate_transmission(par, orth, exp)
     trows = [(m + 1, float(tr.transmission[m]), float(tr.transmission_err[m]),
               float(tr.fidelity[m]), float(tr.fidelity_err[m]))
              for m in range(exp.schedule.n_modes)]
@@ -293,7 +293,7 @@ def _stage_table1(cfg, seed, out, meta, check):
     for i, rec in enumerate(MU_SCAN):
         exp = _experiment(cfg, "D", rec.mu, cfg["reproduce"]["trials"], replace(mem, eta=rec.eta, p_n=rec.p_n))
         par, orth, noise = _triple_run(exp, "D", seed, 100 + 10 * i)
-        est = estimate_params(par, orth, noise, exp)
+        est = estimate_params(par, orth, noise)
         if i == 1:
             export_histogram(par, os.path.join(out, "fig2_histogram.csv"), meta)
         mu1_row = rec.p_n / rec.eta
@@ -321,7 +321,7 @@ def _stage_table_a1(cfg, seed, out, meta, check):
     exp = _experiment(cfg, "D", tuple(r.mu for r in MODE_SCAN), cfg["reproduce"]["trials"],
                       tuple(replace(mem, eta=r.eta, p_n=r.p_n) for r in MODE_SCAN))
     par, orth, noise = _triple_run(exp, "D", seed, 200)
-    est = estimate_params(par, orth, noise, exp)
+    est = estimate_params(par, orth, noise)
     f_model = model_mode_fidelity(exp, par.analysis, orth.analysis)
     rows = []
     for m, r in enumerate(MODE_SCAN):
@@ -375,7 +375,7 @@ def _stage_table_c1(cfg, seed, out, meta, check):
                       tuple(replace(mem, eta=rrec.eta, p_n=rrec.p_n, eta_t=t.transmission, f_t=t.fidelity)
                             for t in TRANSMITTED_MODES))
     par, orth = _pair(exp, "R", seed, 250)
-    tr = estimate_transmission(par, orth, exp)
+    tr = estimate_transmission(par, orth)
     par_in, orth_in = par.mode_counts("input"), orth.mode_counts("input")
     rows = []
     for m, t in enumerate(TRANSMITTED_MODES):

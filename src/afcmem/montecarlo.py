@@ -31,7 +31,7 @@ Times are microseconds, dark_rate is counts per second.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import EstimationError
 from .memory import MemoryParams, StorageSchedule
 from .polarization import AnalysisSetting, PolarizationState, expectation, standard_state
-from .tableio import write_csv_lines
+from .tableio import format_float, write_csv_lines
 
 _REL_TOL = 1e-9
 # bins per step of the histogram exporter: it formats their edges and window
@@ -48,11 +48,12 @@ _REL_TOL = 1e-9
 # string per file, so it holds no per-bin data for a whole histogram (chunks of
 # 256 or 1,024 bins were not measurably faster)
 _EXPORT_CHUNK = 64
-# at its peak the simulate command holds 64 B per bin (tracemalloc, 20,850 to
-# 417,000 bins): three histograms of edges and counts, and the run it draws or
-# exports; so does reproduce-paper, which holds one row's runs at a time. Its
-# first call in a process adds about 0.73 MB that does not grow with the bins, so
-# the 128 MiB of bins at the cap are about 128.7 MiB in all
+# at its peak the simulate command holds 56 B per bin (tracemalloc, 20,850 to
+# 166,800 bins): the bin edges of its config and of the no-input run's, two runs'
+# counts, and three arrays while it draws the third run; so does reproduce-paper,
+# which holds one row's runs at a time. Its first call in a process adds about
+# 0.73 MB that does not grow with the bins. The cap budgets 64 B per bin, so the
+# 128 MiB of bins at the cap are at most 128.7 MiB in all
 _BYTES_PER_BIN = 64
 _FIXED_BYTES = 730_000
 _MAX_BINS = (128 << 20) // _BYTES_PER_BIN
@@ -131,6 +132,25 @@ class ExperimentConfig:
         """Mean dark counts per gate window of one mode (dark_rate is per second, mode in us)."""
         return self.dark_rate * self.schedule.mode_duration * 1e-6 * self.detector_efficiency
 
+    @cached_property
+    def bin_edges(self) -> np.ndarray:
+        """The n_bins + 1 edges of the histogram bins, from 0 us; read-only, as the runs share them."""
+        edges = np.arange(self.n_bins + 1) * self.bin_width
+        edges.setflags(write=False)
+        return edges
+
+    @cached_property
+    def windows(self) -> tuple[tuple[Window, slice], ...]:
+        """Each window of sequence_windows with its bins, those whose centre lies in [start, stop).
+
+        The centres are sorted, so each window is one run of bins. bisect_left
+        gives np.searchsorted's index without the ~100 kB that numpy's search
+        machinery adds to peak memory on first use.
+        """
+        centers = 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
+        return tuple((w, slice(bisect_left(centers, w.start), bisect_left(centers, w.stop)))
+                     for w in sequence_windows(self.schedule))
+
 
 @dataclass(frozen=True)
 class Window:
@@ -144,40 +164,21 @@ class Window:
 
 @dataclass(frozen=True, eq=False)
 class CountHistogram:
-    """Binned detection record of one simulated run."""
+    """Binned detection record of one simulated run, on the time axis of the config that drew it."""
 
-    bin_edges: np.ndarray
+    config: ExperimentConfig
     counts: np.ndarray
     analysis: AnalysisSetting
-    windows: tuple[Window, ...]
-    mu_per_mode: tuple[float, ...]
-    trials: int
     seed: int
-
-    @cached_property
-    def window_slices(self) -> tuple[slice, ...]:
-        """The bins of each window, in the order of windows."""
-        return _window_slices(self.bin_edges, self.windows)
 
     def mode_counts(self, label: str) -> np.ndarray:
         """Counts in each mode window of 'input' or 'output', in mode order."""
-        return np.array([int(self.counts[bins].sum()) for win, bins in zip(self.windows, self.window_slices)
+        return np.array([int(self.counts[bins].sum()) for win, bins in self.config.windows
                          if win.label == label and win.mode is not None], dtype=np.int64)
 
     def window_counts(self, label: str) -> int:
         """Counts summed over the mode windows of label."""
         return int(self.mode_counts(label).sum())
-
-
-def _window_slices(bin_edges: np.ndarray, windows: Sequence[Window]) -> tuple[slice, ...]:
-    """Bins whose centre lies in [start, stop) of each window.
-
-    The centres are sorted, so each window is one run of bins. bisect_left
-    gives np.searchsorted's index without the ~100 kB that numpy's search
-    machinery adds to peak memory on first use.
-    """
-    centers = 0.5 * (bin_edges[:-1] + bin_edges[1:])
-    return tuple(slice(bisect_left(centers, w.start), bisect_left(centers, w.stop)) for w in windows)
 
 
 def sequence_windows(schedule: StorageSchedule) -> tuple[Window, ...]:
@@ -245,24 +246,16 @@ def simulate_run(config: ExperimentConfig, analysis: AnalysisSetting, *, seed: i
     CountHistogram with integer counts accumulated over config.trials.
     """
     rng = np.random.default_rng(seed)
-    schedule = config.schedule
-    windows = sequence_windows(schedule)
-    edges = np.arange(config.n_bins + 1) * config.bin_width
     lam = np.zeros(config.n_bins)
 
-    lam_in, lam_out = _mode_rates(config, analysis)
-    for win, bins in zip(windows, _window_slices(edges, windows)):
+    rates = dict(zip(("input", "output"), _mode_rates(config, analysis)))
+    for win, bins in config.windows:
         size = bins.stop - bins.start
-        if size <= 0:
-            continue
-        if win.label == "input":
-            lam[bins] += lam_in[win.mode] / size
-        elif win.label == "output":
-            lam[bins] += lam_out[win.mode] / size
+        if win.label in rates and size > 0:
+            lam[bins] += rates[win.label][win.mode] / size
 
     counts = rng.poisson(lam * config.trials)
-    return CountHistogram(edges, counts.astype(np.int64), analysis, windows,
-                          config.mu_per_mode, config.trials, seed)
+    return CountHistogram(config, counts.astype(np.int64), analysis, seed)
 
 
 @dataclass(frozen=True)
@@ -279,12 +272,16 @@ class ParamEstimate:
     mode_fidelity_err: np.ndarray
 
 
-def _check_ports(parallel: CountHistogram, orthogonal: CountHistogram, input_state: PolarizationState) -> None:
-    """Raise ValueError unless the runs are analyzed parallel and orthogonal to the input state."""
-    if expectation(input_state, parallel.analysis) < 1.0 - 1e-6:
+def _shared_config(parallel: CountHistogram, orthogonal: CountHistogram) -> ExperimentConfig:
+    """The runs' one config; ValueError unless they are analyzed along and against its input."""
+    config = parallel.config
+    if orthogonal.config != config:
+        raise ValueError("the orthogonal run was drawn with another config than the parallel run")
+    if expectation(config.input_state, parallel.analysis) < 1.0 - 1e-6:
         raise ValueError(f"the parallel run is analyzed at {parallel.analysis.label}, not along the input")
-    if expectation(input_state, orthogonal.analysis) > 1e-6:
+    if expectation(config.input_state, orthogonal.analysis) > 1e-6:
         raise ValueError(f"the orthogonal run is analyzed at {orthogonal.analysis.label}, not against the input")
+    return config
 
 
 def _count_ratio(par: np.ndarray, orth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,41 +291,43 @@ def _count_ratio(par: np.ndarray, orth: np.ndarray) -> tuple[np.ndarray, np.ndar
         return np.where(tot > 0, par / tot, np.nan), np.where(tot > 0, np.sqrt(par * orth / tot**3), np.nan)
 
 
-def estimate_params(parallel: CountHistogram, orthogonal: CountHistogram, noise: CountHistogram,
-                    config: ExperimentConfig) -> ParamEstimate:
+def estimate_params(parallel: CountHistogram, orthogonal: CountHistogram, noise: CountHistogram) -> ParamEstimate:
     """Invert the counting model for eta, p_n and the conditional fidelity.
 
-    parallel and orthogonal are the runs of config analyzed along and
-    against its input state; noise is a run with no input (all
-    mu_per_mode zero) at any analyzer port. The noise floor comes from
-    the noise run, dark-count corrected. The efficiency comes from the
-    background-subtracted sum of both analyzer ports, corrected for
-    T_det and mu. The conditional fidelity is the raw count ratio
-    S_par / (S_par + S_orth); noise is part of the retrieved state by
-    convention, so it is not subtracted there. Errors are Poissonian.
-    The per-mode fidelities are the same ratio in each output mode; a
-    mode with no input (mu = 0) stores no qubit, and both of its values
-    are NaN. Runs at the wrong port, or a noise run with input, raise
-    ValueError.
+    parallel and orthogonal are runs of one config, analyzed along and
+    against its input state; noise is a run of that config with all
+    mu_per_mode zero, at any port. Configs are equal when all fields are
+    (PolarizationState by identity: derive the noise config with
+    dataclasses.replace). The noise floor comes from the noise run,
+    dark-count corrected. The efficiency comes from the background-
+    subtracted sum of both analyzer ports, corrected for T_det and mu.
+    The conditional fidelity is the raw count ratio S_par / (S_par +
+    S_orth); noise is part of the retrieved state by convention, so it
+    is not subtracted there. Errors are Poissonian. The per-mode
+    fidelities are the same ratio in each output mode; a mode with no
+    input (mu = 0) stores no qubit, and both of its values are NaN. Runs
+    at the wrong port, a noise run with input, or runs of other configs
+    raise ValueError.
     """
-    _check_ports(parallel, orthogonal, config.input_state)
-    if any(noise.mu_per_mode):
-        raise ValueError("the noise run must have no input (all mu_per_mode zero)")
+    config = _shared_config(parallel, orthogonal)
+    if noise.config != replace(config, mu_per_mode=0.0):
+        raise ValueError("the noise run must have the analyzer runs' config and no input (all mu_per_mode zero)")
     t_det = config.t_det
     dark = config.dark_per_gate
     n_modes = config.schedule.n_modes
+    trials = config.trials
 
     n_noise = noise.window_counts("output")
-    noise_exposure = noise.trials * n_modes  # gate windows observed
+    noise_exposure = trials * n_modes  # gate windows observed
     p_n_hat = (n_noise - noise_exposure * dark) / (noise_exposure * t_det)
     p_n_err = np.sqrt(max(n_noise, 1)) / (noise_exposure * t_det)
 
-    s_par = parallel.window_counts("output")
-    s_orth = orthogonal.window_counts("output")
+    par_m = parallel.mode_counts("output")
+    orth_m = orthogonal.mode_counts("output")
+    s_par, s_orth = int(par_m.sum()), int(orth_m.sum())
     if s_par + s_orth == 0:
         raise EstimationError("zero output counts in both analyzer ports")
-    trials = parallel.trials
-    mu_total = float(sum(parallel.mu_per_mode))
+    mu_total = float(sum(config.mu_per_mode))
     if mu_total <= 0:
         raise EstimationError("cannot estimate efficiency without input photons")
     background = 2.0 * trials * n_modes * (p_n_hat * t_det + dark)
@@ -342,9 +341,8 @@ def estimate_params(parallel: CountHistogram, orthogonal: CountHistogram, noise:
     fid = s_par / (s_par + s_orth)
     fid_err = np.sqrt(s_par * s_orth / (s_par + s_orth) ** 3) if s_par and s_orth else 1.0 / (s_par + s_orth)
 
-    lit = np.asarray(parallel.mu_per_mode, dtype=float) > 0
-    fid_m, fid_m_err = _count_ratio(np.where(lit, parallel.mode_counts("output"), 0.0),
-                                    np.where(lit, orthogonal.mode_counts("output"), 0.0))
+    lit = np.asarray(config.mu_per_mode, dtype=float) > 0
+    fid_m, fid_m_err = _count_ratio(np.where(lit, par_m, 0.0), np.where(lit, orth_m, 0.0))
     return ParamEstimate(float(eta_hat), float(eta_err), float(p_n_hat), float(p_n_err),
                          float(fid), float(fid_err), fid_m, fid_m_err)
 
@@ -359,23 +357,21 @@ class TransmissionEstimate:
     fidelity_err: np.ndarray
 
 
-def estimate_transmission(parallel: CountHistogram, orthogonal: CountHistogram,
-                          config: ExperimentConfig) -> TransmissionEstimate:
+def estimate_transmission(parallel: CountHistogram, orthogonal: CountHistogram) -> TransmissionEstimate:
     """Characterize the unabsorbed, transmitted input from the input windows.
 
-    parallel and orthogonal are the runs of config analyzed along and
-    against its input state; a run at the wrong port raises ValueError.
-    A mode with no input (mu = 0) transmits nothing, and all four of its
-    values are NaN.
+    parallel and orthogonal are runs of one config (as in estimate_params)
+    analyzed along and against its input state, else ValueError. A mode
+    with no input (mu = 0) transmits nothing: all four of its values are NaN.
     """
-    _check_ports(parallel, orthogonal, config.input_state)
+    config = _shared_config(parallel, orthogonal)
     par_m = parallel.mode_counts("input").astype(float)
     orth_m = orthogonal.mode_counts("input").astype(float)
     if (par_m + orth_m).sum() == 0:
         raise EstimationError("zero input-window counts")
-    trials = parallel.trials
+    trials = config.trials
     dark = config.dark_per_gate
-    mu = np.asarray(parallel.mu_per_mode, dtype=float)
+    mu = np.asarray(config.mu_per_mode, dtype=float)
     lit = mu > 0
     denom = np.where(lit, trials * mu * config.t_det, np.nan)
     weak = denom[denom ** 2 == 0.0]
@@ -393,16 +389,15 @@ def _histogram_chunks(hists: Sequence[CountHistogram]) -> Iterator[list[str]]:
     time: one joined string per histogram, with the text write_csv would
     give its cells. Each bin edge is formatted once for all histograms (a
     row's end is the next row's start), and so is each window label."""
-    axis = hists[0]
+    axis = hists[0].config
     # the window cells of each window's bins; a later window's label wins where windows overlap
-    spans = [(bins.start, bins.stop, f",{win.label},") for win, bins in zip(axis.windows, axis.window_slices)]
+    spans = [(bins.start, bins.stop, f",{win.label},") for win, bins in axis.windows]
     tails = [hist.analysis.label + "\n" for hist in hists]
-    fmt = "{:.12g}".format
-    end = fmt(float(axis.bin_edges[0]))
-    n = len(axis.counts)
+    end = format_float(float(axis.bin_edges[0]))
+    n = axis.n_bins
     for a in range(0, n, _EXPORT_CHUNK):
         b = min(a + _EXPORT_CHUNK, n)
-        ends = list(map(fmt, axis.bin_edges[a + 1:b + 1].tolist()))
+        ends = list(map(format_float, axis.bin_edges[a + 1:b + 1].tolist()))
         starts = [end, *ends[:-1]]
         end = ends[-1]
         posts = [",,"] * (b - a)
@@ -430,20 +425,18 @@ def export_histograms(hists: Sequence[CountHistogram], paths: Sequence[str],
     rng_seed, and the bytes write_csv would give. The rows go pre-joined to
     tableio's one writer, one chunk of bins at a time for every file, so no
     per-bin data is held for a whole histogram. ValueError unless every
-    histogram has the bin_edges and windows of the first.
+    config has the schedule and bin_width (so the time axis) of the first.
     """
     if len(paths) != len(hists):
         raise ValueError(f"{len(hists)} histograms but {len(paths)} paths")
-    axis = hists[0]
-    for hist in hists[1:]:
-        # a memoryview comparison allocates nothing per bin
-        if hist.windows != axis.windows or memoryview(hist.bin_edges) != memoryview(axis.bin_edges):
-            raise ValueError("histograms exported in one pass must share bin_edges and windows")
+    axis = hists[0].config
+    if any(hist.config.schedule != axis.schedule or hist.config.bin_width != axis.bin_width for hist in hists):
+        raise ValueError("histograms exported in one pass must share bin_edges and windows")
     metas = []
     for hist in hists:
         meta = dict(metadata or {})
         meta.setdefault("analysis", hist.analysis.label)
-        meta.setdefault("trials", hist.trials)
+        meta.setdefault("trials", hist.config.trials)
         meta.setdefault("rng_seed", hist.seed)
         metas.append(meta)
     write_csv_lines(paths, metas, ["bin_start_us", "bin_end_us", "counts", "window_label", "analysis_label"],

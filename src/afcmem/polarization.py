@@ -109,11 +109,16 @@ def expectation(state: PolarizationState, setting: AnalysisSetting) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+def _require_pure(target: PolarizationState) -> None:
+    """Raise ValueError unless the target of a fidelity is pure (purity at least 1 - 1e-9)."""
+    if target.purity < 1.0 - _PURITY_TOL:
+        raise ValueError(f"fidelity needs a pure target, got purity {target.purity}")
+
+
 def fidelity(state: PolarizationState, target: PolarizationState) -> float:
     """Fidelity tr(rho sigma) of a state to a pure target (squared-overlap convention).
 
     A target whose purity is below 1 - 1e-9 raises ValueError.
     """
-    if target.purity < 1.0 - _PURITY_TOL:
-        raise ValueError(f"fidelity needs a pure target, got purity {target.purity}")
+    _require_pure(target)
     return float(np.clip(np.trace(state.rho @ target.rho).real, 0.0, 1.0))

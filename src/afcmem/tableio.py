@@ -10,8 +10,8 @@ writes one or more files with the same header in lockstep, each chunk
 of its input holding one text per file. write_csv feeds it one file
 and one chunk: all of its rows (its tables are small), each cell
 formatted by format_cell. The histogram exporter feeds it the
-histograms of one time axis, a chunk of bins at a time, built with the
-same formatting, so its per-bin rows skip the per-cell calls.
+histograms of one time axis, a chunk of bins at a time, with floats in
+format_float as format_cell has them, skipping the per-cell calls.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ from __future__ import annotations
 import os
 from typing import Iterable, Mapping, Sequence
 
+format_float = "{:.12g}".format
+
 
 def format_cell(value) -> str:
     if isinstance(value, float):
-        return f"{value:.12g}"
+        return format_float(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)

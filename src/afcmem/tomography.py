@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EstimationError
-from .polarization import _PURITY_TOL, PAULIS, AnalysisSetting, PolarizationState, standard_setting
+from .polarization import PAULIS, AnalysisSetting, PolarizationState, _require_pure, standard_setting
 from .tableio import write_csv
 
 SETTING_LABELS = ("H", "V", "D", "A", "R", "L")
@@ -294,8 +294,7 @@ def monte_carlo_errors(data: TomographyData, target: PolarizationState, *,
         raise ValueError(f"resamples must be >= 100, got {resamples}")
     if data.counts.sum() <= 0:
         raise EstimationError("no counts to resample")
-    if target.purity < 1.0 - _PURITY_TOL:
-        raise ValueError(f"fidelity needs a pure target, got purity {target.purity}")
+    _require_pure(target)
     rng = np.random.default_rng(seed)
     counts = rng.poisson(data.counts, size=(resamples, data.counts.size))
     counts = counts[counts.sum(axis=1) > 0].astype(float)

@@ -94,7 +94,7 @@ def test_monte_carlo_estimator_closure():
         runs = [simulate_run(exp, standard_setting("D"), seed=seed),
                 simulate_run(exp, standard_setting("A"), seed=seed + 1),
                 simulate_run(replace(exp, mu_per_mode=0.0), standard_setting("D"), seed=seed + 2)]
-        est = estimate_params(*runs, exp)
+        est = estimate_params(*runs)
         assert abs(est.eta_hat - rec.eta) < 3.0 * est.eta_err
         assert abs(est.p_n_hat - rec.p_n) < 3.0 * est.p_n_err
         pred = fidelity_vs_photon_number(rec.mu, rec.p_n / rec.eta, F_C_MEAN)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import re
@@ -78,3 +79,25 @@ def test_runtime_imports_are_numpy_and_stdlib():
     added = set(proc.stdout.split())
     assert {"afcmem", "numpy"} <= added
     assert added - set(sys.stdlib_module_names) == {"afcmem", "numpy"}
+
+
+def test_perfbench_reads_names_that_exist():
+    # the benchmark's span recorder wraps these functions by name and reads these
+    # attributes of their results; a rename would leave its layer metrics reading 0
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, name, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
+    exp = afcmem.ExperimentConfig(trials=1000)
+    run = afcmem.simulate_run(exp, afcmem.standard_setting("D"), seed=1)
+    assert spans._bins((), {}, run) == {"bins": exp.n_bins}
+    counts = {"H": 500, "V": 500, "D": 1000, "A": 0, "R": 500, "L": 500}
+    mle = spans._mle((), {}, afcmem.mle_state(afcmem.TomographyData.from_counts(counts)))
+    assert mle["iterations"] > 0 and mle["converged"] == 1
+    states = [afcmem.standard_state(label) for label in "HVDR"]
+    proc = spans._projection((), {}, afcmem.process_tomography(states, states))
+    assert proc["projection_iterations"] >= 0
+    bound = spans._bound((), {}, afcmem.transmitted_constrained_bound(1.4, grid_points=6))
+    assert 2 / 3 <= bound["bound"] <= 1

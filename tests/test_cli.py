@@ -693,6 +693,7 @@ def test_failed_run_removes_only_the_directories_it_made(tmp_path, capsys):
     with open(os.path.join(out, "sentinel"), "w") as fh:
         fh.write("x")
     _exits_cleanly(argv + [out], 3, capsys)
+    assert os.listdir(out) == ["sentinel"]  # simulate estimates both before its first write
     assert _read(os.path.join(out, "sentinel")) == b"x"
     _exits_cleanly(argv + [os.path.join(out, "new")], 3, capsys)
     assert not os.path.exists(os.path.join(out, "new"))

@@ -80,7 +80,7 @@ def test_output_ratio_near_measured_working_point():
     # |D> stored and analyzed in D/A at the mu = 1.4 working point
     exp = _row_config(MU_SCAN[1])
     par, orth, noise = _triple(exp, 25)
-    est = estimate_params(par, orth, noise, exp)
+    est = estimate_params(par, orth, noise)
     assert abs(est.fidelity_hat - 0.855) < 3.0 * est.fidelity_err
     model = model_conditional_fidelity(exp, standard_setting("D"), standard_setting("A"))
     assert abs(est.fidelity_hat - model) < 3.0 * est.fidelity_err
@@ -116,7 +116,7 @@ def test_modes_scale_independently():
 def test_estimator_closure_high_mu_row():
     rec = MU_SCAN[2]
     exp = _row_config(rec)
-    est = estimate_params(*_triple(exp, 220), exp)
+    est = estimate_params(*_triple(exp, 220))
     assert abs(est.eta_hat - rec.eta) < 3.0 * est.eta_err
     assert abs(est.p_n_hat - rec.p_n) < 3.0 * est.p_n_err
     pred = fidelity_vs_photon_number(rec.mu, rec.p_n / rec.eta, F_C_MEAN)
@@ -137,7 +137,7 @@ def test_estimator_closure_over_random_configs(eta, p_n, f_c, mus, label, seed):
     par = simulate_run(exp, standard_setting(label), seed=seed)
     orth = simulate_run(exp, standard_setting(orthogonal_label(label)), seed=seed + 1)
     noise = simulate_run(replace(exp, mu_per_mode=0.0), standard_setting(label), seed=seed + 2)
-    est = estimate_params(par, orth, noise, exp)
+    est = estimate_params(par, orth, noise)
     assert abs(est.eta_hat - eta) < 5.0 * est.eta_err
     assert abs(est.p_n_hat - p_n) < 5.0 * est.p_n_err
     model = model_conditional_fidelity(exp, par.analysis, orth.analysis)
@@ -149,7 +149,7 @@ def test_estimator_noiseless_recovers_unit_fidelity():
     mem = MemoryParams(eta=0.04, p_n=0.0, f_c=1.0)
     exp = ExperimentConfig(input_state=standard_state("D"), mu_per_mode=1.4,
                            params=mem, dark_rate=0.0, trials=10**5)
-    est = estimate_params(*_triple(exp, 42), exp)
+    est = estimate_params(*_triple(exp, 42))
     assert est.fidelity_hat == 1.0
     assert est.p_n_hat == 0.0
 
@@ -159,7 +159,7 @@ def test_estimator_low_mu_row_matches_global_prediction():
     # statistics; the row's own mu1 = 0.256 sits 1.5 percentage points higher
     rec = MU_SCAN[0]
     exp = _row_config(rec, trials=200_000)
-    est = estimate_params(*_triple(exp, 41), exp)
+    est = estimate_params(*_triple(exp, 41))
     assert abs(est.fidelity_hat - 0.785) < 3.0 * est.fidelity_err
 
 
@@ -168,21 +168,38 @@ def test_estimator_requires_all_runs():
     exp = _row_config(MU_SCAN[1], trials=10**4)
     par, orth, noise = _triple(exp, 5)
     with pytest.raises(ValueError, match="parallel"):
-        estimate_params(orth, par, noise, exp)
+        estimate_params(orth, par, noise)
     with pytest.raises(ValueError, match="orthogonal"):
-        estimate_params(par, par, noise, exp)
+        estimate_params(par, par, noise)
     with pytest.raises(ValueError, match="noise"):
-        estimate_params(par, orth, par, exp)
+        estimate_params(par, orth, par)
     with pytest.raises(ValueError, match="parallel"):
-        estimate_transmission(orth, par, exp)
+        estimate_transmission(orth, par)
     with pytest.raises(ValueError, match="orthogonal"):
-        estimate_transmission(par, par, exp)
+        estimate_transmission(par, par)
+
+
+def test_estimators_reject_runs_of_another_config():
+    # each run carries the config that drew it; a run of another config used to give a
+    # silently wrong estimate (eta_hat 0.0519 for 0.0365 with a detector efficiency of
+    # 0.4 read from elsewhere, fidelity 0.982 for 0.853 with an orthogonal run of 1e5
+    # trials); a fresh input state of equal value is another config too
+    exp = _row_config(MU_SCAN[1], trials=10**4)
+    par, orth, noise = _triple(exp, 5)
+    for change in ({"detector_efficiency": 0.4}, {"trials": 10**5}, {"input_state": standard_state("D")}):
+        _, other_orth, other_noise = _triple(replace(exp, **change), 7)
+        with pytest.raises(ValueError, match="orthogonal run was drawn with another config"):
+            estimate_params(par, other_orth, noise)
+        with pytest.raises(ValueError, match="orthogonal run was drawn with another config"):
+            estimate_transmission(par, other_orth)
+        with pytest.raises(ValueError, match="noise run must have the analyzer runs' config"):
+            estimate_params(par, orth, other_noise)
 
 
 def test_transmission_closure():
     exp = _row_config(MU_SCAN[1])
     par, orth, _ = _triple(exp, 50)
-    tr = estimate_transmission(par, orth, exp)
+    tr = estimate_transmission(par, orth)
     assert tr.transmission.shape == (5,)
     assert np.all(np.abs(tr.transmission - ETA_T_MEAN) < 3.0 * tr.transmission_err)
     assert np.all(np.abs(tr.fidelity - F_T_MEAN) < 3.0 * tr.fidelity_err)
@@ -193,9 +210,9 @@ def test_estimators_reject_underflowing_signal():
     exp = replace(_row_config(MU_SCAN[1], trials=10**6), mu_per_mode=1e-170)
     par, orth, noise = _triple(exp, 60)
     with pytest.raises(EstimationError, match="underflows"):
-        estimate_params(par, orth, noise, exp)
+        estimate_params(par, orth, noise)
     with pytest.raises(EstimationError, match="underflows"):
-        estimate_transmission(par, orth, exp)
+        estimate_transmission(par, orth)
 
 
 def test_histogram_export(tmp_path):
@@ -217,8 +234,6 @@ def test_histogram_export_memory_does_not_grow_with_the_bins(tmp_path):
     def peak(bin_width):
         exp = ExperimentConfig(bin_width=bin_width, trials=1000)
         hists = [simulate_run(exp, standard_setting(label), seed=seed) for seed, label in enumerate("DAD")]
-        for hist in hists:
-            hist.window_slices  # cached, as the estimators leave them
         paths = [os.path.join(tmp_path, f"{name}.csv") for name in ("par", "orth", "noise")]
         tracemalloc.start()
         try:
@@ -230,22 +245,23 @@ def test_histogram_export_memory_does_not_grow_with_the_bins(tmp_path):
 
 
 def _mask_bins(hist, win):
-    centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
+    centers = 0.5 * (hist.config.bin_edges[:-1] + hist.config.bin_edges[1:])
     return np.nonzero((centers >= win.start) & (centers < win.stop))[0]
 
 
 def _export_per_cell(hist, path, metadata):
     """The histogram exporter as it was before rows were pre-joined:
     mask-selected window bins and every cell through write_csv."""
-    labels = [""] * (len(hist.bin_edges) - 1)
-    for win in hist.windows:
+    edges = hist.config.bin_edges
+    labels = [""] * (len(edges) - 1)
+    for win, _ in hist.config.windows:
         for i in _mask_bins(hist, win):
             labels[i] = win.label
     meta = dict(metadata)
     meta.setdefault("analysis", hist.analysis.label)
-    meta.setdefault("trials", hist.trials)
+    meta.setdefault("trials", hist.config.trials)
     meta.setdefault("rng_seed", hist.seed)
-    rows = ((float(hist.bin_edges[i]), float(hist.bin_edges[i + 1]), int(hist.counts[i]), labels[i],
+    rows = ((float(edges[i]), float(edges[i + 1]), int(hist.counts[i]), labels[i],
              hist.analysis.label) for i in range(len(hist.counts)))
     write_csv(path, meta, ["bin_start_us", "bin_end_us", "counts", "window_label", "analysis_label"], rows)
 
@@ -289,8 +305,8 @@ def test_histogram_export_matches_per_cell_reference(n_modes, k, noise, spin_sto
             _export_per_cell(run, old, metadata)
             assert _read_bytes(path) == _read_bytes(old)
     assert hist.window_counts("CP1") == hist.window_counts("CP2") == 0  # blanked
-    for name in {w.label for w in hist.windows}:
-        wins = [w for w in hist.windows if w.label == name]
+    for name in {w.label for w, _ in hist.config.windows}:
+        wins = [w for w, _ in hist.config.windows if w.label == name]
         assert hist.window_counts(name) == sum(int(hist.counts[_mask_bins(hist, w)].sum()) for w in wins)
         modes = sorted({w.mode for w in wins if w.mode is not None})
         expected = [sum(int(hist.counts[_mask_bins(hist, w)].sum()) for w in wins if w.mode == m)
@@ -302,9 +318,12 @@ def test_histograms_exported_together_share_one_time_axis(tmp_path):
     exp = _row_config(MU_SCAN[1], trials=10**4)
     par, orth, noise = _triple(exp, 8)
     finer = simulate_run(replace(exp, bin_width=0.125), standard_setting("A"), seed=9)
-    fewer_windows = replace(orth, windows=orth.windows[:-1])
+    # a shorter transfer pulse: the same bin edges, other CP windows
+    other_cp = simulate_run(replace(exp, schedule=StorageSchedule(control_duration=4.0)),
+                            standard_setting("A"), seed=9)
+    assert other_cp.counts.size == par.counts.size
     paths = [os.path.join(tmp_path, f"{name}.csv") for name in ("parallel", "orthogonal", "noise")]
-    for runs in ((par, finer, noise), (par, fewer_windows, noise)):
+    for runs in ((par, finer, noise), (par, other_cp, noise)):
         with pytest.raises(ValueError, match="must share bin_edges and windows"):
             export_histograms(runs, paths)
     with pytest.raises(ValueError, match="3 histograms but 2 paths"):
