@@ -44,7 +44,7 @@ from .errors import ConfigError
 from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number
 from .montecarlo import ExperimentConfig, estimate_params, estimate_transmission, \
     export_histogram, export_histograms, model_conditional_fidelity, model_mode_fidelity, simulate_run
-from .polarization import STATE_LABELS, fidelity, orthogonal_label, standard_setting, standard_state
+from .polarization import STATE_LABELS, fidelity, orthogonal_label, standard_state
 from .refdata import CHI00_MEASURED, EXPECTED_VERDICTS, F_C_MEAN, MODE_SCAN, MU1_MEAN, \
     MU_SCAN, STATE_SCAN, TRANSMITTED_MODES, matched_noise_floor
 from .tableio import write_csv
@@ -113,23 +113,22 @@ def _bound_rows(b, mus):
 def _experiment(cfg, label: str, mu, trials: int, params=None, **detection) -> ExperimentConfig:
     """One configuration to simulate: the configured schedule and [detection], and [memory]
     unless params is given; detection overrides [detection] keys."""
-    return ExperimentConfig(input_state=standard_state(label), mu_per_mode=mu,
+    return ExperimentConfig(input_state=label, mu_per_mode=mu,
                             schedule=StorageSchedule(**cfg["schedule"]),
                             params=MemoryParams(**cfg["memory"]) if params is None else params,
                             trials=trials, **{**cfg["detection"], **detection})
 
 
-def _pair(exp: ExperimentConfig, label: str, seed: int, stream: int):
-    """The runs analyzed parallel and orthogonal to the input label, on streams stream and stream + 1."""
-    return (simulate_run(exp, standard_setting(label), seed=_derived_seed(seed, stream)),
-            simulate_run(exp, standard_setting(orthogonal_label(label)), seed=_derived_seed(seed, stream + 1)))
+def _pair(exp: ExperimentConfig, seed: int, stream: int):
+    """The runs analyzed parallel and orthogonal to the input, on streams stream and stream + 1."""
+    return (simulate_run(exp, exp.input_state, seed=_derived_seed(seed, stream)),
+            simulate_run(exp, orthogonal_label(exp.input_state), seed=_derived_seed(seed, stream + 1)))
 
 
-def _triple_run(exp: ExperimentConfig, label: str, seed: int, stream: int):
+def _triple_run(exp: ExperimentConfig, seed: int, stream: int):
     """_pair's parallel and orthogonal runs, then the no-input run on stream + 2."""
-    noise = simulate_run(replace(exp, mu_per_mode=0.0), standard_setting(label),
-                         seed=_derived_seed(seed, stream + 2))
-    return (*_pair(exp, label, seed, stream), noise)
+    noise = simulate_run(replace(exp, mu_per_mode=0.0), exp.input_state, seed=_derived_seed(seed, stream + 2))
+    return (*_pair(exp, seed, stream), noise)
 
 
 def _six_settings(exp: ExperimentConfig, seed: int, stream: int) -> TomographyData:
@@ -137,7 +136,7 @@ def _six_settings(exp: ExperimentConfig, seed: int, stream: int) -> TomographyDa
     counts, backgrounds = {}, {}
     bg = exp.trials * exp.dark_per_gate * exp.schedule.n_modes
     for j, s in enumerate(SETTING_LABELS):
-        hist = simulate_run(exp, standard_setting(s), seed=_derived_seed(seed, stream, j))
+        hist = simulate_run(exp, s, seed=_derived_seed(seed, stream, j))
         counts[s] = hist.window_counts("output")
         backgrounds[s] = bg
     return TomographyData.from_counts(counts, backgrounds=backgrounds)
@@ -171,11 +170,10 @@ def cmd_simulate(cfg, args) -> int:
     if args.trials is not None and args.trials < 1:
         raise ConfigError("--trials must be positive")
     sim, out = cfg["simulate"], args.out
-    label = sim["input_state"]
     mus = sim["mu_per_mode"] if args.mu is None else args.mu
-    exp = _experiment(cfg, label, mus[0] if len(mus) == 1 else mus,
+    exp = _experiment(cfg, sim["input_state"], mus[0] if len(mus) == 1 else mus,
                       sim["trials"] if args.trials is None else args.trials)
-    par, orth, noise = _triple_run(exp, label, args.seed, 0)
+    par, orth, noise = _triple_run(exp, args.seed, 0)
     est = estimate_params(par, orth, noise)
     tr = estimate_transmission(par, orth)  # both estimates before the first write
     meta = _metadata(args, cfg)
@@ -292,7 +290,7 @@ def _stage_table1(cfg, seed, out, meta, check):
     rows = []
     for i, rec in enumerate(MU_SCAN):
         exp = _experiment(cfg, "D", rec.mu, cfg["reproduce"]["trials"], replace(mem, eta=rec.eta, p_n=rec.p_n))
-        par, orth, noise = _triple_run(exp, "D", seed, 100 + 10 * i)
+        par, orth, noise = _triple_run(exp, seed, 100 + 10 * i)
         est = estimate_params(par, orth, noise)
         if i == 1:
             export_histogram(par, os.path.join(out, "fig2_histogram.csv"), meta)
@@ -320,7 +318,7 @@ def _stage_table_a1(cfg, seed, out, meta, check):
     mem = MemoryParams(**cfg["memory"])
     exp = _experiment(cfg, "D", tuple(r.mu for r in MODE_SCAN), cfg["reproduce"]["trials"],
                       tuple(replace(mem, eta=r.eta, p_n=r.p_n) for r in MODE_SCAN))
-    par, orth, noise = _triple_run(exp, "D", seed, 200)
+    par, orth, noise = _triple_run(exp, seed, 200)
     est = estimate_params(par, orth, noise)
     f_model = model_mode_fidelity(exp, par.analysis, orth.analysis)
     rows = []
@@ -374,7 +372,7 @@ def _stage_table_c1(cfg, seed, out, meta, check):
     exp = _experiment(cfg, "R", rrec.mu, cfg["reproduce"]["trials"],
                       tuple(replace(mem, eta=rrec.eta, p_n=rrec.p_n, eta_t=t.transmission, f_t=t.fidelity)
                             for t in TRANSMITTED_MODES))
-    par, orth = _pair(exp, "R", seed, 250)
+    par, orth = _pair(exp, seed, 250)
     tr = estimate_transmission(par, orth)
     par_in, orth_in = par.mode_counts("input"), orth.mode_counts("input")
     rows = []

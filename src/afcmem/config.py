@@ -32,7 +32,7 @@ _SCHEMA: dict[str, dict[str, Any]] = {
     "detection": {k: _EXPERIMENT[k] for k in (
         "detector_efficiency", "dark_rate", "transmission_to_detector", "bin_width")},
     "simulate": {
-        "input_state": "D",
+        "input_state": _EXPERIMENT["input_state"],
         "mu_per_mode": (_EXPERIMENT["mu_per_mode"],),
         "trials": _EXPERIMENT["trials"],
     },

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .memory import MemoryParams, StorageSchedule
-from .polarization import AnalysisSetting, PolarizationState, expectation, standard_state
+from .polarization import STATE_LABELS, expectation, orthogonal_label, standard_state
 from .tableio import format_float, write_csv_lines
 
 _REL_TOL = 1e-9
@@ -73,13 +73,14 @@ def _as_tuple(value, n: int, name: str) -> tuple:
 class ExperimentConfig:
     """Full description of one simulated counting run.
 
-    mu_per_mode and params accept either one value for all modes or one
-    per mode. bin_width must divide the mode duration; 0.0, the default
+    input_state is one of the labels STATE_LABELS. mu_per_mode and
+    params accept either one value for all modes or one per mode.
+    bin_width must divide the mode duration; 0.0, the default
     and the INI's value, stands for a fifth of it. n_bins, the bins over
     total storage plus one mode train, may not exceed _MAX_BINS.
     """
 
-    input_state: PolarizationState = field(default_factory=lambda: standard_state("D"))
+    input_state: str = "D"
     mu_per_mode: float | Sequence[float] = 1.4
     schedule: StorageSchedule = field(default_factory=StorageSchedule)
     params: MemoryParams | Sequence[MemoryParams] = field(default_factory=MemoryParams)
@@ -91,6 +92,8 @@ class ExperimentConfig:
     n_bins: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.input_state not in STATE_LABELS:
+            raise ValueError(f"unknown input state {self.input_state!r}, expected one of {STATE_LABELS}")
         n = self.schedule.n_modes
         mus = _as_tuple(self.mu_per_mode, n, "mu_per_mode")
         if any(m < 0 for m in mus):
@@ -164,11 +167,12 @@ class Window:
 
 @dataclass(frozen=True, eq=False)
 class CountHistogram:
-    """Binned detection record of one simulated run, on the time axis of the config that drew it."""
+    """Binned detection record of one simulated run behind the analyzer port labeled analysis,
+    on the time axis of the config that drew it."""
 
     config: ExperimentConfig
     counts: np.ndarray
-    analysis: AnalysisSetting
+    analysis: str
     seed: int
 
     def mode_counts(self, label: str) -> np.ndarray:
@@ -177,8 +181,8 @@ class CountHistogram:
                          if win.label == label and win.mode is not None], dtype=np.int64)
 
     def window_counts(self, label: str) -> int:
-        """Counts summed over the mode windows of label."""
-        return int(self.mode_counts(label).sum())
+        """Counts summed over every window of label: 'input', 'CP1', 'CP2' or 'output'."""
+        return sum(int(self.counts[bins].sum()) for win, bins in self.config.windows if win.label == label)
 
 
 def sequence_windows(schedule: StorageSchedule) -> tuple[Window, ...]:
@@ -194,9 +198,9 @@ def sequence_windows(schedule: StorageSchedule) -> tuple[Window, ...]:
     return tuple(wins)
 
 
-def _mode_rates(config: ExperimentConfig, analysis: AnalysisSetting) -> tuple[np.ndarray, np.ndarray]:
-    """Mean detected counts per trial in each (input, output) mode window."""
-    e_sig = expectation(config.input_state, analysis)
+def _mode_rates(config: ExperimentConfig, analysis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Mean detected counts per trial in each (input, output) mode window at the port analysis."""
+    e_sig = expectation(standard_state(config.input_state), analysis)
     t_det = config.t_det
     dark = config.dark_per_gate
     lam_in = np.empty(config.schedule.n_modes)
@@ -209,8 +213,7 @@ def _mode_rates(config: ExperimentConfig, analysis: AnalysisSetting) -> tuple[np
     return lam_in, lam_out
 
 
-def model_mode_fidelity(config: ExperimentConfig, parallel: AnalysisSetting,
-                        orthogonal: AnalysisSetting) -> np.ndarray:
+def model_mode_fidelity(config: ExperimentConfig, parallel: str, orthogonal: str) -> np.ndarray:
     """Exact per-mode mean of the count-ratio fidelity, dark counts included.
 
     This is what the estimator converges to as trials grow; it differs
@@ -222,22 +225,21 @@ def model_mode_fidelity(config: ExperimentConfig, parallel: AnalysisSetting,
     return lam_p / (lam_p + lam_o)
 
 
-def model_conditional_fidelity(config: ExperimentConfig, parallel: AnalysisSetting,
-                               orthogonal: AnalysisSetting) -> float:
+def model_conditional_fidelity(config: ExperimentConfig, parallel: str, orthogonal: str) -> float:
     """Exact mean of the train-summed count-ratio fidelity for this configuration."""
     _, lam_p = _mode_rates(config, parallel)
     _, lam_o = _mode_rates(config, orthogonal)
     return float(lam_p.sum() / (lam_p.sum() + lam_o.sum()))
 
 
-def simulate_run(config: ExperimentConfig, analysis: AnalysisSetting, *, seed: int) -> CountHistogram:
+def simulate_run(config: ExperimentConfig, analysis: str, *, seed: int) -> CountHistogram:
     """Simulate one accumulated counting histogram.
 
     Parameters
     ----------
     config : ExperimentConfig
-    analysis : AnalysisSetting
-        The single analyzer port in front of the detector.
+    analysis : str
+        Label of the single analyzer port in front of the detector (else ValueError).
     seed : int
         Seed of the run's random stream.
 
@@ -277,18 +279,20 @@ def _shared_config(parallel: CountHistogram, orthogonal: CountHistogram) -> Expe
     config = parallel.config
     if orthogonal.config != config:
         raise ValueError("the orthogonal run was drawn with another config than the parallel run")
-    if expectation(config.input_state, parallel.analysis) < 1.0 - 1e-6:
-        raise ValueError(f"the parallel run is analyzed at {parallel.analysis.label}, not along the input")
-    if expectation(config.input_state, orthogonal.analysis) > 1e-6:
-        raise ValueError(f"the orthogonal run is analyzed at {orthogonal.analysis.label}, not against the input")
+    if parallel.analysis != config.input_state:
+        raise ValueError(f"the parallel run is analyzed at {parallel.analysis}, not along the input")
+    if orthogonal.analysis != orthogonal_label(config.input_state):
+        raise ValueError(f"the orthogonal run is analyzed at {orthogonal.analysis}, not against the input")
     return config
 
 
 def _count_ratio(par: np.ndarray, orth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode fidelity par / (par + orth) and its Poisson error, NaN where both are zero."""
+    """Per-mode fidelity par / (par + orth) and its Poisson error, NaN where both are zero; where
+    one is, the error is 1 / (par + orth), as for the train-level fidelity of estimate_params."""
     tot = par + orth
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(tot > 0, par / tot, np.nan), np.where(tot > 0, np.sqrt(par * orth / tot**3), np.nan)
+        err = np.where(par * orth > 0, np.sqrt(par * orth / tot**3), 1.0 / tot)
+        return np.where(tot > 0, par / tot, np.nan), np.where(tot > 0, err, np.nan)
 
 
 def estimate_params(parallel: CountHistogram, orthogonal: CountHistogram, noise: CountHistogram) -> ParamEstimate:
@@ -296,18 +300,18 @@ def estimate_params(parallel: CountHistogram, orthogonal: CountHistogram, noise:
 
     parallel and orthogonal are runs of one config, analyzed along and
     against its input state; noise is a run of that config with all
-    mu_per_mode zero, at any port. Configs are equal when all fields are
-    (PolarizationState by identity: derive the noise config with
-    dataclasses.replace). The noise floor comes from the noise run,
-    dark-count corrected. The efficiency comes from the background-
-    subtracted sum of both analyzer ports, corrected for T_det and mu.
-    The conditional fidelity is the raw count ratio S_par / (S_par +
-    S_orth); noise is part of the retrieved state by convention, so it
-    is not subtracted there. Errors are Poissonian. The per-mode
-    fidelities are the same ratio in each output mode; a mode with no
-    input (mu = 0) stores no qubit, and both of its values are NaN. Runs
-    at the wrong port, a noise run with input, or runs of other configs
-    raise ValueError.
+    mu_per_mode zero, at any port. Configs are equal when all fields
+    are. The noise floor comes from the noise run, dark-count
+    corrected. The efficiency comes from the background-subtracted sum
+    of both analyzer ports, corrected for T_det and mu. The conditional
+    fidelity is the raw count ratio S_par / (S_par + S_orth); noise is
+    part of the retrieved state by convention, so it is not subtracted
+    there. Errors are Poissonian, and 1 / (S_par + S_orth) where one
+    port counts nothing. The per-mode fidelities are the same ratio in
+    each output mode, with the same errors; a mode with no input (mu =
+    0) stores no qubit, and both of its values are NaN. Runs at the
+    wrong port, a noise run with input, or runs of other configs raise
+    ValueError.
     """
     config = _shared_config(parallel, orthogonal)
     if noise.config != replace(config, mu_per_mode=0.0):
@@ -392,7 +396,7 @@ def _histogram_chunks(hists: Sequence[CountHistogram]) -> Iterator[list[str]]:
     axis = hists[0].config
     # the window cells of each window's bins; a later window's label wins where windows overlap
     spans = [(bins.start, bins.stop, f",{win.label},") for win, bins in axis.windows]
-    tails = [hist.analysis.label + "\n" for hist in hists]
+    tails = [hist.analysis + "\n" for hist in hists]
     end = format_float(float(axis.bin_edges[0]))
     n = axis.n_bins
     for a in range(0, n, _EXPORT_CHUNK):
@@ -435,7 +439,7 @@ def export_histograms(hists: Sequence[CountHistogram], paths: Sequence[str],
     metas = []
     for hist in hists:
         meta = dict(metadata or {})
-        meta.setdefault("analysis", hist.analysis.label)
+        meta.setdefault("analysis", hist.analysis)
         meta.setdefault("trials", hist.config.trials)
         meta.setdefault("rng_seed", hist.seed)
         metas.append(meta)

@@ -1,11 +1,13 @@
-"""Polarization qubit states, analyzer settings and Pauli algebra.
+"""Polarization qubit states, analyzer ports and Pauli algebra.
 
 Basis order is (H, V) everywhere. All operators are 2x2 complex128.
+Input states and analyzer ports are named by the six standard labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -65,27 +67,6 @@ class PolarizationState:
         return float(np.trace(self.rho @ self.rho).real)
 
 
-@dataclass(frozen=True, eq=False)
-class AnalysisSetting:
-    """One polarization analyzer port, a rank-1 projector with a label."""
-
-    label: str
-    projector: np.ndarray
-
-    def __post_init__(self):
-        if self.label not in STATE_LABELS:
-            raise ValueError(f"unknown analyzer label {self.label!r}, expected one of {STATE_LABELS}")
-        proj = np.array(self.projector, dtype=complex)
-        if proj.shape != (2, 2):
-            raise ValueError("projector must be 2x2")
-        if np.abs(proj @ proj - proj).max() > _TRACE_TOL * 10:
-            raise ValueError("projector is not idempotent")
-        if abs(np.trace(proj).real - 1.0) > _TRACE_TOL:
-            raise ValueError("projector must have trace 1 (rank 1)")
-        proj.setflags(write=False)
-        object.__setattr__(self, "projector", proj)
-
-
 def standard_state(label: str) -> PolarizationState:
     """Pure state for one of the six standard labels H, V, D, A, R, L."""
     if label not in _KETS:
@@ -93,9 +74,10 @@ def standard_state(label: str) -> PolarizationState:
     return PolarizationState.from_ket(_KETS[label])
 
 
-def standard_setting(label: str) -> AnalysisSetting:
-    """Analyzer projecting onto the standard state with the same label."""
-    return AnalysisSetting(label, standard_state(label).rho)
+@cache
+def projector(label: str) -> np.ndarray:
+    """Read-only projector of the analyzer port with a standard label, shared by all callers."""
+    return standard_state(label).rho
 
 
 def orthogonal_label(label: str) -> str:
@@ -103,9 +85,9 @@ def orthogonal_label(label: str) -> str:
     return pairs[label]
 
 
-def expectation(state: PolarizationState, setting: AnalysisSetting) -> float:
-    """Detection probability of the state at the analyzer port, in [0, 1]."""
-    val = float(np.trace(state.rho @ setting.projector).real)
+def expectation(state: PolarizationState, port: str) -> float:
+    """Detection probability of the state at the analyzer port of that label, in [0, 1]."""
+    val = float(np.trace(state.rho @ projector(port)).real)
     return min(max(val, 0.0), 1.0)
 
 

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EstimationError
-from .polarization import PAULIS, AnalysisSetting, PolarizationState, _require_pure, standard_setting
+from .polarization import PAULIS, PolarizationState, _require_pure, projector
 from .tableio import write_csv
 
 SETTING_LABELS = ("H", "V", "D", "A", "R", "L")
@@ -54,9 +54,10 @@ _LOW_RANK_EIG = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class TomographyData:
-    """Counts per analyzer setting, all taken with equal exposure, and their backgrounds."""
+    """Counts behind each analyzer port (a label of SETTING_LABELS), all taken with equal exposure,
+    and their backgrounds."""
 
-    settings: tuple[AnalysisSetting, ...]
+    settings: tuple[str, ...]
     counts: np.ndarray
     backgrounds: np.ndarray | None = None
 
@@ -72,8 +73,7 @@ class TomographyData:
             raise ValueError("backgrounds must match the number of settings")
         if (backgrounds < 0).any():
             raise ValueError("backgrounds must be nonnegative")
-        projs = np.stack([s.projector.reshape(4) for s in self.settings])
-        if np.linalg.matrix_rank(projs, tol=1e-9) < 4:
+        if np.linalg.matrix_rank(_projectors(self.settings).reshape(n, 4), tol=1e-9) < 4:
             raise ValueError("settings must contain at least 4 linearly independent projectors")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "backgrounds", backgrounds)
@@ -84,10 +84,9 @@ class TomographyData:
         labels = [lab for lab in SETTING_LABELS if lab in counts]
         if set(counts) - set(labels):
             raise ValueError(f"unknown setting labels {sorted(set(counts) - set(labels))}")
-        settings = tuple(standard_setting(lab) for lab in labels)
         n = np.array([counts[lab] for lab in labels])
         bg = None if backgrounds is None else np.array([backgrounds[lab] for lab in labels], dtype=float)
-        return cls(settings, n, bg)
+        return cls(tuple(labels), n, bg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +116,16 @@ class BootstrapSigma(float):
         return self
 
 
-def _design(settings: Sequence[AnalysisSetting]) -> np.ndarray:
-    """Linear-inversion rows (P00, P11, 2 Re P01, 2 Im P01), so that
-    tr(M P) = row . (M00, M11, Re M01, Im M01) for Hermitian M."""
-    return np.array([[s.projector[0, 0].real, s.projector[1, 1].real,
-                      2.0 * s.projector[0, 1].real, 2.0 * s.projector[0, 1].imag] for s in settings])
+def _projectors(settings: Sequence[str]) -> np.ndarray:
+    """The (k, 2, 2) projectors of the ports labeled settings."""
+    return np.stack([projector(s) for s in settings])
+
+
+def _design(projectors: np.ndarray) -> np.ndarray:
+    """Linear-inversion rows (P00, P11, 2 Re P01, 2 Im P01) of projectors (k, 2, 2),
+    so that tr(M P) = row . (M00, M11, Re M01, Im M01) for Hermitian M."""
+    return np.stack([projectors[:, 0, 0].real, projectors[:, 1, 1].real,
+                     2.0 * projectors[:, 0, 1].real, 2.0 * projectors[:, 0, 1].imag], axis=1)
 
 
 def _forms(projectors: np.ndarray) -> np.ndarray:
@@ -237,7 +241,7 @@ def _fit(qs: np.ndarray, n: np.ndarray, bg: np.ndarray, t: np.ndarray):
     return t, ll, steps, converged
 
 
-def _fit_rows(settings: Sequence[AnalysisSetting], counts: np.ndarray, backgrounds: np.ndarray):
+def _fit_rows(settings: Sequence[str], counts: np.ndarray, backgrounds: np.ndarray):
     """Fit each row of counts (R, k) from its linear inversion; returns the
     normalized rho (R, 2, 2), the log-likelihoods, the Newton steps tried
     and the converged mask.
@@ -248,9 +252,9 @@ def _fit_rows(settings: Sequence[AnalysisSetting], counts: np.ndarray, backgroun
     (V, H): its projectors and start are conjugated by sigma_x, and so is
     the fitted state.
     """
-    start = _linear_inversion(_design(settings), counts, backgrounds)
+    projectors = _projectors(settings)
+    start = _linear_inversion(_design(projectors), counts, backgrounds)
     flip = np.where((start[:, 0, 0].real > start[:, 1, 1].real)[:, None, None], PAULIS[1], PAULIS[0])
-    projectors = np.stack([s.projector for s in settings])
     qs = _forms(flip[:, None] @ projectors @ flip[:, None])
     t, ll, steps, converged = _fit(qs, counts, backgrounds, _cholesky_params(flip @ start @ flip))
     return flip @ _t_params_to_rho(t) @ flip, ll, steps, converged

@@ -20,7 +20,7 @@ from scipy import stats
 
 from afcmem.bounds import _MP, _MU_MAX, _N, _PMF_REL_CUTOFF
 from afcmem.errors import EstimationError
-from afcmem.polarization import PAULIS, PolarizationState
+from afcmem.polarization import PAULIS, PolarizationState, standard_state
 from afcmem.tomography import ProcessMatrix, TomographyData
 
 _PAULI_DAGGERS = PAULIS.conj().transpose(0, 2, 1)
@@ -91,7 +91,7 @@ def ascent_mle(data: TomographyData):
     # T = sum_i t_i E_i, so tr(T^dag T P_j) = t . Q_j t with Q_j,ik = Re tr(E_i^dag E_k P_j)
     e = np.zeros((4, 2, 2), dtype=complex)
     e[0, 0, 0], e[1, 1, 1], e[2, 1, 0], e[3, 1, 0] = 1.0, 1.0, 1.0, 1.0j
-    projectors = np.stack([s.projector for s in data.settings])
+    projectors = np.stack([standard_state(s).rho for s in data.settings])
     qs = np.einsum("iba,kbc,jca->jik", e.conj(), e, projectors).real
     n = data.counts.astype(float)
     bg = data.backgrounds
@@ -101,8 +101,7 @@ def ascent_mle(data: TomographyData):
         m = np.clip(m, 1e-300, None)
         return float(np.sum(n * np.log(m) - m))
 
-    rows = [[s.projector[0, 0].real, s.projector[1, 1].real, 2.0 * s.projector[0, 1].real,
-             2.0 * s.projector[0, 1].imag] for s in data.settings]
+    rows = [[p[0, 0].real, p[1, 1].real, 2.0 * p[0, 1].real, 2.0 * p[0, 1].imag] for p in projectors]
     x, *_ = np.linalg.lstsq(np.asarray(rows), n - bg, rcond=None)
     m = np.array([[x[0], x[2] + 1j * x[3]], [x[2] - 1j * x[3], x[1]]], dtype=complex)
     w, v = np.linalg.eigh(m)

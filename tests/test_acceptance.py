@@ -34,7 +34,7 @@ from afcmem.memory import (
     fidelity_vs_photon_number,
 )
 from afcmem.montecarlo import ExperimentConfig, estimate_params, simulate_run
-from afcmem.polarization import fidelity, standard_setting, standard_state
+from afcmem.polarization import fidelity, standard_state
 from afcmem.refdata import (
     ETA_M_BENCH,
     ETA_T_MEAN,
@@ -88,12 +88,12 @@ def test_monte_carlo_estimator_closure():
     for i, rec in enumerate(MU_SCAN):
         mem = MemoryParams(eta=rec.eta, p_n=rec.p_n, f_c=F_C_MEAN,
                            eta_t=ETA_T_MEAN, f_t=F_T_MEAN)
-        exp = ExperimentConfig(input_state=standard_state("D"), mu_per_mode=rec.mu,
+        exp = ExperimentConfig(input_state="D", mu_per_mode=rec.mu,
                                params=mem, trials=10**6)
         seed = 200 + 10 * i
-        runs = [simulate_run(exp, standard_setting("D"), seed=seed),
-                simulate_run(exp, standard_setting("A"), seed=seed + 1),
-                simulate_run(replace(exp, mu_per_mode=0.0), standard_setting("D"), seed=seed + 2)]
+        runs = [simulate_run(exp, "D", seed=seed),
+                simulate_run(exp, "A", seed=seed + 1),
+                simulate_run(replace(exp, mu_per_mode=0.0), "D", seed=seed + 2)]
         est = estimate_params(*runs)
         assert abs(est.eta_hat - rec.eta) < 3.0 * est.eta_err
         assert abs(est.p_n_hat - rec.p_n) < 3.0 * est.p_n_err
@@ -115,10 +115,10 @@ def test_tomography_round_trip_and_measured_channel():
         p_n = matched_noise_floor(rec.eta, rec.fidelity, rec.mu)
         mem = MemoryParams(eta=rec.eta, p_n=p_n, f_c=F_C_MEAN,
                            eta_t=ETA_T_MEAN, f_t=F_T_MEAN)
-        exp = ExperimentConfig(input_state=standard_state(rec.label), mu_per_mode=rec.mu,
+        exp = ExperimentConfig(input_state=rec.label, mu_per_mode=rec.mu,
                                params=mem, trials=200_000, dark_rate=0.0)
         seed = 500 + 100 * j
-        counts = {s: simulate_run(exp, standard_setting(s), seed=seed + k).window_counts("output")
+        counts = {s: simulate_run(exp, s, seed=seed + k).window_counts("output")
                   for k, s in enumerate(SETTING_LABELS)}
         data = TomographyData.from_counts(counts)
         est = mle_state(data)

@@ -12,16 +12,15 @@ import sys
 import afcmem
 
 PUBLIC = [
-    "AnalysisSetting", "BoundResult", "ConfigError", "CountHistogram", "DensityMatrixEstimate",
-    "EstimationError", "ExperimentConfig", "MemoryParams", "ParamEstimate", "PolarizationState",
-    "ProcessMatrix", "SETTING_LABELS", "STATE_LABELS", "StorageSchedule", "StrategyParams",
-    "TomographyData", "TransmissionEstimate", "estimate_params", "estimate_transmission",
-    "expectation", "export_histogram", "export_histograms", "export_process_matrix",
-    "fidelity", "fidelity_vs_photon_number", "mle_state", "model_conditional_fidelity",
-    "model_mode_fidelity", "monte_carlo_errors", "orthogonal_label", "poisson_conditional_bound",
-    "process_tomography", "project_process_matrix", "quantumness_verdict", "sequence_windows",
-    "simulate_run", "standard_setting", "standard_state", "threshold_bound",
-    "transmitted_constrained_bound",
+    "BoundResult", "ConfigError", "CountHistogram", "DensityMatrixEstimate", "EstimationError",
+    "ExperimentConfig", "MemoryParams", "ParamEstimate", "PolarizationState", "ProcessMatrix",
+    "SETTING_LABELS", "STATE_LABELS", "StorageSchedule", "StrategyParams", "TomographyData",
+    "TransmissionEstimate", "estimate_params", "estimate_transmission", "expectation",
+    "export_histogram", "export_histograms", "export_process_matrix", "fidelity",
+    "fidelity_vs_photon_number", "mle_state", "model_conditional_fidelity", "model_mode_fidelity",
+    "monte_carlo_errors", "orthogonal_label", "poisson_conditional_bound", "process_tomography",
+    "project_process_matrix", "quantumness_verdict", "sequence_windows", "simulate_run",
+    "standard_state", "threshold_bound", "transmitted_constrained_bound",
 ]
 
 
@@ -40,7 +39,7 @@ def _oracle_names():
 
 def test_public_api_pinned():
     assert sorted(afcmem.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 38
     for name in PUBLIC:
         assert hasattr(afcmem, name), name
 
@@ -91,7 +90,7 @@ def test_perfbench_reads_names_that_exist():
     for module, name, _ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
     exp = afcmem.ExperimentConfig(trials=1000)
-    run = afcmem.simulate_run(exp, afcmem.standard_setting("D"), seed=1)
+    run = afcmem.simulate_run(exp, "D", seed=1)
     assert spans._bins((), {}, run) == {"bins": exp.n_bins}
     counts = {"H": 500, "V": 500, "D": 1000, "A": 0, "R": 500, "L": 500}
     mle = spans._mle((), {}, afcmem.mle_state(afcmem.TomographyData.from_counts(counts)))

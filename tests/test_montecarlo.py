@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from afcmem.errors import EstimationError
 from afcmem.memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number
 from afcmem.montecarlo import (
+    CountHistogram,
     ExperimentConfig,
     estimate_params,
     estimate_transmission,
@@ -28,21 +29,21 @@ from afcmem.montecarlo import (
     sequence_windows,
     simulate_run,
 )
-from afcmem.polarization import STATE_LABELS, orthogonal_label, standard_setting, standard_state
+from afcmem.polarization import STATE_LABELS, orthogonal_label
 from afcmem.refdata import ETA_T_MEAN, F_C_MEAN, F_T_MEAN, MU_SCAN
 from afcmem.tableio import write_csv
 
 
 def _row_config(rec, trials=10**6):
     mem = MemoryParams(eta=rec.eta, p_n=rec.p_n, f_c=F_C_MEAN, eta_t=ETA_T_MEAN, f_t=F_T_MEAN)
-    return ExperimentConfig(input_state=standard_state("D"), mu_per_mode=rec.mu,
+    return ExperimentConfig(input_state="D", mu_per_mode=rec.mu,
                             params=mem, trials=trials)
 
 
 def _triple(exp, seed):
-    par = simulate_run(exp, standard_setting("D"), seed=seed)
-    orth = simulate_run(exp, standard_setting("A"), seed=seed + 1)
-    noise = simulate_run(replace(exp, mu_per_mode=0.0), standard_setting("D"), seed=seed + 2)
+    par = simulate_run(exp, "D", seed=seed)
+    orth = simulate_run(exp, "A", seed=seed + 1)
+    noise = simulate_run(replace(exp, mu_per_mode=0.0), "D", seed=seed + 2)
     return par, orth, noise
 
 
@@ -61,17 +62,17 @@ def test_sequence_windows_layout():
 
 def test_all_zero_without_any_source():
     mem = MemoryParams(eta=0.04, p_n=0.0)
-    exp = ExperimentConfig(input_state=standard_state("D"), mu_per_mode=0.0,
+    exp = ExperimentConfig(input_state="D", mu_per_mode=0.0,
                            params=mem, dark_rate=0.0, trials=10**5)
-    hist = simulate_run(exp, standard_setting("D"), seed=1)
+    hist = simulate_run(exp, "D", seed=1)
     assert hist.counts.sum() == 0
 
 
 def test_bitwise_deterministic():
     exp = _row_config(MU_SCAN[1], trials=10**5)
-    a = simulate_run(exp, standard_setting("D"), seed=123)
-    b = simulate_run(exp, standard_setting("D"), seed=123)
-    c = simulate_run(exp, standard_setting("D"), seed=124)
+    a = simulate_run(exp, "D", seed=123)
+    b = simulate_run(exp, "D", seed=123)
+    c = simulate_run(exp, "D", seed=124)
     assert np.array_equal(a.counts, b.counts)
     assert not np.array_equal(a.counts, c.counts)
 
@@ -82,7 +83,7 @@ def test_output_ratio_near_measured_working_point():
     par, orth, noise = _triple(exp, 25)
     est = estimate_params(par, orth, noise)
     assert abs(est.fidelity_hat - 0.855) < 3.0 * est.fidelity_err
-    model = model_conditional_fidelity(exp, standard_setting("D"), standard_setting("A"))
+    model = model_conditional_fidelity(exp, "D", "A")
     assert abs(est.fidelity_hat - model) < 3.0 * est.fidelity_err
 
 
@@ -91,7 +92,7 @@ def test_noise_run_rate_convention():
     # independent of the analyzer port
     rec = MU_SCAN[1]
     exp = _row_config(rec, trials=10**6)
-    noise = simulate_run(replace(exp, mu_per_mode=0.0), standard_setting("A"), seed=31)
+    noise = simulate_run(replace(exp, mu_per_mode=0.0), "A", seed=31)
     lam = 5.0 * (rec.p_n * exp.t_det + exp.dark_per_gate)
     mean = lam * exp.trials
     assert abs(noise.window_counts("output") - mean) < 4.0 * np.sqrt(mean)
@@ -99,10 +100,10 @@ def test_noise_run_rate_convention():
 
 def test_modes_scale_independently():
     mem = MemoryParams(eta=0.036, p_n=0.0101, f_c=F_C_MEAN, eta_t=ETA_T_MEAN, f_t=F_T_MEAN)
-    exp = ExperimentConfig(input_state=standard_state("D"),
+    exp = ExperimentConfig(input_state="D",
                            mu_per_mode=(0.5, 1.0, 1.5, 2.0, 2.5),
                            params=mem, trials=10**6)
-    hist = simulate_run(exp, standard_setting("D"), seed=77)
+    hist = simulate_run(exp, "D", seed=77)
     per_mode = hist.mode_counts("output").astype(float)
     assert per_mode.sum() == hist.window_counts("output")
     # rates contain a mu-independent noise term, so normalize by the model
@@ -131,12 +132,12 @@ def test_estimator_closure_high_mu_row():
        label=st.sampled_from(STATE_LABELS), seed=st.integers(0, 2**32 - 1))
 def test_estimator_closure_over_random_configs(eta, p_n, f_c, mus, label, seed):
     # over these ranges every run keeps at least ~90 orthogonal and ~490 parallel output counts
-    exp = ExperimentConfig(input_state=standard_state(label), mu_per_mode=tuple(mus),
+    exp = ExperimentConfig(input_state=label, mu_per_mode=tuple(mus),
                            schedule=StorageSchedule(n_modes=len(mus)),
                            params=MemoryParams(eta=eta, p_n=p_n, f_c=f_c), trials=10**6)
-    par = simulate_run(exp, standard_setting(label), seed=seed)
-    orth = simulate_run(exp, standard_setting(orthogonal_label(label)), seed=seed + 1)
-    noise = simulate_run(replace(exp, mu_per_mode=0.0), standard_setting(label), seed=seed + 2)
+    par = simulate_run(exp, label, seed=seed)
+    orth = simulate_run(exp, orthogonal_label(label), seed=seed + 1)
+    noise = simulate_run(replace(exp, mu_per_mode=0.0), label, seed=seed + 2)
     est = estimate_params(par, orth, noise)
     assert abs(est.eta_hat - eta) < 5.0 * est.eta_err
     assert abs(est.p_n_hat - p_n) < 5.0 * est.p_n_err
@@ -147,11 +148,27 @@ def test_estimator_closure_over_random_configs(eta, p_n, f_c, mus, label, seed):
 def test_estimator_noiseless_recovers_unit_fidelity():
     # perfect phase coherence and no noise: the orthogonal port stays dark
     mem = MemoryParams(eta=0.04, p_n=0.0, f_c=1.0)
-    exp = ExperimentConfig(input_state=standard_state("D"), mu_per_mode=1.4,
+    exp = ExperimentConfig(input_state="D", mu_per_mode=1.4,
                            params=mem, dark_rate=0.0, trials=10**5)
     est = estimate_params(*_triple(exp, 42))
     assert est.fidelity_hat == 1.0
     assert est.p_n_hat == 0.0
+
+
+def test_one_error_rule_where_one_port_counts_nothing():
+    # f_c = f_t = 1 and no noise or dark counts: the orthogonal port counts nothing in
+    # any window, and every count-ratio fidelity is 1 with the train's error 1 / S_par
+    # (each mode's and each transmitted mode's error was 0)
+    mem = MemoryParams(eta=0.04, p_n=0.0, f_c=1.0, f_t=1.0)
+    exp = ExperimentConfig(mu_per_mode=1.4, params=mem, dark_rate=0.0, trials=10**5)
+    par, orth, noise = _triple(exp, 42)
+    assert orth.counts.sum() == 0
+    est = estimate_params(par, orth, noise)
+    tr = estimate_transmission(par, orth)
+    assert est.fidelity_err == 1.0 / par.window_counts("output")
+    assert np.array_equal(est.mode_fidelity, np.ones(5)) and np.array_equal(tr.fidelity, np.ones(5))
+    assert np.array_equal(est.mode_fidelity_err, 1.0 / par.mode_counts("output"))
+    assert np.array_equal(tr.fidelity_err, 1.0 / par.mode_counts("input"))
 
 
 def test_estimator_low_mu_row_matches_global_prediction():
@@ -183,10 +200,10 @@ def test_estimators_reject_runs_of_another_config():
     # each run carries the config that drew it; a run of another config used to give a
     # silently wrong estimate (eta_hat 0.0519 for 0.0365 with a detector efficiency of
     # 0.4 read from elsewhere, fidelity 0.982 for 0.853 with an orthogonal run of 1e5
-    # trials); a fresh input state of equal value is another config too
+    # trials); another input state is another config too
     exp = _row_config(MU_SCAN[1], trials=10**4)
     par, orth, noise = _triple(exp, 5)
-    for change in ({"detector_efficiency": 0.4}, {"trials": 10**5}, {"input_state": standard_state("D")}):
+    for change in ({"detector_efficiency": 0.4}, {"trials": 10**5}, {"input_state": "A"}):
         _, other_orth, other_noise = _triple(replace(exp, **change), 7)
         with pytest.raises(ValueError, match="orthogonal run was drawn with another config"):
             estimate_params(par, other_orth, noise)
@@ -194,6 +211,24 @@ def test_estimators_reject_runs_of_another_config():
             estimate_transmission(par, other_orth)
         with pytest.raises(ValueError, match="noise run must have the analyzer runs' config"):
             estimate_params(par, orth, other_noise)
+
+
+def test_equal_configs_built_apart_are_one_config():
+    # the input state is a label, so two configs built apart from equal fields are equal
+    exp, twin = _row_config(MU_SCAN[1], trials=10**4), _row_config(MU_SCAN[1], trials=10**4)
+    assert exp == twin and exp is not twin
+    par = simulate_run(exp, "D", seed=5)
+    orth = simulate_run(twin, "A", seed=6)
+    noise = simulate_run(replace(_row_config(MU_SCAN[1], trials=10**4), mu_per_mode=0.0), "D", seed=7)
+    assert estimate_params(par, orth, noise).eta_hat > 0.0
+    assert estimate_transmission(par, orth).transmission.shape == (5,)
+
+
+def test_unknown_labels_rejected():
+    with pytest.raises(ValueError, match="unknown input state 'X'"):
+        ExperimentConfig(input_state="X")
+    with pytest.raises(ValueError, match="unknown state label 'X'"):
+        simulate_run(ExperimentConfig(trials=1000), "X", seed=1)
 
 
 def test_transmission_closure():
@@ -215,9 +250,20 @@ def test_estimators_reject_underflowing_signal():
         estimate_transmission(par, orth)
 
 
+def test_window_counts_sum_every_window_of_a_label():
+    # all-ones counts on the default time axis: five 5-bin modes each way, and a
+    # 5 us transfer and retrieval pulse of 20 bins each
+    exp = ExperimentConfig(trials=1000)
+    hist = CountHistogram(exp, np.ones(exp.n_bins, dtype=np.int64), "D", 0)
+    assert hist.window_counts("CP1") == hist.window_counts("CP2") == 20
+    assert hist.window_counts("input") == hist.window_counts("output") == 25
+    assert hist.mode_counts("output").tolist() == [5] * 5
+    assert hist.mode_counts("CP1").size == 0
+
+
 def test_histogram_export(tmp_path):
     exp = _row_config(MU_SCAN[1], trials=10**4)
-    hist = simulate_run(exp, standard_setting("D"), seed=6)
+    hist = simulate_run(exp, "D", seed=6)
     path = os.path.join(tmp_path, "hist.csv")
     export_histogram(hist, path, metadata={"seed": 6})
     lines = open(path).read().splitlines()
@@ -233,7 +279,7 @@ def test_histogram_export_memory_does_not_grow_with_the_bins(tmp_path):
     # at 20,850 bins, 714 kB at 83,400)
     def peak(bin_width):
         exp = ExperimentConfig(bin_width=bin_width, trials=1000)
-        hists = [simulate_run(exp, standard_setting(label), seed=seed) for seed, label in enumerate("DAD")]
+        hists = [simulate_run(exp, label, seed=seed) for seed, label in enumerate("DAD")]
         paths = [os.path.join(tmp_path, f"{name}.csv") for name in ("par", "orth", "noise")]
         tracemalloc.start()
         try:
@@ -258,11 +304,11 @@ def _export_per_cell(hist, path, metadata):
         for i in _mask_bins(hist, win):
             labels[i] = win.label
     meta = dict(metadata)
-    meta.setdefault("analysis", hist.analysis.label)
+    meta.setdefault("analysis", hist.analysis)
     meta.setdefault("trials", hist.config.trials)
     meta.setdefault("rng_seed", hist.seed)
     rows = ((float(edges[i]), float(edges[i + 1]), int(hist.counts[i]), labels[i],
-             hist.analysis.label) for i in range(len(hist.counts)))
+             hist.analysis) for i in range(len(hist.counts)))
     write_csv(path, meta, ["bin_start_us", "bin_end_us", "counts", "window_label", "analysis_label"], rows)
 
 
@@ -288,12 +334,12 @@ def test_histogram_export_matches_per_cell_reference(n_modes, k, noise, spin_sto
     # label wins, and at k = 2 both ends of CP2 fall exactly on bin centres;
     # no decoupling pulses, so that such short spin storage is a valid schedule
     schedule = StorageSchedule(n_modes=n_modes, spin_storage=spin_storage, rf_pulse_count=0)
-    exp = ExperimentConfig(input_state=standard_state("D"), mu_per_mode=0.0 if noise else mu,
+    exp = ExperimentConfig(input_state="D", mu_per_mode=0.0 if noise else mu,
                            schedule=schedule, bin_width=schedule.mode_duration / k, trials=trials)
-    hist = simulate_run(exp, standard_setting(label), seed=seed)
+    hist = simulate_run(exp, label, seed=seed)
     # the parallel, orthogonal and no-input runs of one configuration, in one pass
-    triple = (hist, simulate_run(exp, standard_setting(orthogonal_label(label)), seed=seed + 1),
-              simulate_run(replace(exp, mu_per_mode=0.0), standard_setting(label), seed=seed + 2))
+    triple = (hist, simulate_run(exp, orthogonal_label(label), seed=seed + 1),
+              simulate_run(replace(exp, mu_per_mode=0.0), label, seed=seed + 2))
     with tempfile.TemporaryDirectory() as tmp:
         new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
         export_histogram(hist, new, metadata)
@@ -317,10 +363,10 @@ def test_histogram_export_matches_per_cell_reference(n_modes, k, noise, spin_sto
 def test_histograms_exported_together_share_one_time_axis(tmp_path):
     exp = _row_config(MU_SCAN[1], trials=10**4)
     par, orth, noise = _triple(exp, 8)
-    finer = simulate_run(replace(exp, bin_width=0.125), standard_setting("A"), seed=9)
+    finer = simulate_run(replace(exp, bin_width=0.125), "A", seed=9)
     # a shorter transfer pulse: the same bin edges, other CP windows
     other_cp = simulate_run(replace(exp, schedule=StorageSchedule(control_duration=4.0)),
-                            standard_setting("A"), seed=9)
+                            "A", seed=9)
     assert other_cp.counts.size == par.counts.size
     paths = [os.path.join(tmp_path, f"{name}.csv") for name in ("parallel", "orthogonal", "noise")]
     for runs in ((par, finer, noise), (par, other_cp, noise)):
@@ -351,7 +397,7 @@ def test_config_validation():
 def test_bin_count_comes_from_the_config():
     exp = ExperimentConfig(trials=1000)
     assert exp.n_bins == 2085  # 521.25 us of sequence in 0.25 us bins
-    assert len(simulate_run(exp, standard_setting("D"), seed=1).counts) == exp.n_bins
+    assert len(simulate_run(exp, "D", seed=1).counts) == exp.n_bins
     # 5.2e14 bins: rejected as the config is built, before any array is sized
     with pytest.raises(ValueError, match=r"^bin_width 1e-12 us over the 521.25 us sequence span gives 5.21e\+14 "
                                          r"histogram bins, more than the 2097152 allowed \(64 B each and 0.73 MB "
@@ -361,7 +407,7 @@ def test_bin_count_comes_from_the_config():
 
 def test_model_fidelity_helpers_consistent():
     exp = _row_config(MU_SCAN[1])
-    d, a = standard_setting("D"), standard_setting("A")
+    d, a = "D", "A"
     per_mode = model_mode_fidelity(exp, d, a)
     assert per_mode.shape == (5,)
     assert np.allclose(per_mode, model_conditional_fidelity(exp, d, a), atol=1e-12)

@@ -4,12 +4,11 @@ import pytest
 from afcmem.polarization import (
     PAULIS,
     STATE_LABELS,
-    AnalysisSetting,
     PolarizationState,
     expectation,
     fidelity,
     orthogonal_label,
-    standard_setting,
+    projector,
     standard_state,
 )
 from oracles import bloch, trace_distance
@@ -28,7 +27,9 @@ def test_unknown_label_rejected():
     with pytest.raises(ValueError):
         standard_state("Q")
     with pytest.raises(ValueError):
-        standard_setting("x")
+        projector("x")
+    with pytest.raises(ValueError):
+        expectation(standard_state("D"), "x")
 
 
 def test_state_invariants():
@@ -41,9 +42,18 @@ def test_state_invariants():
 
 def test_projector_invariants():
     for label in STATE_LABELS:
-        p = standard_setting(label).projector
+        p = projector(label)
         assert np.allclose(p @ p, p, atol=1e-12)
         assert abs(np.trace(p) - 1.0) < 1e-12
+
+
+def test_projectors_shared_and_read_only():
+    for label in STATE_LABELS:
+        p = projector(label)
+        assert p is projector(label)
+        assert np.array_equal(p, standard_state(label).rho)
+        with pytest.raises(ValueError):
+            p[0, 0] = 0.0
 
 
 def test_invalid_inputs_rejected():
@@ -51,8 +61,6 @@ def test_invalid_inputs_rejected():
         PolarizationState(np.array([[0.8, 0.0], [0.0, 0.1]]))  # trace != 1
     with pytest.raises(ValueError):
         PolarizationState(np.array([[1.5, 0.0], [0.0, -0.5]]))  # not PSD
-    with pytest.raises(ValueError):
-        AnalysisSetting("H", np.eye(2))  # trace 2, not a port projector
 
 
 def test_fidelity_examples():
@@ -87,11 +95,11 @@ def test_fidelity_mixed_state_uhlmann():
 
 def test_expectation_examples():
     d = standard_state("D")
-    assert expectation(d, standard_setting("D")) == pytest.approx(1.0, abs=1e-12)
-    assert expectation(d, standard_setting("A")) == pytest.approx(0.0, abs=1e-12)
+    assert expectation(d, "D") == pytest.approx(1.0, abs=1e-12)
+    assert expectation(d, "A") == pytest.approx(0.0, abs=1e-12)
     mixed = PolarizationState(np.eye(2) / 2.0)
     for label in STATE_LABELS:
-        assert expectation(mixed, standard_setting(label)) == pytest.approx(0.5, abs=1e-12)
+        assert expectation(mixed, label) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_expectation_pairs_sum_to_one():
@@ -99,7 +107,7 @@ def test_expectation_pairs_sum_to_one():
     for _ in range(20):
         psi = PolarizationState.from_ket(rng.normal(size=2) + 1j * rng.normal(size=2))
         for a, b in MUB_PAIRS:
-            s = expectation(psi, standard_setting(a)) + expectation(psi, standard_setting(b))
+            s = expectation(psi, a) + expectation(psi, b)
             assert s == pytest.approx(1.0, abs=1e-12)
 
 

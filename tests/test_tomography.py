@@ -8,7 +8,7 @@ from afcmem import tomography
 from afcmem.errors import EstimationError
 from afcmem.memory import MemoryParams
 from afcmem.montecarlo import ExperimentConfig, simulate_run
-from afcmem.polarization import fidelity, standard_setting, standard_state
+from afcmem.polarization import fidelity, projector, standard_state
 from afcmem.refdata import F_C_MEAN, STATE_SCAN, matched_noise_floor
 from afcmem.tomography import (
     SETTING_LABELS,
@@ -17,6 +17,7 @@ from afcmem.tomography import (
     _design,
     _fit_rows,
     _linear_inversion,
+    _projectors,
     _project_tp,
     _tp_map,
     mle_state,
@@ -34,9 +35,9 @@ def _simulated_data(label, trials=200_000, seed=800):
     rec = next(r for r in STATE_SCAN if r.label == label)
     p_n = matched_noise_floor(rec.eta, rec.fidelity, rec.mu)
     mem = MemoryParams(eta=rec.eta, p_n=p_n, f_c=F_C_MEAN)
-    exp = ExperimentConfig(input_state=standard_state(label), mu_per_mode=rec.mu,
+    exp = ExperimentConfig(input_state=label, mu_per_mode=rec.mu,
                            params=mem, trials=trials, dark_rate=0.0)
-    counts = {s: simulate_run(exp, standard_setting(s), seed=seed + k).window_counts("output")
+    counts = {s: simulate_run(exp, s, seed=seed + k).window_counts("output")
               for k, s in enumerate(SETTING_LABELS)}
     return TomographyData.from_counts(counts), rec
 
@@ -48,6 +49,8 @@ def test_data_validation():
         TomographyData.from_counts({"H": -5, "V": 1, "D": 1, "R": 1})
     with pytest.raises(ValueError):
         TomographyData.from_counts({"H": 10, "V": 10})  # projectors span rank 3 only
+    with pytest.raises(ValueError, match="unknown state label 'X'"):
+        TomographyData(("H", "V", "D", "X"), [1, 2, 3, 4])
 
 
 def test_mle_recovers_pure_state_from_ideal_counts():
@@ -70,12 +73,12 @@ def test_mle_log_likelihood_monotone():
     data, _ = _simulated_data("D")
     est = mle_state(data)
     n = data.counts.astype(float)
-    rho0 = _linear_inversion(_design(data.settings), data.counts[None, :], data.backgrounds)[0]
-    m0 = np.array([np.trace(rho0 @ s.projector).real for s in data.settings]) + data.backgrounds
+    rho0 = _linear_inversion(_design(_projectors(data.settings)), data.counts[None, :], data.backgrounds)[0]
+    m0 = np.array([np.trace(rho0 @ projector(s)).real for s in data.settings]) + data.backgrounds
     assert est.log_likelihood >= np.sum(n * np.log(m0) - m0)
 
     def at_best_flux(rho):  # the data have no background
-        m = np.array([np.trace(rho @ s.projector).real for s in data.settings])
+        m = np.array([np.trace(rho @ projector(s)).real for s in data.settings])
         m *= n.sum() / m.sum()
         return np.sum(n * np.log(m) - m)
 
@@ -134,21 +137,20 @@ def test_fit_never_below_old_ascent_likelihood():
     # replaced, backgrounds included; resamples go through the batched fitter
     # in one call, and each row agrees with its own one-row fit
     rng = np.random.default_rng(2024)
-    settings_ = tuple(standard_setting(s) for s in SETTING_LABELS)
     bases = [_simulated_data(label, trials=100_000, seed=900)[0].counts for label in "HVDR"]
     bases += [np.array([1000, 0, 500, 500, 500, 500]), np.array([5, 0, 3, 2, 2, 3])]
     for base in bases:
         for level in (0.0, 0.05, 0.3):
             bg = np.full(6, level * base.mean())
-            data = TomographyData(settings_, base + rng.poisson(bg), bg)
+            data = TomographyData(SETTING_LABELS, base + rng.poisson(bg), bg)
             ref = ascent_mle(data)[1]
             assert mle_state(data).log_likelihood >= ref - 1e-9 * abs(ref)
             draws = rng.poisson(data.counts, size=(6, 6))
             draws = draws[draws.sum(axis=1) > 0]
-            rho, ll, _, converged = _fit_rows(settings_, draws.astype(float), bg)
+            rho, ll, _, converged = _fit_rows(SETTING_LABELS, draws.astype(float), bg)
             assert converged.all()
             for row, n in enumerate(draws):
-                one = TomographyData(settings_, n, bg)
+                one = TomographyData(SETTING_LABELS, n, bg)
                 ref = ascent_mle(one)[1]
                 assert ll[row] >= ref - 1e-9 * abs(ref)
                 single = mle_state(one)
@@ -163,11 +165,10 @@ def test_fit_log_likelihood_never_falls_step_by_step(monkeypatch, counts, bg):
     # a full Newton step overshoots on these data: taking every step lowered
     # the log-likelihood by 70, 386 and 219 on the way; the fit takes none
     # that lowers it
-    settings_ = tuple(standard_setting(s) for s in SETTING_LABELS)
     lls = []
     for k in range(10):
         monkeypatch.setattr(tomography, "_MAX_STEPS", k)
-        lls.append(_fit_rows(settings_, np.array([counts], dtype=float), np.full(6, bg))[1][0])
+        lls.append(_fit_rows(SETTING_LABELS, np.array([counts], dtype=float), np.full(6, bg))[1][0])
     assert all(b >= a - 1e-12 * abs(a) for a, b in zip(lls, lls[1:]))
 
 
