@@ -21,14 +21,14 @@ from .montecarlo import (CountHistogram, ExperimentConfig, ParamEstimate, Transm
                          sequence_windows, simulate_run)
 from .polarization import (PolarizationState, STATE_LABELS, expectation, fidelity, orthogonal_label,
                            standard_state)
-from .tomography import (DensityMatrixEstimate, ProcessMatrix, SETTING_LABELS, TomographyData,
+from .tomography import (DensityMatrixEstimate, ProcessMatrix, TomographyData,
                          export_process_matrix, mle_state, monte_carlo_errors, process_tomography,
                          project_process_matrix)
 
 __all__ = [
     "BoundResult", "ConfigError", "CountHistogram", "DensityMatrixEstimate", "EstimationError",
     "ExperimentConfig", "MemoryParams", "ParamEstimate", "PolarizationState", "ProcessMatrix",
-    "SETTING_LABELS", "STATE_LABELS", "StorageSchedule", "StrategyParams", "TomographyData",
+    "STATE_LABELS", "StorageSchedule", "StrategyParams", "TomographyData",
     "TransmissionEstimate", "estimate_params", "estimate_transmission", "expectation",
     "export_histogram", "export_histograms", "export_process_matrix", "fidelity",
     "fidelity_vs_photon_number", "mle_state", "model_conditional_fidelity", "model_mode_fidelity",

@@ -13,16 +13,14 @@ the transmitted fidelity and transmission, which constrains the
 strategy mix and lowers the achievable benchmark. One loop over grid
 levels, from the p = 0 fallback, finds that optimum: level 0 spans the
 domain and each later level is centred on the last winner. A level
-lists its feasible (eta_m1, q) cells with p > 0 in row-major order,
-drops those where no delta lets strategy 2 match the output budget
-(0 < eta_m2 <= 1), and evaluates the rest in blocks of a fixed number
-of cells, which may span eta_m1 rows: one numpy pass per block covers
-all of its (cell, delta) candidates, with their Poisson tables stacked
-zero-padded in one array, one sorted search over those tables for every
-candidate's threshold photon number, and their output shares, emission
-budgets and objective written in place into buffers the level reuses.
-A block's memory grows with its candidates and its table entries, not
-with their product, and a level's not with its number of feasible cells.
+walks its feasible (eta_m1, q) cells in row-major order, in blocks of a
+fixed number of cells, and bounds each cell from above by three
+monotone facts, on a ladder of means built once per level. Only cells
+whose bound comes within 1e-9 of the running best, so that no skipped
+cell can win or tie, get one numpy pass over their (cell, delta)
+candidates, with their Poisson tables stacked zero-padded and one sorted
+search for every threshold photon number. A block's memory grows with
+its candidates and its table entries, not with their product.
 
 All bounds read their photon-number statistics from one table builder,
 which covers mu up to 600 without truncating the distribution, and
@@ -51,16 +49,20 @@ _MU_MAX = 600.0
 _N = np.arange(math.ceil(_MU_MAX + 20.0 * math.sqrt(_MU_MAX + 1.0) + 25.0) + 1.0)
 _MP = (_N + 1.0) / (_N + 2.0)
 _N.flags.writeable = _MP.flags.writeable = False
-# feasible (eta_m1, q) cells per block of the transmitted-bound search: at
-# the default grid a call then peaks at 0.27-0.31 MiB of traced allocation
-# (mu = 0.5, 1.4, 3.6, 8.2 and 10; most of it the block's (cell, delta)
-# arrays and tables, and the level's feasible cells), where one pass over a
-# whole level would take several MiB
+# feasible (eta_m1, q) cells per block of the transmitted-bound search: at the
+# default grid a call then peaks at 0.27-0.31 MiB of traced allocation (mu = 0.5,
+# 1.4, 3.6, 8.2 and 10; mostly a block's (cell, delta) arrays and tables), where
+# one pass over a whole level would take several MiB
 _BLOCK_CELLS = 80
 # smallest emission budget of the scalar bounds: a subnormal budget x is
 # resolved only to 5e-324 / x relative, and the bound is a ratio over it;
 # from here up that error stays below 1e-12
 _MIN_P_EMIT = 5e-312
+# transmitted-bound prune: its margin, above the bound's float error (1e-15,
+# 1e-12 at _MIN_P_EMIT), and the rungs of its ladder, fewer past an entry cap
+_PRUNE_MARGIN = 1e-9
+_RUNGS = 32
+_LADDER_ENTRIES = 2048
 
 
 @dataclass(frozen=True)
@@ -129,16 +131,15 @@ def _poisson_tables(mus) -> tuple:
     pmf = pmf[:, :width] * (n[:width] <= last[:, None])
     mp = _MP[:width]
     # strict upper tails: sums from the top of each row down, written reversed
-    s_gt = np.empty_like(pmf)
-    w_gt = np.empty_like(pmf)
+    s_gt, w_gt = np.empty_like(pmf), np.empty_like(pmf)
     s_gt[:, -1] = w_gt[:, -1] = 0.0
     np.cumsum(pmf[:, :0:-1], axis=1, out=s_gt[:, -2::-1])
     np.cumsum((mp * pmf)[:, :0:-1], axis=1, out=w_gt[:, -2::-1])
     return pmf, mp, s_gt, w_gt
 
 
-def _threshold_eval(tables, p_emit: np.ndarray):
-    """Threshold bound, n_min and gamma for emission probabilities p_emit[r, k] on table row r.
+def _threshold_eval(tables, p_emit: np.ndarray, rows=None):
+    """Threshold bound, n_min and gamma for budgets p_emit[r, k] on table row r, or on row rows[r].
 
     Every p_emit must be finite and above 0, and every row of the tail
     table s_gt nonincreasing, which the table builder makes exact (its
@@ -153,6 +154,8 @@ def _threshold_eval(tables, p_emit: np.ndarray):
     offsets = np.arange(0, pmf.size, pmf.shape[1])[:, None]
     keys = _row_keys(offsets, s_gt)
     keys.imag[::pmf.shape[1]] = -np.inf
+    if rows is not None:
+        offsets = offsets[rows]
     at = keys.searchsorted(_row_keys(offsets, p_emit), side="right").reshape(p_emit.shape)
     del keys
     # the part of p_emit left at n_min, at most its pmf; tail(n_min) < p_emit, so it is above 0
@@ -235,11 +238,9 @@ def threshold_bound(mu: float, eta_m: float, *, matching: str = "exp") -> BoundR
 
 
 def _threshold(mu: float, eta_m: float, matching: str, budget: str = "emission budget") -> BoundResult:
-    """threshold_bound without the input checks; the transmitted bound's
-    fallback runs it at (1 - eta_t) mu, which may be subnormal. An
-    emission budget below _MIN_P_EMIT raises ValueError: the bound is a
-    ratio over the budget, and a subnormal budget carries too few digits
-    for it (0 divides 0 by 0)."""
+    """threshold_bound without the input checks (the transmitted bound's fallback
+    runs it at (1 - eta_t) mu, which may be subnormal); a budget below _MIN_P_EMIT,
+    too few digits for the ratio the bound is, raises ValueError."""
     p_emit = _p_emit(mu, eta_m, matching).reshape(1, 1)
     if not p_emit[0, 0] >= _MIN_P_EMIT:
         raise ValueError(f"{budget} P_emit = {p_emit[0, 0]:.3g} (mu = {mu:.3g}, "
@@ -253,22 +254,20 @@ def _threshold(mu: float, eta_m: float, matching: str, budget: str = "emission b
     return BoundResult(float(bound[0, 0]), params, bool(degenerate))
 
 
-def _output_shares(p, delta, eta1, eta, eta_m: float, w1=None, eta_m2=None):
-    """Strategy 1's share w1 = p delta eta1 of the output budget eta_m, and the
-    eta_m2 that strategy 2 must then match; the arguments broadcast, and the
-    results are written to w1 and eta_m2 when those are given."""
-    w1 = np.multiply(p, delta, out=w1)
-    w1 *= eta1
-    eta_m2 = np.subtract(eta_m, w1, out=eta_m2)
-    eta_m2 /= (1.0 - p) * (1.0 - eta)
-    return w1, eta_m2
+def _output_shares(p, delta, eta1, eta, eta_m: float):
+    """Strategy 1's share w1 = p delta eta1 of the output budget eta_m, and the eta_m2 left to strategy 2."""
+    w1 = p * delta * eta1
+    return w1, (eta_m - w1) / ((1.0 - p) * (1.0 - eta))
 
 
-def _feasible_cells(eta1_axis, q_axis, delta_axis, f1, f_t: float, eta_t: float, eta_m: float):
-    """Feasible (eta_m1, q) cells of the transmitted cheat, as flat indices
-    into the plane in row-major order, with the p and eta that f_t and
-    eta_t pin there; f1 is strategy 1's fidelity on eta1_axis. A cell is
-    kept only if some delta of delta_axis may give 0 < eta_m2 <= 1."""
+def _objective(w1, f1, fm2, eta_m: float):
+    """The strategies' fidelities f1, fm2 weighted by their shares w1, eta_m - w1 of the output budget."""
+    return (w1 * f1 + (eta_m - w1) * fm2) / eta_m
+
+
+def _feasible_cells(eta1_axis, q_axis, f1, f_t: float, eta_t: float):
+    """Feasible (eta_m1, q) cells, as row-major flat indices into the plane, with the p and
+    eta that f_t and eta_t pin there; f1 is strategy 1's fidelity on eta1_axis."""
     half = 0.5 * (1.0 + q_axis)
     den = half - f1[:, None]
     # infeasible cells may divide by 0
@@ -277,18 +276,7 @@ def _feasible_cells(eta1_axis, q_axis, delta_axis, f1, f_t: float, eta_t: float,
         eta = (eta_t - p * eta1_axis[:, None]) / (1.0 - p)
     cells = np.flatnonzero((np.abs(den) >= 1e-14) & (0.0 < p) & (p <= 1.0 - 1e-12)
                            & (0.0 <= eta) & (eta <= 1.0 - 1e-12))
-    p, eta = p.ravel()[cells], eta.ravel()[cells]
-    # p > 0, eta_m1 > 0 and (1 - p)(1 - eta) > 0 here, and rounding to nearest is
-    # monotone, so each step of the search's own expression for eta_m2 (same
-    # operands, same order) is monotone in delta: eta_m2 is nonincreasing in delta,
-    # largest at the axis's smallest delta and smallest at its largest. A cell
-    # with eta_m2 <= 0 at the one or eta_m2 > 1 at the other has no candidate;
-    # it would score only -inf, and the kept cells stay in row-major order, so
-    # dropping it moves neither the winner nor the tie rule
-    ends = np.array([delta_axis.min(), delta_axis.max()])
-    _, eta_m2 = _output_shares(p[:, None], ends, eta1_axis[cells // q_axis.size, None], eta[:, None], eta_m)
-    keep = (eta_m2[:, 0] > 0.0) & (eta_m2[:, 1] <= 1.0)
-    return cells[keep], p[keep], eta[keep]
+    return cells, p.ravel()[cells], eta.ravel()[cells]
 
 
 def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float = ETA_T_MEAN,
@@ -306,12 +294,22 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     chosen, so those three are searched in one loop over grid levels
     (eta_m1 log spaced): level 0 spans the whole domain, each later one
     a step of the previous level's spacing each way of the last winner,
-    until a level would start with no winner. Each level keeps the
-    feasible (eta_m1, q) cells with p > 0 where some delta of the
-    level may give 0 < eta_m2 <= 1 (eta_m2 falls monotonically with
-    delta, so the ends of the delta axis decide it), and evaluates them
-    in fixed-size blocks, one batched pass over all (cell, delta)
-    candidates of a block.
+    until a level would start with no winner. A level walks its
+    feasible (eta_m1, q) cells with p > 0 in fixed-size blocks, and one
+    batched pass over (cell, delta) candidates evaluates only the cells
+    whose upper bound reaches the running best less 1e-9 (or whose
+    smallest budget is below 5e-312). Strategy 2's fidelity fm2 does not
+    increase with its emission budget, so over a cell's valid deltas
+    (0 < eta_m2 <= 1) it is at most its value at the smallest valid
+    budget; at a fixed budget it does not decrease with the mean
+    (Poisson(mu) is stochastically ordered and (n + 1) / (n + 2) rises
+    with n), so it is at most its value on the smallest rung at or above
+    the cell's mu2 = (1 - eta) mu of a ladder of up to 32 means spanning
+    the level's mu2; and the objective is affine in strategy 1's share
+    w1 (fm2 weighs eta_m - w1 > 0), so the bound is largest at an end of
+    the cell's valid w1. The margin is far above the float error: a
+    skipped cell lies strictly below the running best, so the winner and
+    the tie rule below are those of evaluating every cell.
 
     The always-feasible point p = 0, q = 2 f_t - 1, eta = eta_t seeds
     the search (its emitter must carry the whole output budget, so
@@ -341,45 +339,47 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
 
     def search(eta1_axis, q_axis, delta_axis, best):
         fm1, nmin1, gamma1 = _threshold_eval(tables1, _p_emit(mu, eta1_axis, matching)[None, :])
-        cells, p, eta = _feasible_cells(eta1_axis, q_axis, delta_axis, fm1[0], f_t, eta_t, eta_m)
-        # buffers every block reuses; each step writes in place with the operands
-        # and order of the plain expression, so every float is the same: w1, then
-        # the objective; eta_m2, then the emission budget, then eta_m - w1
-        shape = (min(cells.size, _BLOCK_CELLS), delta_axis.size)
-        w1_buf, budget_buf = np.empty(shape), np.empty(shape)
+        cells, p, eta = _feasible_cells(eta1_axis, q_axis, fm1[0], f_t, eta_t)
+        if not cells.size:
+            return best
+        mu2 = (1.0 - eta) * mu
+        # the ladder spans the level's mu2; its rows are at most top + 20 sqrt(top + 1) + 26 wide
+        top = mu2.max()
+        rungs = np.geomspace(mu2.min(), top, max(2, min(_RUNGS, _LADDER_ENTRIES // int(
+            top + 20.0 * math.sqrt(top + 1.0) + 26.0))))
+        ladder = _poisson_tables(rungs)
         for lo in range(0, cells.size, _BLOCK_CELLS):
-            # (cell, delta) block; w1 is strategy 1's share of the output budget
             blk = slice(lo, lo + _BLOCK_CELLS)
             i, j = np.divmod(cells[blk], q_axis.size)
-            pb, etab, eta1 = p[blk], eta[blk], eta1_axis[i]
-            m = pb.size
-            w1, eta_m2 = _output_shares(pb[:, None], delta_axis, eta1[:, None], etab[:, None], eta_m,
-                                        w1_buf[:m], budget_buf[:m])
+            pb, etab, eta1, mu2b, f1 = p[blk], eta[blk], eta1_axis[i], mu2[blk], fm1[0, i]
+            w1, eta_m2 = _output_shares(pb[:, None], delta_axis, eta1[:, None], etab[:, None], eta_m)
             ok = (eta_m2 > 0.0) & (eta_m2 <= 1.0)
-            mu2 = (1.0 - etab) * mu
-            # eta_m2 outside (0, 1], and budgets that underflow to 0 (mu near the
-            # float floor), are masked out of obj; their budget is set to 1
-            np.copyto(eta_m2, 1.0, where=~ok)
-            p_emit = _p_emit(mu2[:, None], eta_m2, matching, out=eta_m2)
-            ok &= p_emit > 0.0
-            masked = np.logical_not(ok, out=ok)
+            # each cell's bound: fm2 at its smallest valid budget (its smallest valid
+            # eta_m2) on the rung at or above its mu2, at both ends of its valid w1
+            budget = _p_emit(mu2b, np.where(ok, eta_m2, 1.0).min(axis=1), matching)
+            fm2 = _threshold_eval(ladder, np.maximum(budget, _MIN_P_EMIT)[:, None],
+                                  rungs.searchsorted(mu2b))[0][:, 0]
+            upper = np.maximum(_objective(np.where(ok, w1, eta_m).min(axis=1), f1, fm2, eta_m),
+                            _objective(np.where(ok, w1, 0.0).max(axis=1), f1, fm2, eta_m))
+            keep = np.flatnonzero(ok.any(axis=1) & ((upper >= best.bound - _PRUNE_MARGIN) | (budget < _MIN_P_EMIT)))
+            if not keep.size:
+                continue
+            w1, eta_m2, mu2b, masked = w1[keep], eta_m2[keep], mu2b[keep], ~ok[keep]
+            # eta_m2 outside (0, 1] and budgets that underflow to 0 are masked out of obj, at budget 1
+            np.copyto(eta_m2, 1.0, where=masked)
+            p_emit = _p_emit(mu2b[:, None], eta_m2, matching, out=eta_m2)
+            masked |= p_emit <= 0.0
             np.copyto(p_emit, 1.0, where=masked)
-            fm2 = _threshold_eval(_poisson_tables(mu2), p_emit)[0]
-            # obj = (w1 fm1 + (eta_m - w1) fm2) / eta_m
-            fm2 *= np.subtract(eta_m, w1, out=p_emit)
-            obj = w1
-            obj *= fm1[0, i, None]
-            obj += fm2
-            del fm2  # not held through the next block's evaluation
-            obj /= eta_m
+            fm2 = _threshold_eval(_poisson_tables(mu2b), p_emit)[0]
+            obj = _objective(w1, f1[keep, None], fm2, eta_m)
             np.copyto(obj, -np.inf, where=masked)
             # first maximum in row-major (eta_m1, q, delta) order, and a later block
             # must beat it strictly: earlier cells win exact ties
             c, k = np.unravel_index(np.argmax(obj), obj.shape)
             if obj[c, k] > best.bound:
-                # the winner's eta_m2 again, as a scalar: its buffer is reused above
+                value, c = float(obj[c, k]), keep[c]
                 eta_m2 = _output_shares(pb[c], delta_axis[k], eta1[c], etab[c], eta_m)[1]
-                best = BoundResult(float(obj[c, k]), StrategyParams(
+                best = BoundResult(value, StrategyParams(
                     p=float(pb[c]), eta_bs=float(etab[c]), q=float(q_axis[j[c]]), delta=float(delta_axis[k]),
                     eta_m1=float(eta1[c]), eta_m2=float(eta_m2), n_min=int(nmin1[0, i[c]]),
                     gamma=float(gamma1[0, i[c]])))

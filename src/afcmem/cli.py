@@ -48,8 +48,8 @@ from .polarization import STATE_LABELS, fidelity, orthogonal_label, standard_sta
 from .refdata import CHI00_MEASURED, EXPECTED_VERDICTS, F_C_MEAN, MODE_SCAN, MU1_MEAN, \
     MU_SCAN, STATE_SCAN, TRANSMITTED_MODES, matched_noise_floor
 from .tableio import write_csv
-from .tomography import SETTING_LABELS, TomographyData, export_process_matrix, mle_state, \
-    monte_carlo_errors, process_tomography
+from .tomography import TomographyData, export_process_matrix, mle_state, monte_carlo_errors, \
+    process_tomography
 
 _VERDICT_HEADER = ["mu", "fidelity", "fidelity_err", "threshold_bound", "verdict",
                    "transmitted_bound", "verdict_transmitted"]
@@ -135,7 +135,7 @@ def _six_settings(exp: ExperimentConfig, seed: int, stream: int) -> TomographyDa
     """Output-window counts in the six analyzer settings, with their dark backgrounds."""
     counts, backgrounds = {}, {}
     bg = exp.trials * exp.dark_per_gate * exp.schedule.n_modes
-    for j, s in enumerate(SETTING_LABELS):
+    for j, s in enumerate(STATE_LABELS):
         hist = simulate_run(exp, s, seed=_derived_seed(seed, stream, j))
         counts[s] = hist.window_counts("output")
         backgrounds[s] = bg
@@ -210,7 +210,7 @@ def _read_counts_file(path: str):
             if len(row) != 3:
                 raise ConfigError(f"{path}:{line_no}: expected input,setting,counts")
             inp, setting, raw = (tok.strip() for tok in row)
-            if inp not in STATE_LABELS or setting not in SETTING_LABELS:
+            if inp not in STATE_LABELS or setting not in STATE_LABELS:
                 raise ConfigError(f"{path}:{line_no}: unknown label {inp!r}/{setting!r}")
             try:
                 n = int(raw)

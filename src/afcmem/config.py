@@ -78,8 +78,8 @@ _SCHEMA: dict[str, dict[str, Any]] = {
 # refine_rounds + 1 levels. The bootstrap fits all of its resamples in
 # one batch, about 1.5 kB of arrays per resample (15 MB at 10,000). A
 # bound-curve point ([bounds] n_points, [reproduce] bound_points) costs
-# one plain, one threshold and one transmitted bound, about 12 ms at the
-# default grid on a 2-core Xeon, so 1,000 points take about 12 s. A
+# one plain, one threshold and one transmitted bound, about 8 ms at the
+# default grid on a 2-core Xeon, so 1,000 points take about 8 s. A
 # [predict] point costs about 45 us and 60 B of CSV there, so 100,000
 # points take about 5 s and 18 MB. A mu grid needs its two end points.
 _LIMITS: dict[tuple[str, str], tuple[int, int]] = {
@@ -95,13 +95,13 @@ _LIMITS: dict[tuple[str, str], tuple[int, int]] = {
 # Work budget of one command's transmitted-bound search, in candidates:
 # (mu points + the four working points) x (refine_rounds + 1) levels x
 # grid_points^3. Over the 24 mu of a default bounds run, a candidate costs
-# 19-35 ns at grid_points = 256 and 31-82 ns at the default 50 on a 2-core
-# Xeon, so the budget is 23 s to under two minutes of search. It admits every
+# 5-12 ns at grid_points = 256 and 14-49 ns at the default 50 on a 2-core
+# Xeon, so the budget is 6 s to about a minute of search. It admits every
 # key of _LIMITS at its limit with the others at their defaults (the largest,
 # grid_points = 256 under bounds, is 24 x 3 x 256^3 = 1.21e9 candidates), and
 # it rejects keys that multiply: n_points = 1000 with grid_points = 256 and
-# refine_rounds = 16 is 2.9e11, about 3.5 hours (12.6-13.0 s a mu there, or
-# 44-46 ns a candidate).
+# refine_rounds = 16 is 2.9e11, about 3.5 hours (11.1-13.4 s a mu there, or
+# 39-47 ns a candidate: the deep levels are flat, and few cells are skipped).
 _BOUND_CANDIDATES = 1_250_000_000
 
 

@@ -31,10 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EstimationError
-from .polarization import PAULIS, PolarizationState, _require_pure, projector
+from .polarization import PAULIS, STATE_LABELS, PolarizationState, _require_pure, projector
 from .tableio import write_csv
-
-SETTING_LABELS = ("H", "V", "D", "A", "R", "L")
 
 # a fit row stops once |grad LL| |t| / (2 sum n) falls to _GRAD_TOL; that is
 # about the relative error left in t, and Newton steps take it from 1e-6
@@ -54,7 +52,7 @@ _LOW_RANK_EIG = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class TomographyData:
-    """Counts behind each analyzer port (a label of SETTING_LABELS), all taken with equal exposure,
+    """Counts behind each analyzer port (a label of STATE_LABELS), all taken with equal exposure,
     and their backgrounds."""
 
     settings: tuple[str, ...]
@@ -81,7 +79,7 @@ class TomographyData:
     @classmethod
     def from_counts(cls, counts: Mapping[str, int],
                     backgrounds: Mapping[str, float] | None = None) -> "TomographyData":
-        labels = [lab for lab in SETTING_LABELS if lab in counts]
+        labels = [lab for lab in STATE_LABELS if lab in counts]
         if set(counts) - set(labels):
             raise ValueError(f"unknown setting labels {sorted(set(counts) - set(labels))}")
         n = np.array([counts[lab] for lab in labels])

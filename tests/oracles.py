@@ -77,7 +77,7 @@ def random_process_matrix(seed: int) -> ProcessMatrix:
 
 def closed_form_rho(counts) -> np.ndarray:
     """MLE of six equal-exposure settings without background, inside the Bloch
-    ball: r_i = (n+ - n-) / (n+ + n-) on each axis, counts in SETTING_LABELS order."""
+    ball: r_i = (n+ - n-) / (n+ + n-) on each axis, counts in STATE_LABELS order."""
     h, v, d, a, r, l = (float(c) for c in counts)
     x, y, z = (d - a) / (d + a), (r - l) / (r + l), (h - v) / (h + v)
     return 0.5 * (np.eye(2) + x * PAULIS[1] + y * PAULIS[2] + z * PAULIS[3])

@@ -34,7 +34,7 @@ from afcmem.memory import (
     fidelity_vs_photon_number,
 )
 from afcmem.montecarlo import ExperimentConfig, estimate_params, simulate_run
-from afcmem.polarization import fidelity, standard_state
+from afcmem.polarization import STATE_LABELS, fidelity, standard_state
 from afcmem.refdata import (
     ETA_M_BENCH,
     ETA_T_MEAN,
@@ -48,7 +48,6 @@ from afcmem.refdata import (
     matched_noise_floor,
 )
 from afcmem.tomography import (
-    SETTING_LABELS,
     TomographyData,
     mle_state,
     monte_carlo_errors,
@@ -119,7 +118,7 @@ def test_tomography_round_trip_and_measured_channel():
                                params=mem, trials=200_000, dark_rate=0.0)
         seed = 500 + 100 * j
         counts = {s: simulate_run(exp, s, seed=seed + k).window_counts("output")
-                  for k, s in enumerate(SETTING_LABELS)}
+                  for k, s in enumerate(STATE_LABELS)}
         data = TomographyData.from_counts(counts)
         est = mle_state(data)
         sigma = monte_carlo_errors(data, target=standard_state(rec.label),

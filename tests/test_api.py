@@ -14,7 +14,7 @@ import afcmem
 PUBLIC = [
     "BoundResult", "ConfigError", "CountHistogram", "DensityMatrixEstimate", "EstimationError",
     "ExperimentConfig", "MemoryParams", "ParamEstimate", "PolarizationState", "ProcessMatrix",
-    "SETTING_LABELS", "STATE_LABELS", "StorageSchedule", "StrategyParams", "TomographyData",
+    "STATE_LABELS", "StorageSchedule", "StrategyParams", "TomographyData",
     "TransmissionEstimate", "estimate_params", "estimate_transmission", "expectation",
     "export_histogram", "export_histograms", "export_process_matrix", "fidelity",
     "fidelity_vs_photon_number", "mle_state", "model_conditional_fidelity", "model_mode_fidelity",
@@ -39,7 +39,7 @@ def _oracle_names():
 
 def test_public_api_pinned():
     assert sorted(afcmem.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 37
     for name in PUBLIC:
         assert hasattr(afcmem, name), name
 

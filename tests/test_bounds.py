@@ -7,7 +7,8 @@ properties, the batched transmitted-bound search against a
 cell-by-cell reference kept here and its value against the face and dense
 grid of oracles, and the in-place Poisson tables and the sorted-search
 threshold evaluator against their out-of-place build and comparison
-form in oracles.
+form in oracles. The search's prune is checked through the two monotone
+facts it rests on, the share of cells it evaluates, and the reference.
 """
 
 import math
@@ -412,16 +413,33 @@ _TRANSMITTED_INPUTS = dict(
 # level 1 only ties the level-0 winner (an exact p > 0 tie, which the incumbent
 # keeps), and level 2 runs around the same cell at level 1's spacing and wins
 @example(mu=2.2, f_t=0.72, eta_t=0.37, eta_m=0.14, grid_points=7, refine_rounds=2, matching="exp")
-# levels of several blocks of feasible cells: the default grid (3, 30 and 41
-# blocks), and a winner in the last cell of a full block (cell 31 of block 1 at
-# the refined level, which it reaches only because the cell filter drops cells
-# before it)
+# levels of several blocks of feasible cells: the four working points under both
+# matchings at the default grid (2, 14 and 29 blocks at mu = 8.2), mu = 300, where
+# the prune skips few cells, the off-face point of the dense oracle, and a winner
+# at cell 64 of the refined level's first block
+@example(mu=0.8, f_t=F_T_MEAN, eta_t=ETA_T_MEAN, eta_m=ETA_M_BENCH, grid_points=50, refine_rounds=2,
+         matching="exp")
+@example(mu=1.4, f_t=F_T_MEAN, eta_t=ETA_T_MEAN, eta_m=ETA_M_BENCH, grid_points=50, refine_rounds=2,
+         matching="exp")
+@example(mu=3.6, f_t=F_T_MEAN, eta_t=ETA_T_MEAN, eta_m=ETA_M_BENCH, grid_points=50, refine_rounds=2,
+         matching="exp")
 @example(mu=8.2, f_t=F_T_MEAN, eta_t=ETA_T_MEAN, eta_m=ETA_M_BENCH, grid_points=50, refine_rounds=2,
          matching="exp")
+@example(mu=0.8, f_t=F_T_MEAN, eta_t=ETA_T_MEAN, eta_m=ETA_M_BENCH, grid_points=50, refine_rounds=2,
+         matching="linear")
+@example(mu=1.4, f_t=F_T_MEAN, eta_t=ETA_T_MEAN, eta_m=ETA_M_BENCH, grid_points=50, refine_rounds=2,
+         matching="linear")
+@example(mu=3.6, f_t=F_T_MEAN, eta_t=ETA_T_MEAN, eta_m=ETA_M_BENCH, grid_points=50, refine_rounds=2,
+         matching="linear")
+@example(mu=8.2, f_t=F_T_MEAN, eta_t=ETA_T_MEAN, eta_m=ETA_M_BENCH, grid_points=50, refine_rounds=2,
+         matching="linear")
+@example(mu=300.0, f_t=F_T_MEAN, eta_t=ETA_T_MEAN, eta_m=ETA_M_BENCH, grid_points=50, refine_rounds=2,
+         matching="exp")
+@example(mu=5.63, f_t=0.609, eta_t=0.663, eta_m=0.2296, grid_points=50, refine_rounds=2, matching="exp")
 @example(mu=6.2, f_t=0.74, eta_t=0.18, eta_m=0.065, grid_points=27, refine_rounds=1, matching="exp")
-# the cell filter drops feasible cells between kept ones of a multi-block level:
-# because eta_m2 <= 0 at every delta (5 of the first level's 49 cells), and
-# because eta_m2 > 1 at every delta (9 of 55)
+# cells with no valid delta, which get no bound and are skipped, lie between
+# evaluated ones: eta_m2 <= 0 at every delta (5 of the first level's 49 cells),
+# and eta_m2 > 1 at every delta (9 of 55)
 @example(mu=17.2, f_t=0.65, eta_t=0.56, eta_m=0.01, grid_points=18, refine_rounds=1, matching="exp")
 @example(mu=18.1, f_t=0.89, eta_t=0.06, eta_m=0.55, grid_points=10, refine_rounds=1, matching="exp")
 def test_batched_search_equals_cell_by_cell_reference(mu, f_t, eta_t, eta_m, grid_points,
@@ -505,11 +523,59 @@ def test_sorted_search_threshold_equals_comparison_oracle(mus, picks):
     assert (got[1] >= 1).all() and (got[1] < tables[0].shape[1]).all()
 
 
-@pytest.mark.parametrize("mu", [0.5, 1.4, 3.6, 8.2, 10.0])
+# slack of the two facts the transmitted-bound prune rests on: their float error
+# (up to 5e-13 at budgets near 5e-312), far below the prune's 1e-9 margin
+_MONOTONE_SLACK = 1e-11
+
+
+@settings(deadline=None, max_examples=100)
+@given(mus=st.lists(_TABLE_MU.filter(lambda mu: mu > 0.0), min_size=2, max_size=6),
+       picks=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, _BUDGET_KINDS - 1)),
+                      min_size=1, max_size=12))
+@example(mus=[sys.float_info.min, 600.0], picks=[(c, k) for k in range(_BUDGET_KINDS) for c in (0, 1, 2)])
+@example(mus=[sys.float_info.min, 1e-300, 1e-12, 0.5, 8.2, 100.0, 600.0],
+         picks=[(c, k) for k in range(_BUDGET_KINDS) for c in (0, 1, 5, 40, 1000)])
+@example(mus=[3.6, np.nextafter(3.6, 4.0), 3.6 + 1e-9], picks=[(c, 0) for c in range(12)])
+def test_threshold_value_monotone_in_budget_and_mean(mus, picks):
+    # every row takes every budget of every row: tail entries (exact ties) and their
+    # neighbours, 1, degenerate budgets above a row's whole tail, and 5e-312
+    mus = np.sort(mus)
+    tables = afcmem.bounds._poisson_tables(mus)
+    budgets = np.unique(np.maximum(_budgets(tables[2], picks), 5e-312))
+    value = afcmem.bounds._threshold_eval(tables, np.tile(budgets, (mus.size, 1)))[0]
+    # on one row the value does not increase with the budget
+    assert (np.diff(value, axis=1) <= _MONOTONE_SLACK).all()
+    # at one budget it does not decrease from a smaller mean's row to a larger one's
+    assert (np.diff(value, axis=0) >= -_MONOTONE_SLACK).all()
+
+
+def test_prune_evaluates_few_cells():
+    # the rows of every Poisson table the call builds (strategy 2's tables, and also
+    # the ladders, strategy 1's table and the fallback's) against its feasible cells
+    rows, cells = [], []
+    tables, feasible = afcmem.bounds._poisson_tables, afcmem.bounds._feasible_cells
+
+    def count_rows(mus):
+        rows.append(np.atleast_1d(mus).size)
+        return tables(mus)
+
+    def count_cells(*args):
+        found = feasible(*args)
+        cells.append(found[0].size)
+        return found
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(afcmem.bounds, "_poisson_tables", count_rows)
+        patch.setattr(afcmem.bounds, "_feasible_cells", count_cells)
+        transmitted_constrained_bound(3.6)
+    assert len(cells) == 3 and sum(rows) <= 0.1 * sum(cells)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.4, 3.6, 8.2, 10.0, 300.0])
 def test_transmitted_bound_peak_allocation(mu):
     # the search evaluates each level in fixed-size blocks of cells; one pass
     # over a whole default level would allocate several MiB. The mu are the
-    # ends of the bounds grid and three of the working points
+    # ends of the bounds grid, three of the working points, and 300, where a
+    # table row is about seven times as wide and few cells are skipped
     transmitted_constrained_bound(mu)
     tracemalloc.start()
     try:
@@ -517,7 +583,7 @@ def test_transmitted_bound_peak_allocation(mu):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.4 * 2 ** 20
+    assert peak < (1.8 if mu == 300.0 else 0.4) * 2 ** 20
 
 
 def test_transmitted_bound_reports_fallback_with_positive_zero_p():

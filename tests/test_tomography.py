@@ -8,10 +8,9 @@ from afcmem import tomography
 from afcmem.errors import EstimationError
 from afcmem.memory import MemoryParams
 from afcmem.montecarlo import ExperimentConfig, simulate_run
-from afcmem.polarization import fidelity, projector, standard_state
+from afcmem.polarization import STATE_LABELS, fidelity, projector, standard_state
 from afcmem.refdata import F_C_MEAN, STATE_SCAN, matched_noise_floor
 from afcmem.tomography import (
-    SETTING_LABELS,
     ProcessMatrix,
     TomographyData,
     _design,
@@ -38,7 +37,7 @@ def _simulated_data(label, trials=200_000, seed=800):
     exp = ExperimentConfig(input_state=label, mu_per_mode=rec.mu,
                            params=mem, trials=trials, dark_rate=0.0)
     counts = {s: simulate_run(exp, s, seed=seed + k).window_counts("output")
-              for k, s in enumerate(SETTING_LABELS)}
+              for k, s in enumerate(STATE_LABELS)}
     return TomographyData.from_counts(counts), rec
 
 
@@ -61,7 +60,7 @@ def test_mle_recovers_pure_state_from_ideal_counts():
 
 
 def test_mle_recovers_maximally_mixed():
-    counts = {s: 1000 for s in SETTING_LABELS}
+    counts = {s: 1000 for s in STATE_LABELS}
     est = mle_state(TomographyData.from_counts(counts))
     mixed = np.eye(2) / 2.0
     assert np.abs(est.state.rho - mixed).max() < 1e-3
@@ -83,7 +82,7 @@ def test_mle_log_likelihood_monotone():
         return np.sum(n * np.log(m) - m)
 
     assert est.log_likelihood == pytest.approx(at_best_flux(est.state.rho), rel=1e-8)
-    for label in SETTING_LABELS:
+    for label in STATE_LABELS:
         nearby = 0.99 * est.state.rho + 0.01 * standard_state(label).rho
         assert at_best_flux(nearby) < est.log_likelihood
 
@@ -113,7 +112,7 @@ def test_bootstrap_input_validation():
     data, _ = _simulated_data("D", trials=1000, seed=12)
     with pytest.raises(ValueError):
         monte_carlo_errors(data, target=standard_state("D"), resamples=50)
-    empty = TomographyData.from_counts({s: 0 for s in SETTING_LABELS})
+    empty = TomographyData.from_counts({s: 0 for s in STATE_LABELS})
     with pytest.raises(EstimationError):
         monte_carlo_errors(empty, target=standard_state("D"))
 
@@ -127,7 +126,7 @@ def test_mle_matches_closed_form_inside_bloch_ball(counts):
     # the three axes, so the MLE is r_i = (n+ - n-) / (n+ + n-) inside the ball
     rho = closed_form_rho(counts)
     assume(np.linalg.eigvalsh(rho).min() > 5e-4)
-    est = mle_state(TomographyData.from_counts(dict(zip(SETTING_LABELS, counts))))
+    est = mle_state(TomographyData.from_counts(dict(zip(STATE_LABELS, counts))))
     assert est.converged
     assert np.abs(est.state.rho - rho).max() < 1e-9
 
@@ -142,15 +141,15 @@ def test_fit_never_below_old_ascent_likelihood():
     for base in bases:
         for level in (0.0, 0.05, 0.3):
             bg = np.full(6, level * base.mean())
-            data = TomographyData(SETTING_LABELS, base + rng.poisson(bg), bg)
+            data = TomographyData(STATE_LABELS, base + rng.poisson(bg), bg)
             ref = ascent_mle(data)[1]
             assert mle_state(data).log_likelihood >= ref - 1e-9 * abs(ref)
             draws = rng.poisson(data.counts, size=(6, 6))
             draws = draws[draws.sum(axis=1) > 0]
-            rho, ll, _, converged = _fit_rows(SETTING_LABELS, draws.astype(float), bg)
+            rho, ll, _, converged = _fit_rows(STATE_LABELS, draws.astype(float), bg)
             assert converged.all()
             for row, n in enumerate(draws):
-                one = TomographyData(SETTING_LABELS, n, bg)
+                one = TomographyData(STATE_LABELS, n, bg)
                 ref = ascent_mle(one)[1]
                 assert ll[row] >= ref - 1e-9 * abs(ref)
                 single = mle_state(one)
@@ -168,7 +167,7 @@ def test_fit_log_likelihood_never_falls_step_by_step(monkeypatch, counts, bg):
     lls = []
     for k in range(10):
         monkeypatch.setattr(tomography, "_MAX_STEPS", k)
-        lls.append(_fit_rows(SETTING_LABELS, np.array([counts], dtype=float), np.full(6, bg))[1][0])
+        lls.append(_fit_rows(STATE_LABELS, np.array([counts], dtype=float), np.full(6, bg))[1][0])
     assert all(b >= a - 1e-12 * abs(a) for a, b in zip(lls, lls[1:]))
 
 
@@ -206,7 +205,7 @@ def test_bootstrap_fits_converge_near_pure_states(counts):
     # near H, T^dag T puts d near 0 and Newton steps crawl along a flat ring
     # of (a, c); fitted in the (H, V) order only, 90-200 of 200 rows stopped
     # short, which shrank the pure-H sigma by a third
-    data = TomographyData.from_counts(dict(zip(SETTING_LABELS, counts)))
+    data = TomographyData.from_counts(dict(zip(STATE_LABELS, counts)))
     for seed in (1, 2):
         sigma = monte_carlo_errors(data, standard_state("D"), resamples=200, seed=seed)
         assert sigma.resamples_unconverged == 0
