@@ -13,14 +13,17 @@ the transmitted fidelity and transmission, which constrains the
 strategy mix and lowers the achievable benchmark. One loop over grid
 levels, from the p = 0 fallback, finds that optimum: level 0 spans the
 domain and each later level is centred on the last winner. A level
-walks its feasible (eta_m1, q) cells in row-major order, in blocks of a
-fixed number of cells, and bounds each cell from above by three
-monotone facts, on a ladder of means built once per level. Only cells
-whose bound comes within 1e-9 of the running best, so that no skipped
-cell can win or tie, get one numpy pass over their (cell, delta)
-candidates, with their Poisson tables stacked zero-padded and one sorted
-search for every threshold photon number. A block's memory grows with
-its candidates and its table entries, not with their product.
+first bounds each of its feasible (eta_m1, q) cells from above in one
+pass that costs a few numbers per cell: a cell's valid deltas form one
+run of the delta axis, and three monotone facts put its bound at the
+ends of that run, read on a ladder of means built once per level. It
+then walks the cells in row-major order, in blocks of a fixed number of
+cells. Only cells whose bound comes within 1e-9 of the running best, so
+that no skipped cell can win or tie, get one numpy pass over their
+(cell, delta) candidates, with their Poisson tables stacked zero-padded
+and one sorted search for every threshold photon number. A block's
+memory grows with its candidates and its table entries, not with their
+product.
 
 All bounds read their photon-number statistics from one table builder,
 which covers mu up to 600 without truncating the distribution, and
@@ -50,9 +53,10 @@ _N = np.arange(math.ceil(_MU_MAX + 20.0 * math.sqrt(_MU_MAX + 1.0) + 25.0) + 1.0
 _MP = (_N + 1.0) / (_N + 2.0)
 _N.flags.writeable = _MP.flags.writeable = False
 # feasible (eta_m1, q) cells per block of the transmitted-bound search: at the
-# default grid a call then peaks at 0.27-0.31 MiB of traced allocation (mu = 0.5,
-# 1.4, 3.6, 8.2 and 10; mostly a block's (cell, delta) arrays and tables), where
-# one pass over a whole level would take several MiB
+# default grid a call then peaks at 0.24-0.32 MiB of traced allocation (mu = 0.5,
+# 1.4, 3.6, 8.2 and 10; a block's (cell, delta) arrays and tables, or the level's
+# bound pass, a few numbers per cell), where one (cell, delta) pass over a whole
+# level would take several MiB
 _BLOCK_CELLS = 80
 # smallest emission budget of the scalar bounds: a subnormal budget x is
 # resolved only to 5e-324 / x relative, and the bound is a ratio over it;
@@ -279,6 +283,82 @@ def _feasible_cells(eta1_axis, q_axis, f1, f_t: float, eta_t: float):
     return cells, p.ravel()[cells], eta.ravel()[cells]
 
 
+def _valid_runs(p, eta1, eta, delta_axis, eta_m: float):
+    """Each cell's run of valid deltas (0 < eta_m2 <= 1) on the sorted delta_axis, as the index
+    of its first delta and one past its last; a cell with no valid delta has first >= stop.
+
+    w1 = p delta eta1 does not fall along the axis, so the eta_m2 of _output_shares does not
+    rise: the run starts at the first delta with eta_m2 <= 1 and stops at the first with
+    eta_m2 <= 0. Each end starts where the closed form puts it and then moves, one value of
+    the axis at a time (equal deltas share their eta_m2), until _output_shares puts eta_m2
+    on its side at the end and on the other side just below it.
+    """
+    # the axis padded with -inf and +inf, where eta_m2 is +inf and -inf, so no end moves off it
+    padded = np.concatenate(([-np.inf], delta_axis, [np.inf]))
+    ends = []
+    for c in (1.0, 0.0):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            end = delta_axis.searchsorted((eta_m - c * (1.0 - p) * (1.0 - eta)) / (p * eta1))
+        # the first pass reads every cell in place, later ones only the cells that moved
+        rows = slice(None)
+        while True:
+            k, pr, e1, er = end[rows], p[rows], eta1[rows], eta[rows]
+            up = _output_shares(pr, padded[k + 1], e1, er, eta_m)[1] > c
+            down = _output_shares(pr, padded[k], e1, er, eta_m)[1] <= c
+            rows = np.arange(end.size)[rows]
+            end[rows[up]] = delta_axis.searchsorted(padded[k[up] + 1], side="right")
+            end[rows[down]] = delta_axis.searchsorted(padded[k[down]])
+            rows = rows[up | down]
+            if not rows.size:
+                break
+        ends.append(end)
+    return ends[0], ends[1]
+
+
+def _cell_bounds(cells, p, eta, n_q: int, eta1_axis, fm1, delta_axis, mu: float, eta_m: float,
+                 matching: str):
+    """Upper bound of each feasible cell's objective over its valid deltas, from the ends of
+    their run by the three monotone facts of transmitted_constrained_bound: -inf for a cell
+    with no valid delta, +inf where its smallest valid budget is below _MIN_P_EMIT. A cell is
+    a flat index into the (eta_m1, q) plane of n_q columns, and fm1 is strategy 1's fidelity
+    along eta1_axis. Each array is dropped once spent, since each holds a number per cell.
+    """
+    # divmod, take and flatnonzero rather than //, integer comparisons and any(): numpy
+    # loops the search already runs, as each new one faults in 64 kB or more of code pages
+    i = np.divmod(cells, n_q)[0]
+    eta1 = eta1_axis[i]
+    first, stop = _valid_runs(p, eta1, eta, delta_axis, eta_m)
+    # a cell has a valid delta if its first delta with eta_m2 <= 1 is valid
+    w1_lo, eta_m2 = _output_shares(p, delta_axis.take(first, mode="clip"), eta1, eta, eta_m)
+    live = np.flatnonzero((eta_m2 > 0.0) & (eta_m2 <= 1.0))
+    del first, eta_m2
+    if not live.size:
+        return np.full(cells.size, -np.inf)
+    # mu2 falls as eta rises; the ladder's rows are at most top + 20 sqrt(top + 1) + 26 wide
+    top = (1.0 - eta.min()) * mu
+    rungs = np.geomspace((1.0 - eta.max()) * mu, top, max(2, min(_RUNGS, _LADDER_ENTRIES // int(
+        top + 20.0 * math.sqrt(top + 1.0) + 26.0))))
+    i, w1_lo, stop = i[live], w1_lo[live], stop[live]
+    p, eta, eta1 = p[live], eta[live], eta1[live]
+    w1_hi, budget = _output_shares(p, delta_axis[stop - 1], eta1, eta, eta_m)
+    del stop, p, eta1
+    mu2 = np.subtract(1.0, eta, out=eta)
+    mu2 *= mu
+    budget = _p_emit(mu2, budget, matching, out=budget)
+    rows = rungs.searchsorted(mu2)
+    del eta, mu2
+    tiny = budget < _MIN_P_EMIT
+    fm2 = _threshold_eval(_poisson_tables(rungs), np.maximum(budget, _MIN_P_EMIT, out=budget)[:, None],
+                          rows)[0][:, 0]
+    del budget, rows
+    f1 = fm1[i]
+    upper = np.maximum(_objective(w1_lo, f1, fm2, eta_m), _objective(w1_hi, f1, fm2, eta_m))
+    np.copyto(upper, np.inf, where=tiny)
+    reach = np.full(cells.size, -np.inf)
+    reach[live] = upper
+    return reach
+
+
 def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float = ETA_T_MEAN,
                                   eta_m: float = ETA_M_BENCH, *, grid_points: int = 50,
                                   refine_rounds: int = 2, matching: str = "exp") -> BoundResult:
@@ -294,22 +374,26 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     chosen, so those three are searched in one loop over grid levels
     (eta_m1 log spaced): level 0 spans the whole domain, each later one
     a step of the previous level's spacing each way of the last winner,
-    until a level would start with no winner. A level walks its
-    feasible (eta_m1, q) cells with p > 0 in fixed-size blocks, and one
-    batched pass over (cell, delta) candidates evaluates only the cells
-    whose upper bound reaches the running best less 1e-9 (or whose
-    smallest budget is below 5e-312). Strategy 2's fidelity fm2 does not
-    increase with its emission budget, so over a cell's valid deltas
-    (0 < eta_m2 <= 1) it is at most its value at the smallest valid
-    budget; at a fixed budget it does not decrease with the mean
+    until a level would start with no winner. A level bounds every
+    feasible (eta_m1, q) cell with p > 0 in one pass, then walks the
+    cells in fixed-size blocks, and one batched pass over (cell, delta)
+    candidates evaluates only the cells whose upper bound reaches the
+    running best less 1e-9 (or whose smallest budget is below 5e-312).
+    Along the delta axis w1 = p delta eta1 does not fall and eta_m2 does
+    not rise, so a cell's valid deltas (0 < eta_m2 <= 1) are one run of
+    the axis, and the bound reads only its two ends. Strategy 2's
+    fidelity fm2 does not increase with its emission budget, so over the
+    run it is at most its value at the smallest valid budget, at the
+    run's top end; at a fixed budget it does not decrease with the mean
     (Poisson(mu) is stochastically ordered and (n + 1) / (n + 2) rises
     with n), so it is at most its value on the smallest rung at or above
     the cell's mu2 = (1 - eta) mu of a ladder of up to 32 means spanning
     the level's mu2; and the objective is affine in strategy 1's share
     w1 (fm2 weighs eta_m - w1 > 0), so the bound is largest at an end of
-    the cell's valid w1. The margin is far above the float error: a
-    skipped cell lies strictly below the running best, so the winner and
-    the tie rule below are those of evaluating every cell.
+    the run, whose w1 are its smallest and largest. The margin is far
+    above the float error: a skipped cell lies strictly below the running
+    best, so the winner and the tie rule below are those of evaluating
+    every cell.
 
     The always-feasible point p = 0, q = 2 f_t - 1, eta = eta_t seeds
     the search (its emitter must carry the whole output budget, so
@@ -342,42 +426,31 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
         cells, p, eta = _feasible_cells(eta1_axis, q_axis, fm1[0], f_t, eta_t)
         if not cells.size:
             return best
-        mu2 = (1.0 - eta) * mu
-        # the ladder spans the level's mu2; its rows are at most top + 20 sqrt(top + 1) + 26 wide
-        top = mu2.max()
-        rungs = np.geomspace(mu2.min(), top, max(2, min(_RUNGS, _LADDER_ENTRIES // int(
-            top + 20.0 * math.sqrt(top + 1.0) + 26.0))))
-        ladder = _poisson_tables(rungs)
-        for lo in range(0, cells.size, _BLOCK_CELLS):
-            blk = slice(lo, lo + _BLOCK_CELLS)
-            i, j = np.divmod(cells[blk], q_axis.size)
-            pb, etab, eta1, mu2b, f1 = p[blk], eta[blk], eta1_axis[i], mu2[blk], fm1[0, i]
-            w1, eta_m2 = _output_shares(pb[:, None], delta_axis, eta1[:, None], etab[:, None], eta_m)
-            ok = (eta_m2 > 0.0) & (eta_m2 <= 1.0)
-            # each cell's bound: fm2 at its smallest valid budget (its smallest valid
-            # eta_m2) on the rung at or above its mu2, at both ends of its valid w1
-            budget = _p_emit(mu2b, np.where(ok, eta_m2, 1.0).min(axis=1), matching)
-            fm2 = _threshold_eval(ladder, np.maximum(budget, _MIN_P_EMIT)[:, None],
-                                  rungs.searchsorted(mu2b))[0][:, 0]
-            upper = np.maximum(_objective(np.where(ok, w1, eta_m).min(axis=1), f1, fm2, eta_m),
-                            _objective(np.where(ok, w1, 0.0).max(axis=1), f1, fm2, eta_m))
-            keep = np.flatnonzero(ok.any(axis=1) & ((upper >= best.bound - _PRUNE_MARGIN) | (budget < _MIN_P_EMIT)))
+        reach = _cell_bounds(cells, p, eta, q_axis.size, eta1_axis, fm1[0], delta_axis, mu, eta_m, matching)
+        # a block none of whose cells reaches the level's first best is skipped unseen: the
+        # running best only rises
+        starts = np.arange(0, cells.size, _BLOCK_CELLS)
+        for lo in starts[np.fmax.reduceat(reach, starts) >= best.bound - _PRUNE_MARGIN]:
+            keep = lo + np.flatnonzero(reach[lo:lo + _BLOCK_CELLS] >= best.bound - _PRUNE_MARGIN)
             if not keep.size:
                 continue
-            w1, eta_m2, mu2b, masked = w1[keep], eta_m2[keep], mu2b[keep], ~ok[keep]
+            i, j = np.divmod(cells[keep], q_axis.size)
+            pb, etab, eta1, mu2 = p[keep], eta[keep], eta1_axis[i], (1.0 - eta[keep]) * mu
+            w1, eta_m2 = _output_shares(pb[:, None], delta_axis, eta1[:, None], etab[:, None], eta_m)
+            masked = ~((eta_m2 > 0.0) & (eta_m2 <= 1.0))
             # eta_m2 outside (0, 1] and budgets that underflow to 0 are masked out of obj, at budget 1
             np.copyto(eta_m2, 1.0, where=masked)
-            p_emit = _p_emit(mu2b[:, None], eta_m2, matching, out=eta_m2)
+            p_emit = _p_emit(mu2[:, None], eta_m2, matching, out=eta_m2)
             masked |= p_emit <= 0.0
             np.copyto(p_emit, 1.0, where=masked)
-            fm2 = _threshold_eval(_poisson_tables(mu2b), p_emit)[0]
-            obj = _objective(w1, f1[keep, None], fm2, eta_m)
+            fm2 = _threshold_eval(_poisson_tables(mu2), p_emit)[0]
+            obj = _objective(w1, fm1[0, i, None], fm2, eta_m)
             np.copyto(obj, -np.inf, where=masked)
             # first maximum in row-major (eta_m1, q, delta) order, and a later block
             # must beat it strictly: earlier cells win exact ties
             c, k = np.unravel_index(np.argmax(obj), obj.shape)
             if obj[c, k] > best.bound:
-                value, c = float(obj[c, k]), keep[c]
+                value = float(obj[c, k])
                 eta_m2 = _output_shares(pb[c], delta_axis[k], eta1[c], etab[c], eta_m)[1]
                 best = BoundResult(value, StrategyParams(
                     p=float(pb[c]), eta_bs=float(etab[c]), q=float(q_axis[j[c]]), delta=float(delta_axis[k]),

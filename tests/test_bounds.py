@@ -8,7 +8,8 @@ cell-by-cell reference kept here and its value against the face and dense
 grid of oracles, and the in-place Poisson tables and the sorted-search
 threshold evaluator against their out-of-place build and comparison
 form in oracles. The search's prune is checked through the two monotone
-facts it rests on, the share of cells it evaluates, and the reference.
+facts it rests on, the share of cells it evaluates, the ends of each
+cell's run of valid deltas against a brute-force mask, and the reference.
 """
 
 import math
@@ -523,6 +524,61 @@ def test_sorted_search_threshold_equals_comparison_oracle(mus, picks):
     assert (got[1] >= 1).all() and (got[1] < tables[0].shape[1]).all()
 
 
+@st.composite
+def _delta_axis(draw):
+    """A delta axis as the search builds it: the first level's, then refine_rounds levels,
+    each a step of the last spacing each way of one of its values; from about 12 levels
+    on at grid 50 its values repeat or lie an ulp apart."""
+    g = draw(st.integers(2, 64))
+    axis = np.linspace(1.0 / g, 1.0, g)
+    for _ in range(draw(st.integers(0, 16))):
+        at, dd = axis[draw(st.integers(0, g - 1))], (axis[-1] - axis[0]) / (g - 1)
+        axis = np.linspace(max(at - dd, 1e-6), min(at + dd, 1.0), g)
+    return axis
+
+
+# a cell: p (down to where p eta1 underflows), eta1, eta, and where to put eta_m2 = 0 or 1
+# on the axis: kind 0 leaves the cell as drawn, kind 1 moves p so that eta_m2 is 0 at
+# delta index t, kind 2 moves eta so that it is 1 there, both up to rounding
+_RUN_CELL = st.tuples(st.one_of(st.floats(1e-12, 1.0 - 1e-12), st.floats(1e-320, 1e-150)),
+                      st.floats(1e-4, 1.0), st.floats(0.0, 1.0 - 1e-12), st.integers(0, 2 ** 16),
+                      st.integers(0, 2))
+
+
+@settings(deadline=None, max_examples=200)
+@given(delta_axis=_delta_axis(), eta_m=st.floats(1e-3, 1.0), picks=st.lists(_RUN_CELL, min_size=1, max_size=40))
+# no valid delta (eta_m2 > 1 everywhere, and <= 0 everywhere), a run over the whole axis,
+# and p eta1 below the float floor, where eta_m2 is the same at every delta
+@example(delta_axis=np.linspace(0.02, 1.0, 50), eta_m=1.0, picks=[(1e-12, 1e-4, 0.0, 0, 0)])
+@example(delta_axis=np.linspace(0.02, 1.0, 50), eta_m=1e-3, picks=[(0.9, 1.0, 0.5, 0, 0)])
+@example(delta_axis=np.linspace(0.02, 1.0, 50), eta_m=0.5, picks=[(1e-6, 0.5, 0.2, 0, 0)])
+@example(delta_axis=np.linspace(0.02, 1.0, 50), eta_m=0.0385, picks=[(1e-320, 1e-4, 0.5, 0, 0)])
+# an axis after 16 refinements around 0.5, whose 50 values span a few ulps
+@example(delta_axis=np.linspace(0.5 - 2e-16, 0.5 + 2e-16, 50), eta_m=0.0385,
+         picks=[(0.2, 0.5, 0.3, t, kind) for t in (0, 17, 49) for kind in (1, 2)])
+def test_valid_runs_equal_brute_force_mask(delta_axis, eta_m, picks):
+    cells = []
+    for p, eta1, eta, t, kind in picks:
+        at = delta_axis[t % delta_axis.size]
+        if kind == 1 and eta_m / (at * eta1) <= 1.0 - 1e-12:
+            p = eta_m / (at * eta1)
+        elif kind == 2 and 0.0 <= 1.0 - (eta_m - p * at * eta1) / (1.0 - p) <= 1.0 - 1e-12:
+            eta = 1.0 - (eta_m - p * at * eta1) / (1.0 - p)
+        cells.append((p, eta1, eta))
+    p, eta1, eta = np.array(cells).T
+    first, stop = afcmem.bounds._valid_runs(p, eta1, eta, delta_axis, eta_m)
+    # the (cell, delta) plane, as the search's blocks form it
+    eta_m2 = afcmem.bounds._output_shares(p[:, None], delta_axis, eta1[:, None], eta[:, None], eta_m)[1]
+    ok = (eta_m2 > 0.0) & (eta_m2 <= 1.0)
+    for c in range(p.size):
+        valid = np.flatnonzero(ok[c])
+        if valid.size:
+            assert (first[c], stop[c]) == (valid[0], valid[-1] + 1)
+            assert valid.size == stop[c] - first[c]  # one run
+        else:
+            assert first[c] >= stop[c]
+
+
 # slack of the two facts the transmitted-bound prune rests on: their float error
 # (up to 5e-13 at budgets near 5e-312), far below the prune's 1e-9 margin
 _MONOTONE_SLACK = 1e-11
@@ -551,39 +607,70 @@ def test_threshold_value_monotone_in_budget_and_mean(mus, picks):
 
 def test_prune_evaluates_few_cells():
     # the rows of every Poisson table the call builds (strategy 2's tables, and also
-    # the ladders, strategy 1's table and the fallback's) against its feasible cells
-    rows, cells = [], []
+    # the ladders, strategy 1's table and the fallback's) against its feasible cells;
+    # and the (cell, delta) candidates it forms: a row of 50 deltas for each cell it
+    # evaluates (a row of strategy 2's tables, built from an array of mu2 but not
+    # read as a ladder) and none for a skipped cell, so the bound pass stays O(cells),
+    # with one ladder evaluation per level
+    rows, ladder_rows, cells, formed = [], [], [], []
     tables, feasible = afcmem.bounds._poisson_tables, afcmem.bounds._feasible_cells
+    shares, evaluate = afcmem.bounds._output_shares, afcmem.bounds._threshold_eval
 
     def count_rows(mus):
-        rows.append(np.atleast_1d(mus).size)
+        rows.append((np.ndim(mus), np.atleast_1d(mus).size))
         return tables(mus)
 
     def count_cells(*args):
         found = feasible(*args)
         cells.append(found[0].size)
         return found
+
+    def count_formed(*args):
+        w1, eta_m2 = shares(*args)
+        if np.ndim(eta_m2) == 2:
+            formed.append(eta_m2.size)
+        return w1, eta_m2
+
+    def count_ladders(tables, p_emit, rows=None):
+        if rows is not None:
+            ladder_rows.append(tables[0].shape[0])
+        return evaluate(tables, p_emit, rows)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(afcmem.bounds, "_poisson_tables", count_rows)
         patch.setattr(afcmem.bounds, "_feasible_cells", count_cells)
+        patch.setattr(afcmem.bounds, "_output_shares", count_formed)
+        patch.setattr(afcmem.bounds, "_threshold_eval", count_ladders)
         transmitted_constrained_bound(3.6)
-    assert len(cells) == 3 and sum(rows) <= 0.1 * sum(cells)
+    assert len(cells) == 3 and sum(size for _, size in rows) <= 0.1 * sum(cells)
+    evaluated = sum(size for ndim, size in rows if ndim) - sum(ladder_rows)
+    assert len(ladder_rows) == 3 and evaluated > 0 and sum(formed) == 50 * evaluated
+
+
+def _traced_peak(mu, **kwargs):
+    """Traced allocation peak of a transmitted-bound call, after one call to warm up."""
+    transmitted_constrained_bound(mu, **kwargs)
+    tracemalloc.start()
+    try:
+        transmitted_constrained_bound(mu, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.4, 3.6, 8.2, 10.0, 300.0])
 def test_transmitted_bound_peak_allocation(mu):
-    # the search evaluates each level in fixed-size blocks of cells; one pass
-    # over a whole default level would allocate several MiB. The mu are the
+    # the search bounds a level's cells in one pass of a few numbers per cell, and
+    # evaluates (cell, delta) candidates in fixed-size blocks of cells; one such
+    # pass over a whole default level would allocate several MiB. The mu are the
     # ends of the bounds grid, three of the working points, and 300, where a
     # table row is about seven times as wide and few cells are skipped
-    transmitted_constrained_bound(mu)
-    tracemalloc.start()
-    try:
-        transmitted_constrained_bound(mu)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (1.8 if mu == 300.0 else 0.4) * 2 ** 20
+    assert _traced_peak(mu) < (1.8 if mu == 300.0 else 0.4) * 2 ** 20
+
+
+def test_transmitted_bound_peak_allocation_at_fine_grid():
+    # at grid 256 a level has up to 65,536 cells, and the bound pass over them sets
+    # the peak (4.16 MiB here)
+    assert _traced_peak(1.4, grid_points=256, refine_rounds=1) < 4.9 * 2 ** 20
 
 
 def test_transmitted_bound_reports_fallback_with_positive_zero_p():
