@@ -200,9 +200,12 @@ def _matching_error(matching) -> ValueError:
 
 
 def _check_mu(mu: float) -> None:
-    # subnormal mu loses the digits of the n = 1 term every bound rests on
+    # subnormal mu loses the digits of the n = 1 term every bound rests on; above
+    # _MU_MAX exp(-mu) heads for underflow and the closed form's mu * mu for overflow
     if not mu >= sys.float_info.min:
         raise ValueError(f"mu must be at least {sys.float_info.min:g}, got {mu}")
+    if not mu <= _MU_MAX:
+        raise ValueError(f"mu must be at most {_MU_MAX:g}, got {mu}")
 
 
 def poisson_conditional_bound(mu: float) -> float:
@@ -210,7 +213,8 @@ def poisson_conditional_bound(mu: float) -> float:
 
     Closed form of sum_n>=1 (n+1)/(n+2) P(mu, n) / (1 - P(mu, 0)); the
     direct series is used below mu = 0.5, where the closed form loses
-    digits to cancellation.
+    digits to cancellation. mu runs from the smallest normal float to
+    600, as for threshold_bound; mu outside raises ValueError.
     """
     _check_mu(mu)
     denom = -math.expm1(-mu)
@@ -480,9 +484,12 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
 
 
 def quantumness_verdict(measured_f: float, measured_err: float, bound: float, k: float = 1.0) -> str:
-    """'quantum' when the measured fidelity clears the bound by k error bars."""
-    if measured_err < 0 or k < 0:
+    """'quantum' when the measured fidelity clears the bound by k error bars; NaN in any
+    argument raises ValueError."""
+    if not (measured_err >= 0 and k >= 0):
         raise ValueError("error bar and k must be nonnegative")
     if not 0.0 <= measured_f <= 1.0:
         raise ValueError(f"measured fidelity {measured_f} outside [0, 1]")
+    if not 0.0 <= bound <= 1.0:
+        raise ValueError(f"bound {bound} outside [0, 1]")
     return "quantum" if measured_f - k * measured_err > bound else "inconclusive"

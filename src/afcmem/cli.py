@@ -8,7 +8,8 @@ explicit --seed.
 
 reproduce-paper runs one stage per reference table: table1 (with fig2),
 tableA1, tableB1 (with fig3b), tableC1, fig3a, and figD1 with verdicts. Each
-writes its CSV and appends its comparisons to the one summary.csv list.
+appends its comparisons to the one summary.csv list and returns its CSVs as
+(file name, write) pairs, which run after the last stage.
 The one bound-and-verdict pass, the six-setting tomography and the mu1
 band are the same helpers that bounds, tomography and predict use.
 
@@ -19,8 +20,9 @@ no-input run; each run carries its config, and the estimators take runs by role.
 main loads the config, checks [schedule] and --seed, parses --mu and
 calls the runner that the command's parser names; each runner checks
 what it reads before its work. Exit codes: 0 success, 2 configuration/
-validation error, 3 runtime or estimation failure. On 2 or 3, main
-removes what the run created of the --out path.
+validation error, 3 runtime or estimation failure. Every command computes
+all of its results before its first write, so a run that exits 2 or 3
+writes nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import argparse
 import csv
 import functools
 import os
-import shutil
 import sys
 from dataclasses import replace
 
@@ -149,13 +150,6 @@ def _fit_state(data: TomographyData, label: str, resamples: int, seed: int):
     return est, fidelity(est.state, standard_state(label)), sigma
 
 
-def _export_chi(labels, states, project: bool, path: str, meta):
-    """Process matrix from the ideal inputs and the fitted states, written to path."""
-    proc = process_tomography([standard_state(l) for l in labels], states, project=project)
-    export_process_matrix(proc, path, meta)
-    return proc
-
-
 def cmd_predict(cfg, args) -> int:
     p = cfg["predict"]
     rows = _mu1_band(p, _mu_grid(p, args.mu))
@@ -255,12 +249,12 @@ def cmd_tomography(cfg, args) -> int:
         rows.append((l, f_hat, sigma, est.state.purity,
                      est.log_likelihood, est.iterations, est.converged, est.low_rank,
                      sigma.resamples_skipped, sigma.resamples_unconverged))
+    proc = process_tomography([standard_state(l) for l in labels], states, project=tomo["project"])
     write_csv(os.path.join(out, "state_fidelity.csv"), meta,
               ["input", "fidelity", "fidelity_err", "purity",
                "log_likelihood", "iterations", "converged", "low_rank",
                "resamples_skipped", "resamples_unconverged"], rows)
-
-    proc = _export_chi(labels, states, tomo["project"], os.path.join(out, "chi.csv"), meta)
+    export_process_matrix(proc, os.path.join(out, "chi.csv"), meta)
     print(f"tomography: chi00={proc.chi00:.4f}; state fidelities " +
           " ".join(f"{l}={r[1]:.4f}" for l, r in zip(labels, rows)))
     return 0
@@ -284,16 +278,17 @@ def cmd_bounds(cfg, args) -> int:
     return 0
 
 
-def _stage_table1(cfg, seed, out, meta, check):
-    """Photon-number scan: closure of the generator/estimator pair per row; fig2 is row 2's histogram."""
+def _stage_table1(cfg, seed, meta, check):
+    """Photon-number scan: closure of the generator/estimator pair per row; fig2 is row 2's
+    parallel run, redrawn when it is written (a run is a pure function of its config and seed)."""
     mem = MemoryParams(**cfg["memory"])
     rows = []
     for i, rec in enumerate(MU_SCAN):
         exp = _experiment(cfg, "D", rec.mu, cfg["reproduce"]["trials"], replace(mem, eta=rec.eta, p_n=rec.p_n))
         par, orth, noise = _triple_run(exp, seed, 100 + 10 * i)
         est = estimate_params(par, orth, noise)
-        if i == 1:
-            export_histogram(par, os.path.join(out, "fig2_histogram.csv"), meta)
+        if i == 1:  # replace(exp) holds no cached time axis while the next rows draw
+            fig2 = functools.partial(simulate_run, replace(exp), "D", seed=par.seed)
         mu1_row = rec.p_n / rec.eta
         f_row = fidelity_vs_photon_number(rec.mu, mu1_row, mem.f_c)
         f_model = model_conditional_fidelity(exp, par.analysis, orth.analysis)
@@ -307,13 +302,14 @@ def _stage_table1(cfg, seed, out, meta, check):
         check("table1", f"fidelity(mu={rec.mu:g})", est.fidelity_hat, f_model, 3 * est.fidelity_err)
         check("table1", f"predicted_fidelity(mu={rec.mu:g})", f_glob, rec.fidelity, 0.02)
         check("table1", f"mu1(mu={rec.mu:g})", mu1_row, rec.mu1, rec.mu1_err)
-    write_csv(os.path.join(out, "table1.csv"), meta,
-              ["mu", "eta_ref", "eta_hat", "eta_err", "p_n_ref", "p_n_hat", "p_n_err",
-               "mu1", "mu1_ref", "mu1_ref_err", "fidelity_ref", "fidelity_hat",
-               "fidelity_err", "fidelity_row_model", "fidelity_global_model"], rows)
+    return [("fig2_histogram.csv", lambda path: export_histogram(fig2(), path, meta)),
+            ("table1.csv", lambda path: write_csv(
+                path, meta, ["mu", "eta_ref", "eta_hat", "eta_err", "p_n_ref", "p_n_hat", "p_n_err",
+                             "mu1", "mu1_ref", "mu1_ref_err", "fidelity_ref", "fidelity_hat",
+                             "fidelity_err", "fidelity_row_model", "fidelity_global_model"], rows))]
 
 
-def _stage_table_a1(cfg, seed, out, meta, check):
+def _stage_table_a1(cfg, seed, meta, check):
     """Mode-resolved run: five modes with their own efficiencies and noise floors."""
     mem = MemoryParams(**cfg["memory"])
     exp = _experiment(cfg, "D", tuple(r.mu for r in MODE_SCAN), cfg["reproduce"]["trials"],
@@ -333,13 +329,13 @@ def _stage_table_a1(cfg, seed, out, meta, check):
         check("tableA1", f"fidelity_closure(mode {m + 1})", f_hat, float(f_model[m]), 3 * f_err)
         check("tableA1", f"fidelity(mode {m + 1})", f_hat, r.fidelity,
               3 * float(np.hypot(f_err, r.fidelity_err)))
-    write_csv(os.path.join(out, "tableA1.csv"), meta,
-              ["mode", "mu", "eta_ref", "p_n_ref", "mu1", "mu1_ref", "mu1_ref_err",
-               "fidelity_ref", "fidelity_ref_err", "fidelity_hat", "fidelity_err",
-               "fidelity_row_model"], rows)
+    return [("tableA1.csv", lambda path: write_csv(
+        path, meta, ["mode", "mu", "eta_ref", "p_n_ref", "mu1", "mu1_ref", "mu1_ref_err",
+                     "fidelity_ref", "fidelity_ref_err", "fidelity_hat", "fidelity_err",
+                     "fidelity_row_model"], rows))]
 
 
-def _stage_table_b1(cfg, seed, out, meta, check):
+def _stage_table_b1(cfg, seed, meta, check):
     """Per-input-state tomography and the fig3b process matrix. The noise floor is matched
     to the measured fidelity (it stays inside the quoted p_n uncertainty for every state)."""
     mem = MemoryParams(**cfg["memory"])
@@ -356,16 +352,16 @@ def _stage_table_b1(cfg, seed, out, meta, check):
         check("tableB1", f"fidelity({rec.label})", f_hat, rec.fidelity,
               3 * float(np.hypot(sigma, rec.fidelity_err)))
         check("tableB1", f"matched_p_n({rec.label})", p_match, rec.p_n, rec.p_n_err)
-    write_csv(os.path.join(out, "tableB1.csv"), meta,
-              ["input", "mu", "eta_ref", "p_n_matched", "p_n_ref", "p_n_ref_err",
-               "fidelity_ref", "fidelity_ref_err", "fidelity_hat", "fidelity_err",
-               "mle_converged"], rows)
-    proc = _export_chi([rec.label for rec in STATE_SCAN], states, True,
-                       os.path.join(out, "fig3b_chi.csv"), meta)
+    proc = process_tomography([standard_state(rec.label) for rec in STATE_SCAN], states)
     check("fig3b", "chi00", proc.chi00, CHI00_MEASURED, 0.04)
+    return [("tableB1.csv", lambda path: write_csv(
+                path, meta, ["input", "mu", "eta_ref", "p_n_matched", "p_n_ref", "p_n_ref_err",
+                             "fidelity_ref", "fidelity_ref_err", "fidelity_hat", "fidelity_err",
+                             "mle_converged"], rows)),
+            ("fig3b_chi.csv", lambda path: export_process_matrix(proc, path, meta))]
 
 
-def _stage_table_c1(cfg, seed, out, meta, check):
+def _stage_table_c1(cfg, seed, meta, check):
     """Transmitted-state characterization: R input, per-mode transmissions."""
     mem = MemoryParams(**cfg["memory"])
     rrec = STATE_SCAN[3]
@@ -384,29 +380,27 @@ def _stage_table_c1(cfg, seed, out, meta, check):
               3 * float(tr.transmission_err[m]))
         check("tableC1", f"transmitted_fidelity(mode {m + 1})", tr.fidelity[m], t.fidelity,
               3 * float(np.hypot(tr.fidelity_err[m], t.fidelity_err)))
-    write_csv(os.path.join(out, "tableC1.csv"), meta,
-              ["mode", "transmission_ref", "transmission_hat", "transmission_err",
-               "fidelity_ref", "fidelity_ref_err", "fidelity_hat", "fidelity_err",
-               "parallel_to_orthogonal_ratio"], rows)
+    return [("tableC1.csv", lambda path: write_csv(
+        path, meta, ["mode", "transmission_ref", "transmission_hat", "transmission_err",
+                     "fidelity_ref", "fidelity_ref_err", "fidelity_hat", "fidelity_err",
+                     "parallel_to_orthogonal_ratio"], rows))]
 
 
-def _stage_fig3a(cfg, seed, out, meta, check):
+def _stage_fig3a(cfg, seed, meta, check):
     """Fidelity prediction vs photon number, with the mu1 band and the threshold bound."""
     b = cfg["bounds"]
     rows = [(mu, lo, mid, hi, threshold_bound(mu, b["eta_m"], matching=b["matching"]).bound)
             for mu, lo, mid, hi in _mu1_band(cfg["predict"], np.linspace(0.5, 10.0, 39))]
-    write_csv(os.path.join(out, "fig3a.csv"), meta,
-              ["mu", "band_low", "predicted", "band_high", "threshold_bound"], rows)
     check("fig3a", "band_ordering_violations", sum(not lo <= mid <= hi for _, lo, mid, hi, _ in rows), 0, 0)
+    return [("fig3a.csv", lambda path: write_csv(
+        path, meta, ["mu", "band_low", "predicted", "band_high", "threshold_bound"], rows))]
 
 
-def _stage_bounds(cfg, seed, out, meta, check):
+def _stage_bounds(cfg, seed, meta, check):
     """figD1, the three classical benchmarks over a log photon-number grid, then the
     quantumness verdicts at the measured working points against the published ones."""
     curve, verdicts = _bound_rows(cfg["bounds"], np.geomspace(0.5, 10.0, cfg["reproduce"]["bound_points"]))
     rows = [(mu, plain, thr.bound, tra.bound) for mu, plain, thr, tra in curve]
-    write_csv(os.path.join(out, "figD1_bounds.csv"), meta,
-              ["mu", "plain", "threshold", "transmitted"], rows)
     arr = np.asarray(rows)
     check("figD1", "plain_le_threshold_violations", int((arr[:, 1] > arr[:, 2] + 1e-12).sum()), 0, 0)
     check("figD1", "transmitted_le_threshold_violations", int((arr[:, 3] > arr[:, 2] + 1e-12).sum()), 0, 0)
@@ -415,7 +409,9 @@ def _stage_bounds(cfg, seed, out, meta, check):
     for row, expected in zip(verdicts, EXPECTED_VERDICTS):
         vrows.append((*row, expected))
         check("verdicts", f"verdict_matches(mu={row[0]:g})", float(row[4] == expected), 1.0, 0.0)
-    write_csv(os.path.join(out, "verdicts.csv"), meta, _VERDICT_HEADER + ["expected"], vrows)
+    return [("figD1_bounds.csv",
+             lambda path: write_csv(path, meta, ["mu", "plain", "threshold", "transmitted"], rows)),
+            ("verdicts.csv", lambda path: write_csv(path, meta, _VERDICT_HEADER + ["expected"], vrows))]
 
 
 def cmd_reproduce_paper(cfg, args) -> int:
@@ -430,9 +426,12 @@ def cmd_reproduce_paper(cfg, args) -> int:
         summary.append((table, quantity, value, reference, tol, err, "ok" if err <= tol else "FAIL"))
 
     check("schedule", "total_storage_us", StorageSchedule(**cfg["schedule"]).total_storage, 515.0, 1e-9)
+    writes = []
     for stage in (_stage_table1, _stage_table_a1, _stage_table_b1, _stage_table_c1,
                   _stage_fig3a, _stage_bounds):
-        stage(cfg, seed, out, meta, check)
+        writes += stage(cfg, seed, meta, check)
+    for name, write in writes:
+        write(os.path.join(out, name))
     write_csv(os.path.join(out, "summary.csv"), meta,
               ["table", "quantity", "value", "reference", "tolerance", "abs_error", "status"], summary)
     with open(os.path.join(out, "effective_config.ini"), "w", newline="\n") as fh:
@@ -478,10 +477,6 @@ def main(argv=None) -> int:
     if args.command == "show-defaults":
         sys.stdout.write(canonical_text(default_config()))
         return 0
-    # the outermost directory of --out that this run would create (None if --out exists)
-    path, created = os.path.abspath(args.out), None
-    while not os.path.lexists(path):
-        path, created = os.path.dirname(path), path
     try:
         cfg = load_config(args.config)
         StorageSchedule(**cfg["schedule"])  # a timing violation exits 2 before any command runs
@@ -494,8 +489,6 @@ def main(argv=None) -> int:
         return args.run(cfg, args)
     except (ConfigError, ValueError, RuntimeError) as exc:  # EstimationError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
-        if created is not None:
-            shutil.rmtree(created, ignore_errors=True)
         return 2 if isinstance(exc, (ConfigError, ValueError)) else 3
 
 

@@ -100,11 +100,11 @@ class StorageSchedule:
 
 
 def fidelity_vs_photon_number(mu: float, mu_1: float, f_c: float) -> float:
-    """Conditional fidelity (F_c + mu1/mu) / (1 + 2 mu1/mu)."""
-    if mu <= 0:
+    """Conditional fidelity (F_c + mu1/mu) / (1 + 2 mu1/mu); NaN in any argument raises ValueError."""
+    if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    if mu_1 < 0:
-        raise ValueError("mu1 must be nonnegative")
+    if not mu_1 >= 0:
+        raise ValueError(f"mu1 must be nonnegative, got {mu_1}")
     if not 0.5 <= f_c <= 1.0:
         raise ValueError(f"f_c = {f_c} outside [1/2, 1]")
     r = float(mu_1) / float(mu)  # as Python floats an overflow gives inf, without a numpy warning

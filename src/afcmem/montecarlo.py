@@ -287,8 +287,8 @@ def _shared_config(parallel: CountHistogram, orthogonal: CountHistogram) -> Expe
 
 
 def _count_ratio(par: np.ndarray, orth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode fidelity par / (par + orth) and its Poisson error, NaN where both are zero; where
-    one is, the error is 1 / (par + orth), as for the train-level fidelity of estimate_params."""
+    """Fidelity par / (par + orth) and its Poisson error, per mode or for a whole train; NaN
+    where both are zero, and where one is, the error is 1 / (par + orth)."""
     tot = par + orth
     with np.errstate(invalid="ignore", divide="ignore"):
         err = np.where(par * orth > 0, np.sqrt(par * orth / tot**3), 1.0 / tot)
@@ -342,8 +342,7 @@ def estimate_params(parallel: CountHistogram, orthogonal: CountHistogram, noise:
     eta_hat = (s_par + s_orth - background) / denom
     eta_err = np.sqrt((s_par + s_orth) / denom**2 + (2.0 * n_modes * trials * t_det * p_n_err / denom) ** 2)
 
-    fid = s_par / (s_par + s_orth)
-    fid_err = np.sqrt(s_par * s_orth / (s_par + s_orth) ** 3) if s_par and s_orth else 1.0 / (s_par + s_orth)
+    fid, fid_err = _count_ratio(float(s_par), float(s_orth))
 
     lit = np.asarray(config.mu_per_mode, dtype=float) > 0
     fid_m, fid_m_err = _count_ratio(np.where(lit, par_m, 0.0), np.where(lit, orth_m, 0.0))

@@ -230,6 +230,17 @@ def test_bounds_reject_subnormal_mu():
     assert threshold_bound(sys.float_info.min, 0.5).bound == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+def test_bounds_reject_mu_above_600():
+    # mu * mu overflowed in the plain bound's closed form, which returned nan from
+    # about 1.3e154 on; the other two bounds refused these in the Poisson table
+    for mu in (np.nextafter(600.0, np.inf), 1e200, math.inf):
+        for bound in (poisson_conditional_bound, lambda m: threshold_bound(m, 0.5),
+                      transmitted_constrained_bound):
+            with pytest.raises(ValueError, match="mu must be at most 600"):
+                bound(float(mu))
+    assert poisson_conditional_bound(600.0) == 0.9983361111111111
+
+
 def test_bounds_reject_underflowing_emission_budget():
     # eta_m mu underflows to 0 here, and the bound divided 0 by 0 (nan)
     with pytest.raises(ValueError, match="emission budget P_emit = 0 .* underflows"):
@@ -695,3 +706,8 @@ def test_verdicts():
     # the margin requirement scales with k
     assert quantumness_verdict(0.85, 0.004, 0.841, k=1.0) == "quantum"
     assert quantumness_verdict(0.85, 0.004, 0.841, k=3.0) == "inconclusive"
+    # NaN in any argument raises; it used to read as "inconclusive"
+    nan = float("nan")
+    for args in ((nan, 0.004, 0.841), (0.9, nan, 0.8), (0.9, 0.01, nan), (0.9, 0.01, 0.8, nan)):
+        with pytest.raises(ValueError):
+            quantumness_verdict(*args)

@@ -617,7 +617,8 @@ def test_single_bound_point_reproduces(tmp_path):
     cfg = load_config(_ini(tmp_path, "[bounds]\ngrid_points = 4\nrefine_rounds = 0\n"
                                      "[reproduce]\nbound_points = 1\n"))
     summary = []
-    _stage_bounds(cfg, 1, str(tmp_path), {}, lambda *row: summary.append(row))
+    for name, write in _stage_bounds(cfg, 1, {}, lambda *row: summary.append(row)):
+        write(os.path.join(tmp_path, name))
     rows = [l for l in _read(os.path.join(tmp_path, "figD1_bounds.csv")).decode().splitlines()
             if l and not l.startswith("#")]
     assert len(rows) == 2 and rows[1].startswith("0.5,")
@@ -663,7 +664,10 @@ def test_reproduce_table1_holds_one_row_of_runs(tmp_path, monkeypatch):
             tracemalloc.stop()
     out = str(tmp_path)
     simulate = peak(lambda: cmd_simulate(cfg, build_parser().parse_args(["simulate", "--seed", "1", "--out", out])))
-    table1 = peak(lambda: _stage_table1(cfg, 1, out, {}, lambda *row: None))
+    writes = []
+    table1 = peak(lambda: writes.extend(_stage_table1(cfg, 1, {}, lambda *row: None)))
+    for name, write in writes:
+        write(os.path.join(out, name))
     assert table1 <= 1.1 * simulate
     assert exported == [3, 1]  # simulate's three runs in one pass, then fig2's one
 
@@ -698,6 +702,47 @@ def test_failed_run_removes_only_the_directories_it_made(tmp_path, capsys):
     _exits_cleanly(argv + [os.path.join(out, "new")], 3, capsys)
     assert not os.path.exists(os.path.join(out, "new"))
     assert _read(os.path.join(out, "sentinel")) == b"x"
+
+
+def test_failed_reproduce_writes_nothing_into_an_existing_out(tmp_path, capsys):
+    # fails after table1 on what the random draws gave; fig2_histogram.csv and
+    # table1.csv were written beside the files that were there before
+    out = os.path.join(tmp_path, "kept")
+    os.makedirs(out)
+    with open(os.path.join(out, "sentinel.txt"), "w") as fh:
+        fh.write("x")
+    ini = _ini(tmp_path, "[reproduce]\ntrials = 100\nresamples = 100\n")
+    err = _exits_cleanly(["reproduce-paper", "--seed", "1", "--config", ini, "--out", out], 3, capsys)
+    assert "zero output counts in both analyzer ports" in err
+    assert os.listdir(out) == ["sentinel.txt"]
+    assert _read(os.path.join(out, "sentinel.txt")) == b"x"
+
+
+@pytest.mark.parametrize("argv, last, first_output", [
+    (["predict"], "_mu1_band", "predict_fidelity.csv"),
+    (["simulate", "--seed", "1"], "estimate_transmission", "histogram_parallel.csv"),
+    (["tomography", "--seed", "1"], "process_tomography", "state_fidelity.csv"),
+    (["bounds"], "_bound_rows", "bound_curve.csv"),
+    (["reproduce-paper", "--seed", "1"], "_bound_rows", "fig2_histogram.csv"),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+@pytest.mark.parametrize("exc, code", [(ValueError, 2), (RuntimeError, 3)], ids=["exit2", "exit3"])
+def test_failure_in_the_last_computation_writes_nothing(tmp_path, capsys, monkeypatch, argv, last,
+                                                        first_output, exc, code):
+    # every command computes all of its results before its first write: a failure in
+    # its last computation leaves an existing --out as it was and creates no other
+    def fail(*args, **kwargs):
+        raise exc("stub failure")
+    monkeypatch.setattr(afcmem.cli, last, fail)
+    out = os.path.join(tmp_path, "kept")
+    os.makedirs(out)
+    before = {"sentinel": b"x", first_output: b"stale\n"}
+    for name, data in before.items():
+        with open(os.path.join(out, name), "wb") as fh:
+            fh.write(data)
+    assert "stub failure" in _exits_cleanly(argv + ["--out", out], code, capsys)
+    assert {name: _read(os.path.join(out, name)) for name in os.listdir(out)} == before
+    assert "stub failure" in _exits_cleanly(argv + ["--out", os.path.join(tmp_path, "a", "b")], code, capsys)
+    assert sorted(os.listdir(tmp_path)) == ["kept"]
 
 
 # every size-limited key at its cheapest accepted value, with few trials: an admitted

@@ -50,6 +50,11 @@ def test_fidelity_input_validation():
         fidelity_vs_photon_number(1.0, -0.1, 0.991)
     with pytest.raises(ValueError):
         fidelity_vs_photon_number(1.0, 0.29, 0.4)
+    # NaN fails every check instead of passing through to a NaN fidelity
+    nan = float("nan")
+    for args in ((nan, 0.29, 0.991), (1.0, nan, 0.991), (1.0, 0.29, nan)):
+        with pytest.raises(ValueError):
+            fidelity_vs_photon_number(*args)
 
 
 def test_memory_params_validation():
