@@ -20,9 +20,10 @@ no-input run; each run carries its config, and the estimators take runs by role.
 main loads the config, checks [schedule] and --seed, parses --mu and
 calls the runner that the command's parser names; each runner checks
 what it reads before its work. Exit codes: 0 success, 2 configuration/
-validation error, 3 runtime or estimation failure. Every command computes
-all of its results before its first write, so a run that exits 2 or 3
-writes nothing.
+validation error (also an --out that is a file or lies under one), 3
+runtime or estimation failure, or an OSError while writing. Every command
+computes all of its results before its first write, so a run that exits
+2, or 3 on a runtime or estimation failure, writes nothing.
 """
 
 from __future__ import annotations
@@ -472,6 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """ConfigError unless --out is a directory or can be made one: no part of its path is a file."""
+    path = os.path.abspath(out)
+    while not os.path.isdir(path):
+        if os.path.lexists(path):
+            raise ConfigError(f"--out {out}: {path} exists and is not a directory")
+        path = os.path.dirname(path)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "show-defaults":
@@ -486,8 +496,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed is required for '{args.command}'")
         if getattr(args, "mu", None) is not None:
             args.mu = _parse_value("floatlist", args.mu, "--mu")
+        _check_out(args.out)
         return args.run(cfg, args)
-    except (ConfigError, ValueError, RuntimeError) as exc:  # EstimationError is a RuntimeError
+    except (ConfigError, ValueError, RuntimeError, OSError) as exc:  # EstimationError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ConfigError, ValueError)) else 3
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -146,13 +146,26 @@ class ExperimentConfig:
     def windows(self) -> tuple[tuple[Window, slice], ...]:
         """Each window of sequence_windows with its bins, those whose centre lies in [start, stop).
 
-        The centres are sorted, so each window is one run of bins. bisect_left
-        gives np.searchsorted's index without the ~100 kB that numpy's search
-        machinery adds to peak memory on first use.
+        Configs with an equal schedule and bin_width share one tuple, computed
+        once (_window_bins). Each config still builds its own bin_edges here,
+        with its first run, as the exporter's memory budget assumes.
         """
-        centers = 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-        return tuple((w, slice(bisect_left(centers, w.start), bisect_left(centers, w.stop)))
-                     for w in sequence_windows(self.schedule))
+        self.bin_edges
+        return _window_bins(self.schedule, self.bin_width, self.n_bins)
+
+
+@lru_cache
+def _window_bins(schedule: StorageSchedule, bin_width: float, n_bins: int) -> tuple[tuple[Window, slice], ...]:
+    """The windows of ExperimentConfig.windows for one time axis, cached by value.
+
+    The centres are sorted, so each window is one run of bins. bisect_left
+    gives np.searchsorted's index without the ~100 kB that numpy's search
+    machinery adds to peak memory on first use.
+    """
+    edges = np.arange(n_bins + 1) * bin_width  # the values of ExperimentConfig.bin_edges
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return tuple((w, slice(bisect_left(centers, w.start), bisect_left(centers, w.stop)))
+                 for w in sequence_windows(schedule))
 
 
 @dataclass(frozen=True)

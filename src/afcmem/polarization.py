@@ -67,16 +67,17 @@ class PolarizationState:
         return float(np.trace(self.rho @ self.rho).real)
 
 
+@cache
 def standard_state(label: str) -> PolarizationState:
-    """Pure state for one of the six standard labels H, V, D, A, R, L."""
+    """Pure state for one of the six standard labels H, V, D, A, R, L, built and validated
+    once and shared by all callers; its read-only rho is also the projector of that port."""
     if label not in _KETS:
         raise ValueError(f"unknown state label {label!r}, expected one of {STATE_LABELS}")
     return PolarizationState.from_ket(_KETS[label])
 
 
-@cache
 def projector(label: str) -> np.ndarray:
-    """Read-only projector of the analyzer port with a standard label, shared by all callers."""
+    """Read-only projector of the analyzer port with a standard label: its standard state's rho."""
     return standard_state(label).rho
 
 

@@ -248,13 +248,16 @@ def _fit_rows(settings: Sequence[str], counts: np.ndarray, backgrounds: np.ndarr
     |c| trade along an almost flat ring and Newton steps crawl. A row
     whose start has rho00 > rho11 is therefore fitted in the basis order
     (V, H): its projectors and start are conjugated by sigma_x, and so is
-    the fitted state.
+    the fitted state. The forms of the settings are built once per basis
+    order, as PAULIS[k] @ P @ PAULIS[k] with k = 0 for (H, V) and 1 for
+    (V, H), and each row takes the stack of its order.
     """
     projectors = _projectors(settings)
     start = _linear_inversion(_design(projectors), counts, backgrounds)
-    flip = np.where((start[:, 0, 0].real > start[:, 1, 1].real)[:, None, None], PAULIS[1], PAULIS[0])
-    qs = _forms(flip[:, None] @ projectors @ flip[:, None])
-    t, ll, steps, converged = _fit(qs, counts, backgrounds, _cholesky_params(flip @ start @ flip))
+    order = (start[:, 0, 0].real > start[:, 1, 1].real).astype(np.intp)
+    flip = PAULIS[order]
+    forms = _forms(PAULIS[:2, None] @ projectors @ PAULIS[:2, None])
+    t, ll, steps, converged = _fit(forms[order], counts, backgrounds, _cholesky_params(flip @ start @ flip))
     return flip @ _t_params_to_rho(t) @ flip, ll, steps, converged
 
 

@@ -80,6 +80,24 @@ def test_runtime_imports_are_numpy_and_stdlib():
     assert added - set(sys.stdlib_module_names) == {"afcmem", "numpy"}
 
 
+def test_import_builds_no_state_and_no_windows():
+    # the cached constants fill on first use, so a fresh interpreter that imports
+    # the CLI and loads the default config (the benchmark's set-up) builds none
+    code = ("import gc\n"
+            "import afcmem.cli\n"
+            "from afcmem import montecarlo, polarization\n"
+            "afcmem.cli.load_config(None)\n"
+            "objs = gc.get_objects()\n"
+            "print(polarization.standard_state.cache_info().currsize,\n"
+            "      montecarlo._window_bins.cache_info().currsize,\n"
+            "      sum(isinstance(o, polarization.PolarizationState) for o in objs),\n"
+            "      sum(isinstance(o, montecarlo.ExperimentConfig) for o in objs))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(afcmem.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.split() == ["0", "0", "0", "0"]
+
+
 def test_perfbench_reads_names_that_exist():
     # the benchmark's span recorder wraps these functions by name and reads these
     # attributes of their results; a rename would leave its layer metrics reading 0

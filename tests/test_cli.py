@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import afcmem
 from afcmem.bounds import threshold_bound
+from afcmem.polarization import PolarizationState
 from afcmem.cli import _stage_bounds, _stage_table1, build_parser, cmd_simulate, main
 from afcmem.config import (
     _LIMITS,
@@ -743,6 +744,41 @@ def test_failure_in_the_last_computation_writes_nothing(tmp_path, capsys, monkey
     assert {name: _read(os.path.join(out, name)) for name in os.listdir(out)} == before
     assert "stub failure" in _exits_cleanly(argv + ["--out", os.path.join(tmp_path, "a", "b")], code, capsys)
     assert sorted(os.listdir(tmp_path)) == ["kept"]
+
+
+@pytest.mark.parametrize("argv", [["predict"], ["simulate", "--seed", "1"], ["tomography", "--seed", "1"],
+                                  ["bounds"], ["reproduce-paper", "--seed", "1"]],
+                         ids=lambda argv: argv[0])
+def test_out_that_is_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # an --out that is a file, or lies under one, ended in a FileExistsError or
+    # NotADirectoryError traceback with exit 1 after the command's work
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before the --out check")
+    for name in ("_mu1_band", "simulate_run", "_bound_rows", "check_bound_budget"):
+        monkeypatch.setattr(afcmem.cli, name, fail)
+    path = os.path.join(tmp_path, "file")
+    with open(path, "w") as fh:
+        fh.write("x")
+    for out in (path, os.path.join(path, "sub")):
+        assert "exists and is not a directory" in _exits_cleanly(argv + ["--out", out], 2, capsys)
+        assert os.listdir(tmp_path) == ["file"] and _read(path) == b"x"
+
+
+def test_write_failure_exits_3(tmp_path, capsys):
+    # an OSError while writing is a runtime failure with its message, not a traceback
+    os.makedirs(os.path.join(tmp_path, "predict_fidelity.csv"))
+    assert "Is a directory" in _exits_cleanly(["predict", "--out", str(tmp_path)], 3, capsys)
+    assert os.listdir(tmp_path) == ["predict_fidelity.csv"]
+
+
+def test_second_simulate_builds_no_state(tmp_path, monkeypatch):
+    # the six standard states are built once per process, on first use
+    assert main(["simulate", "--seed", "1", "--out", str(tmp_path)]) == 0
+    built = []
+    post_init = PolarizationState.__post_init__
+    monkeypatch.setattr(PolarizationState, "__post_init__", lambda self: built.append(post_init(self)))
+    assert main(["simulate", "--seed", "2", "--mu", "0.5,1,2,3,4", "--out", str(tmp_path)]) == 0
+    assert built == []
 
 
 # every size-limited key at its cheapest accepted value, with few trials: an admitted

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from afcmem import montecarlo
 from afcmem.errors import EstimationError
 from afcmem.memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number
 from afcmem.montecarlo import (
@@ -58,6 +59,27 @@ def test_sequence_windows_layout():
     ins = [w for w in wins if w.label == "input"]
     assert ins[0].start == pytest.approx(0.0, abs=1e-12)
     assert ins[4].stop == pytest.approx(6.25, abs=1e-9)
+
+
+def test_equal_configs_share_windows_computed_once(monkeypatch):
+    # configs with an equal schedule and bin_width share one tuple of windows; each
+    # config still builds its own bin edges with its first windows
+    calls = []
+    monkeypatch.setattr(montecarlo, "sequence_windows",
+                        lambda schedule: calls.append(schedule) or sequence_windows(schedule))
+    montecarlo._window_bins.cache_clear()
+    a = ExperimentConfig(schedule=StorageSchedule(), bin_width=0.125, trials=1000)
+    b = ExperimentConfig(input_state="H", mu_per_mode=0.0, schedule=StorageSchedule(),
+                         bin_width=0.125, trials=7)
+    assert "bin_edges" not in vars(a) and "bin_edges" not in vars(b)
+    assert a.windows is b.windows
+    assert calls == [StorageSchedule()]
+    assert "bin_edges" in vars(a) and "bin_edges" in vars(b) and a.bin_edges is not b.bin_edges
+    hist = simulate_run(a, "D", seed=1)
+    for win, bins in a.windows:
+        mask = _mask_bins(hist, win)
+        assert (bins.start, bins.stop) == ((mask[0], mask[-1] + 1) if mask.size else (bins.start,) * 2)
+    assert replace(a, bin_width=0.25).windows != a.windows and len(calls) == 2
 
 
 def test_all_zero_without_any_source():

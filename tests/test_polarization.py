@@ -32,6 +32,19 @@ def test_unknown_label_rejected():
         expectation(standard_state("D"), "x")
 
 
+def test_standard_states_are_one_read_only_table():
+    # each label's state is built and validated once; its rho is the port's projector
+    for label in STATE_LABELS:
+        state = standard_state(label)
+        assert standard_state(label) is state
+        assert projector(label) is state.rho
+        assert not state.rho.flags.writeable
+        with pytest.raises(ValueError):
+            state.rho[0, 0] = 0.5
+    with pytest.raises(ValueError, match="unknown state label"):
+        standard_state("Q")
+
+
 def test_state_invariants():
     for label in STATE_LABELS:
         rho = standard_state(label).rho

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,7 +10,7 @@ from afcmem import tomography
 from afcmem.errors import EstimationError
 from afcmem.memory import MemoryParams
 from afcmem.montecarlo import ExperimentConfig, simulate_run
-from afcmem.polarization import STATE_LABELS, fidelity, projector, standard_state
+from afcmem.polarization import PAULIS, STATE_LABELS, fidelity, projector, standard_state
 from afcmem.refdata import F_C_MEAN, STATE_SCAN, matched_noise_floor
 from afcmem.tomography import (
     ProcessMatrix,
@@ -169,6 +171,34 @@ def test_fit_log_likelihood_never_falls_step_by_step(monkeypatch, counts, bg):
         monkeypatch.setattr(tomography, "_MAX_STEPS", k)
         lls.append(_fit_rows(STATE_LABELS, np.array([counts], dtype=float), np.full(6, bg))[1][0])
     assert all(b >= a - 1e-12 * abs(a) for a, b in zip(lls, lls[1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from([STATE_LABELS, ("H", "V", "D", "R"), ("V", "A", "L", "H", "R")]),
+       st.lists(st.lists(st.integers(1, 10**6), min_size=5, max_size=5), min_size=1, max_size=6),
+       st.floats(0.0, 50.0))
+def test_fit_rows_selects_one_form_stack_per_basis_order(settings_, rows, bg):
+    # the forms are built once per basis order and each row takes its order's stack;
+    # the reference conjugates every row's projectors by its own flip
+    k = len(settings_)
+    counts = np.array([(row * 2)[:k] for row in rows]
+                      + [[10_000] + [1] * (k - 1), [1] + [10_000] * (k - 1)], dtype=float)
+    backgrounds = np.full(k, bg)
+    seen = []
+
+    def spy(qs, *args):
+        seen.append(qs)
+        return fit(qs, *args)
+    fit = tomography._fit
+    with mock.patch.object(tomography, "_fit", spy):
+        _fit_rows(settings_, counts, backgrounds)
+    projectors = _projectors(settings_)
+    start = _linear_inversion(_design(projectors), counts, backgrounds)
+    flipped = start[:, 0, 0].real > start[:, 1, 1].real
+    assert flipped.any() and not flipped.all()
+    flip = np.where(flipped[:, None, None], PAULIS[1], PAULIS[0])
+    reference = tomography._forms(flip[:, None] @ projectors @ flip[:, None])
+    assert seen[0].dtype == reference.dtype and seen[0].tobytes() == reference.tobytes()
 
 
 def test_bootstrap_sigma_calibrated():
