@@ -406,7 +406,7 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     strategy 1's n_min and gamma); a fallback emission budget that
     underflows below 5e-312 raises ValueError, as in threshold_bound. On
     exact objective ties the first candidate in row-major (eta_m1, q,
-    delta) grid order is kept.
+    delta) grid order is kept. grid_points < 2 or refine_rounds < 0 raise ValueError.
     """
     _check_mu(mu)
     if not 0.0 < eta_t < 1.0:
@@ -417,6 +417,8 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
         raise ValueError(f"eta_m must be in (0, 1], got {eta_m}")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    if not refine_rounds >= 0:
+        raise ValueError(f"refine_rounds must be >= 0, got {refine_rounds}")
     if matching not in ("exp", "linear"):
         raise _matching_error(matching)
     eta_m2_fb = min(eta_m / (1.0 - eta_t), 1.0)

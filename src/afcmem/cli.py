@@ -162,8 +162,6 @@ def cmd_predict(cfg, args) -> int:
 
 
 def cmd_simulate(cfg, args) -> int:
-    if args.trials is not None and args.trials < 1:
-        raise ConfigError("--trials must be positive")
     sim, out = cfg["simulate"], args.out
     mus = sim["mu_per_mode"] if args.mu is None else args.mu
     exp = _experiment(cfg, sim["input_state"], mus[0] if len(mus) == 1 else mus,
@@ -288,8 +286,8 @@ def _stage_table1(cfg, seed, meta, check):
         exp = _experiment(cfg, "D", rec.mu, cfg["reproduce"]["trials"], replace(mem, eta=rec.eta, p_n=rec.p_n))
         par, orth, noise = _triple_run(exp, seed, 100 + 10 * i)
         est = estimate_params(par, orth, noise)
-        if i == 1:  # replace(exp) holds no cached time axis while the next rows draw
-            fig2 = functools.partial(simulate_run, replace(exp), "D", seed=par.seed)
+        if i == 1:
+            fig2 = functools.partial(simulate_run, exp, "D", seed=par.seed)
         mu1_row = rec.p_n / rec.eta
         f_row = fidelity_vs_photon_number(rec.mu, mu1_row, mem.f_c)
         f_model = model_conditional_fidelity(exp, par.analysis, orth.analysis)

@@ -21,18 +21,17 @@ S_max / (S_max + S_min) = (mu eta F_c + p_n) / (mu eta + 2 p_n).
 
 Counts are Poissonian and independent between trials, so the histogram
 accumulated over N trials is drawn in one shot as Poisson(N * lam) per
-bin; the result is independent of how trials would be partitioned
-across workers, which makes the merge order trivially deterministic.
-Identical (config, seed) gives bit-identical histograms.
+bin. Identical (config, seed) gives bit-identical histograms.
 
 Times are microseconds, dark_rate is counts per second.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -43,17 +42,17 @@ from .polarization import STATE_LABELS, expectation, orthogonal_label, standard_
 from .tableio import format_float, write_csv_lines
 
 _REL_TOL = 1e-9
-# bins per step of the histogram exporter: it formats their edges and window
-# labels once for all histograms of the time axis, then writes one joined
-# string per file, so it holds no per-bin data for a whole histogram (chunks of
-# 256 or 1,024 bins were not measurably faster)
-_EXPORT_CHUNK = 64
-# at its peak the simulate command holds 56 B per bin (tracemalloc, 20,850 to
-# 166,800 bins): the bin edges of its config and of the no-input run's, two runs'
-# counts, and three arrays while it draws the third run; so does reproduce-paper,
-# which holds one row's runs at a time. Its first call in a process adds about
-# 0.73 MB that does not grow with the bins. The cap budgets 64 B per bin, so the
-# 128 MiB of bins at the cap are at most 128.7 MiB in all
+# bins per step of the histogram exporter, which builds and formats their edges and
+# window labels once for all histograms of the time axis and holds no per-bin data
+# for a whole histogram. A default simulate-and-export (300,000 trials, best of 30,
+# 2-core Xeon) took 1.94-2.12 ms at 256 bins a chunk, 2.07-2.19 at 64, 2.19-2.26 at 1,024
+_EXPORT_CHUNK = 256
+# at its peak the simulate command holds 40 B per bin (tracemalloc in a fresh
+# process, 20,850 to 166,800 bins): two runs' counts, and three arrays while it
+# draws the third run; so does reproduce-paper, which holds one row's runs at a
+# time. Its first call in a process adds about 0.93 MB that does not grow with
+# the bins. The cap budgets 64 B per bin and _FIXED_BYTES, so the 128 MiB of
+# bins at the cap are at most 128.7 MiB in all; they measure about 81 MiB
 _BYTES_PER_BIN = 64
 _FIXED_BYTES = 730_000
 _MAX_BINS = (128 << 20) // _BYTES_PER_BIN
@@ -73,11 +72,12 @@ def _as_tuple(value, n: int, name: str) -> tuple:
 class ExperimentConfig:
     """Full description of one simulated counting run.
 
-    input_state is one of the labels STATE_LABELS. mu_per_mode and
-    params accept either one value for all modes or one per mode.
-    bin_width must divide the mode duration; 0.0, the default
-    and the INI's value, stands for a fifth of it. n_bins, the bins over
-    total storage plus one mode train, may not exceed _MAX_BINS.
+    input_state is one of the labels STATE_LABELS. mu_per_mode and params
+    accept either one value for all modes or one per mode. bin_width must
+    divide the mode duration; 0.0, the default and the INI's value, stands
+    for a fifth of it. n_bins, the bins over total storage plus one mode
+    train, may not exceed _MAX_BINS. Each mu_per_mode and dark_rate must be
+    finite and nonnegative and trials an integer >= 1, else ValueError.
     """
 
     input_state: str = "D"
@@ -96,8 +96,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown input state {self.input_state!r}, expected one of {STATE_LABELS}")
         n = self.schedule.n_modes
         mus = _as_tuple(self.mu_per_mode, n, "mu_per_mode")
-        if any(m < 0 for m in mus):
-            raise ValueError("mu_per_mode must be nonnegative")
+        if not all(0.0 <= m < math.inf for m in mus):
+            raise ValueError(f"mu_per_mode must be finite and nonnegative, got {mus}")
         object.__setattr__(self, "mu_per_mode", tuple(float(m) for m in mus))
         object.__setattr__(self, "params", _as_tuple(self.params, n, "params"))
         for name in ("detector_efficiency", "transmission_to_detector"):
@@ -105,13 +105,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} = {getattr(self, name)} outside (0, 1]")
         if self.t_det == 0.0:
             raise ValueError("transmission_to_detector * detector_efficiency underflows to 0")
-        if self.dark_rate < 0:
-            raise ValueError("dark_rate must be nonnegative")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 0.0 <= self.dark_rate < math.inf:
+            raise ValueError(f"dark_rate must be finite and nonnegative, got {self.dark_rate}")
+        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         bw = self.schedule.mode_duration / 5.0 if self.bin_width == 0.0 else float(self.bin_width)
-        if bw <= 0:
-            raise ValueError("bin_width must be positive")
+        if not 0.0 < bw < math.inf:
+            raise ValueError(f"bin_width must be finite and positive, got {bw}")
         ratio = self.schedule.mode_duration / bw
         if abs(ratio - round(ratio)) > _REL_TOL * ratio:
             raise ValueError(f"bin_width {bw} does not divide the mode duration {self.schedule.mode_duration}")
@@ -135,22 +135,10 @@ class ExperimentConfig:
         """Mean dark counts per gate window of one mode (dark_rate is per second, mode in us)."""
         return self.dark_rate * self.schedule.mode_duration * 1e-6 * self.detector_efficiency
 
-    @cached_property
-    def bin_edges(self) -> np.ndarray:
-        """The n_bins + 1 edges of the histogram bins, from 0 us; read-only, as the runs share them."""
-        edges = np.arange(self.n_bins + 1) * self.bin_width
-        edges.setflags(write=False)
-        return edges
-
-    @cached_property
+    @property
     def windows(self) -> tuple[tuple[Window, slice], ...]:
-        """Each window of sequence_windows with its bins, those whose centre lies in [start, stop).
-
-        Configs with an equal schedule and bin_width share one tuple, computed
-        once (_window_bins). Each config still builds its own bin_edges here,
-        with its first run, as the exporter's memory budget assumes.
-        """
-        self.bin_edges
+        """Each window of sequence_windows with its bins, those whose centre lies in [start, stop);
+        configs with an equal schedule and bin_width share one tuple (_window_bins)."""
         return _window_bins(self.schedule, self.bin_width, self.n_bins)
 
 
@@ -162,7 +150,7 @@ def _window_bins(schedule: StorageSchedule, bin_width: float, n_bins: int) -> tu
     gives np.searchsorted's index without the ~100 kB that numpy's search
     machinery adds to peak memory on first use.
     """
-    edges = np.arange(n_bins + 1) * bin_width  # the values of ExperimentConfig.bin_edges
+    edges = np.arange(n_bins + 1) * bin_width  # bin k spans [k, k + 1) * bin_width from 0 us
     centers = 0.5 * (edges[:-1] + edges[1:])
     return tuple((w, slice(bisect_left(centers, w.start), bisect_left(centers, w.stop)))
                  for w in sequence_windows(schedule))
@@ -409,11 +397,12 @@ def _histogram_chunks(hists: Sequence[CountHistogram]) -> Iterator[list[str]]:
     # the window cells of each window's bins; a later window's label wins where windows overlap
     spans = [(bins.start, bins.stop, f",{win.label},") for win, bins in axis.windows]
     tails = [hist.analysis + "\n" for hist in hists]
-    end = format_float(float(axis.bin_edges[0]))
+    end = format_float(0.0)
     n = axis.n_bins
     for a in range(0, n, _EXPORT_CHUNK):
         b = min(a + _EXPORT_CHUNK, n)
-        ends = list(map(format_float, axis.bin_edges[a + 1:b + 1].tolist()))
+        # edge k is k * bin_width, as in _window_bins
+        ends = list(map(format_float, (np.arange(a + 1, b + 1) * axis.bin_width).tolist()))
         starts = [end, *ends[:-1]]
         end = ends[-1]
         posts = [",,"] * (b - a)

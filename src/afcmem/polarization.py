@@ -67,13 +67,18 @@ class PolarizationState:
         return float(np.trace(self.rho @ self.rho).real)
 
 
+def _known(label: str) -> str:
+    """The label itself if it is one of STATE_LABELS, else ValueError."""
+    if label not in _KETS:
+        raise ValueError(f"unknown state label {label!r}, expected one of {STATE_LABELS}")
+    return label
+
+
 @cache
 def standard_state(label: str) -> PolarizationState:
     """Pure state for one of the six standard labels H, V, D, A, R, L, built and validated
     once and shared by all callers; its read-only rho is also the projector of that port."""
-    if label not in _KETS:
-        raise ValueError(f"unknown state label {label!r}, expected one of {STATE_LABELS}")
-    return PolarizationState.from_ket(_KETS[label])
+    return PolarizationState.from_ket(_KETS[_known(label)])
 
 
 def projector(label: str) -> np.ndarray:
@@ -82,8 +87,9 @@ def projector(label: str) -> np.ndarray:
 
 
 def orthogonal_label(label: str) -> str:
-    pairs = {"H": "V", "V": "H", "D": "A", "A": "D", "R": "L", "L": "R"}
-    return pairs[label]
+    """Label of the port orthogonal to the standard label (ValueError for any other label);
+    STATE_LABELS holds the pairs next to each other: H V, D A, R L."""
+    return STATE_LABELS[STATE_LABELS.index(_known(label)) ^ 1]
 
 
 def expectation(state: PolarizationState, port: str) -> float:

@@ -79,10 +79,14 @@ class TomographyData:
     @classmethod
     def from_counts(cls, counts: Mapping[str, int],
                     backgrounds: Mapping[str, float] | None = None) -> "TomographyData":
+        """Data from counts by setting label, in STATE_LABELS order. backgrounds, if given,
+        must name exactly the counted settings; unknown or mismatched labels raise ValueError."""
         labels = [lab for lab in STATE_LABELS if lab in counts]
         if set(counts) - set(labels):
             raise ValueError(f"unknown setting labels {sorted(set(counts) - set(labels))}")
         n = np.array([counts[lab] for lab in labels])
+        if backgrounds is not None and set(backgrounds) != set(labels):
+            raise ValueError(f"backgrounds must name the counted settings {labels}, not {sorted(backgrounds)}")
         bg = None if backgrounds is None else np.array([backgrounds[lab] for lab in labels], dtype=float)
         return cls(tuple(labels), n, bg)
 

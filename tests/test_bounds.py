@@ -309,6 +309,15 @@ def test_threshold_input_validation():
         threshold_bound(1.0, 1.5)
 
 
+def test_transmitted_rejects_negative_refine_rounds():
+    # no round count may cut the search down to the p = 0 fallback (0.813 at
+    # mu = 1.4), which lies below the searched bound and would overstate quantumness
+    for rounds in (-1, -3):
+        with pytest.raises(ValueError, match=f"refine_rounds must be >= 0, got {rounds}"):
+            transmitted_constrained_bound(1.4, refine_rounds=rounds)
+    assert transmitted_constrained_bound(1.4, refine_rounds=0).bound > 0.82
+
+
 def test_threshold_matches_series_oracle_at_high_mu():
     # the Poisson table reaches past n = 500 here; a table cut there
     # loses most of the mass by mu = 550

@@ -62,8 +62,7 @@ def test_sequence_windows_layout():
 
 
 def test_equal_configs_share_windows_computed_once(monkeypatch):
-    # configs with an equal schedule and bin_width share one tuple of windows; each
-    # config still builds its own bin edges with its first windows
+    # configs with an equal schedule and bin_width share one tuple of windows
     calls = []
     monkeypatch.setattr(montecarlo, "sequence_windows",
                         lambda schedule: calls.append(schedule) or sequence_windows(schedule))
@@ -71,15 +70,23 @@ def test_equal_configs_share_windows_computed_once(monkeypatch):
     a = ExperimentConfig(schedule=StorageSchedule(), bin_width=0.125, trials=1000)
     b = ExperimentConfig(input_state="H", mu_per_mode=0.0, schedule=StorageSchedule(),
                          bin_width=0.125, trials=7)
-    assert "bin_edges" not in vars(a) and "bin_edges" not in vars(b)
     assert a.windows is b.windows
     assert calls == [StorageSchedule()]
-    assert "bin_edges" in vars(a) and "bin_edges" in vars(b) and a.bin_edges is not b.bin_edges
     hist = simulate_run(a, "D", seed=1)
     for win, bins in a.windows:
         mask = _mask_bins(hist, win)
         assert (bins.start, bins.stop) == ((mask[0], mask[-1] + 1) if mask.size else (bins.start,) * 2)
     assert replace(a, bin_width=0.25).windows != a.windows and len(calls) == 2
+
+
+def test_config_holds_no_array_after_a_run_and_its_export(tmp_path):
+    # a config is the description of a run: the time axis it draws on is
+    # rebuilt from bin_width where it is needed, not cached on the config
+    exp = ExperimentConfig(trials=1000)
+    hist = simulate_run(exp, "D", seed=1)
+    export_histograms((hist,), (os.path.join(tmp_path, "h.csv"),))
+    held = [name for name in dir(exp) if not name.startswith("__") and isinstance(getattr(exp, name), np.ndarray)]
+    assert held == []
 
 
 def test_all_zero_without_any_source():
@@ -312,15 +319,20 @@ def test_histogram_export_memory_does_not_grow_with_the_bins(tmp_path):
     assert abs(peak(0.00625) - peak(0.025)) < 64 * 1024
 
 
+def _edges(config):
+    return np.arange(config.n_bins + 1) * config.bin_width
+
+
 def _mask_bins(hist, win):
-    centers = 0.5 * (hist.config.bin_edges[:-1] + hist.config.bin_edges[1:])
+    edges = _edges(hist.config)
+    centers = 0.5 * (edges[:-1] + edges[1:])
     return np.nonzero((centers >= win.start) & (centers < win.stop))[0]
 
 
 def _export_per_cell(hist, path, metadata):
     """The histogram exporter as it was before rows were pre-joined:
     mask-selected window bins and every cell through write_csv."""
-    edges = hist.config.bin_edges
+    edges = _edges(hist.config)
     labels = [""] * (len(edges) - 1)
     for win, _ in hist.config.windows:
         for i in _mask_bins(hist, win):
@@ -409,6 +421,19 @@ def test_config_validation():
         ExperimentConfig(params=mem, bin_width=0.7)  # does not divide 1.25 us
     with pytest.raises(ValueError):
         ExperimentConfig(params=mem, trials=0)
+    # NaN, infinite or fractional values fail as the config is built, not in simulate_run
+    nan, inf = float("nan"), float("inf")
+    for kwargs, message in (({"mu_per_mode": (1, nan, 1, 1, 1)}, "mu_per_mode must be finite"),
+                            ({"mu_per_mode": inf}, "mu_per_mode must be finite"),
+                            ({"dark_rate": nan}, "dark_rate must be finite"),
+                            ({"dark_rate": inf}, "dark_rate must be finite"),
+                            ({"trials": 1.5}, "trials must be an integer"),
+                            ({"trials": 1000.0}, "trials must be an integer"),
+                            ({"bin_width": nan}, "bin_width must be finite"),
+                            ({"bin_width": inf}, "bin_width must be finite")):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(params=mem, **kwargs)
+    assert ExperimentConfig(params=mem, trials=np.int64(1000)).trials == 1000
     # a detection chain that sees nothing leaves the estimators nothing to divide by
     for kwargs in ({"detector_efficiency": 0.0}, {"transmission_to_detector": 0.0},
                    {"transmission_to_detector": 5e-324, "detector_efficiency": 0.4}):

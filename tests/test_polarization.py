@@ -137,6 +137,10 @@ def test_orthogonal_state_and_label():
     for a, b in MUB_PAIRS:
         assert orthogonal_label(a) == b
         assert orthogonal_label(b) == a
+    # any other label raises ValueError, as standard_state does
+    for bad in ("Q", "h", "", "HV"):
+        with pytest.raises(ValueError, match="unknown state label"):
+            orthogonal_label(bad)
 
 
 def test_pauli_round_trip():

@@ -52,6 +52,15 @@ def test_data_validation():
         TomographyData.from_counts({"H": 10, "V": 10})  # projectors span rank 3 only
     with pytest.raises(ValueError, match="unknown state label 'X'"):
         TomographyData(("H", "V", "D", "X"), [1, 2, 3, 4])
+    # backgrounds name exactly the counted settings: none missing, none dropped unread
+    counts = {"H": 10, "V": 12, "D": 9, "R": 11}
+    bgs = {"H": 1.0, "V": 1.0, "D": 1.0, "R": 1.0}
+    assert TomographyData.from_counts(counts, bgs).backgrounds.tolist() == [1.0] * 4
+    for bad, names in (({k: v for k, v in bgs.items() if k != "D"}, r"\['H', 'R', 'V'\]"),
+                       ({**bgs, "L": 3.0}, r"\['D', 'H', 'L', 'R', 'V'\]"),
+                       ({"H": 1.0, "V": 1.0, "D": 1.0, "X": 0.5}, r"\['D', 'H', 'V', 'X'\]")):
+        with pytest.raises(ValueError, match=r"counted settings \['H', 'V', 'D', 'R'\], not " + names):
+            TomographyData.from_counts(counts, bad)
 
 
 def test_mle_recovers_pure_state_from_ideal_counts():
