@@ -17,22 +17,18 @@ from .errors import ConfigError, EstimationError
 from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number
 from .montecarlo import (CountHistogram, ExperimentConfig, ParamEstimate, TransmissionEstimate,
                          estimate_params, estimate_transmission, export_histogram,
-                         export_histograms, model_conditional_fidelity, model_mode_fidelity,
-                         sequence_windows, simulate_run)
-from .polarization import (PolarizationState, STATE_LABELS, expectation, fidelity, orthogonal_label,
-                           standard_state)
+                         export_histograms, model_fidelity, simulate_run)
+from .polarization import PolarizationState, STATE_LABELS, fidelity, orthogonal_label, standard_state
 from .tomography import (DensityMatrixEstimate, ProcessMatrix, TomographyData,
-                         export_process_matrix, mle_state, monte_carlo_errors, process_tomography,
-                         project_process_matrix)
+                         export_process_matrix, mle_state, monte_carlo_errors, process_tomography)
 
 __all__ = [
     "BoundResult", "ConfigError", "CountHistogram", "DensityMatrixEstimate", "EstimationError",
     "ExperimentConfig", "MemoryParams", "ParamEstimate", "PolarizationState", "ProcessMatrix",
     "STATE_LABELS", "StorageSchedule", "StrategyParams", "TomographyData",
-    "TransmissionEstimate", "estimate_params", "estimate_transmission", "expectation",
-    "export_histogram", "export_histograms", "export_process_matrix", "fidelity",
-    "fidelity_vs_photon_number", "mle_state", "model_conditional_fidelity", "model_mode_fidelity",
-    "monte_carlo_errors", "orthogonal_label", "poisson_conditional_bound", "process_tomography",
-    "project_process_matrix", "quantumness_verdict", "sequence_windows", "simulate_run",
+    "TransmissionEstimate", "estimate_params", "estimate_transmission", "export_histogram",
+    "export_histograms", "export_process_matrix", "fidelity", "fidelity_vs_photon_number",
+    "mle_state", "model_fidelity", "monte_carlo_errors", "orthogonal_label",
+    "poisson_conditional_bound", "process_tomography", "quantumness_verdict", "simulate_run",
     "standard_state", "threshold_bound", "transmitted_constrained_bound",
 ]

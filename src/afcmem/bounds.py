@@ -399,14 +399,17 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
     best, so the winner and the tie rule below are those of evaluating
     every cell.
 
-    The always-feasible point p = 0, q = 2 f_t - 1, eta = eta_t seeds
-    the search (its emitter must carry the whole output budget, so
-    eta_m2 = eta_m / (1 - eta_t)), and the result is never below that
-    fallback, the search's only p = 0 strategy (a grid winner reports
-    strategy 1's n_min and gamma); a fallback emission budget that
-    underflows below 5e-312 raises ValueError, as in threshold_bound. On
-    exact objective ties the first candidate in row-major (eta_m1, q,
-    delta) grid order is kept. grid_points < 2 or refine_rounds < 0 raise ValueError.
+    Where eta_m / (1 - eta_t) <= 1 the point p = 0, q = 2 f_t - 1,
+    eta = eta_t meets the constraints (its emitter carries the whole
+    output budget, so eta_m2 = eta_m / (1 - eta_t)). It then seeds the
+    search, and the result is never below that fallback, the search's
+    only p = 0 strategy (a grid winner reports strategy 1's n_min and
+    gamma); a fallback emission budget that underflows below 5e-312
+    raises ValueError, as in threshold_bound. Elsewhere the search starts
+    with no incumbent, and raises ValueError if no grid cell is feasible,
+    so every reported strategy emits exactly eta_m. On exact objective
+    ties the first candidate in row-major (eta_m1, q, delta) grid order
+    is kept. grid_points < 2 or refine_rounds < 0 raise ValueError.
     """
     _check_mu(mu)
     if not 0.0 < eta_t < 1.0:
@@ -421,10 +424,14 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
         raise ValueError(f"refine_rounds must be >= 0, got {refine_rounds}")
     if matching not in ("exp", "linear"):
         raise _matching_error(matching)
-    eta_m2_fb = min(eta_m / (1.0 - eta_t), 1.0)
-    fallback = _threshold((1.0 - eta_t) * mu, eta_m2_fb, matching, "fallback emission budget")
-    fallback = replace(fallback, params=replace(fallback.params, p=0.0, eta_bs=eta_t, q=2.0 * f_t - 1.0,
-                                                delta=0.0, eta_m1=_NAN, eta_m2=eta_m2_fb))
+    eta_m2_fb = eta_m / (1.0 - eta_t)
+    if eta_m2_fb <= 1.0:
+        fallback = _threshold((1.0 - eta_t) * mu, eta_m2_fb, matching, "fallback emission budget")
+        fallback = replace(fallback, params=replace(fallback.params, p=0.0, eta_bs=eta_t, q=2.0 * f_t - 1.0,
+                                                    delta=0.0, eta_m1=_NAN, eta_m2=eta_m2_fb))
+    else:
+        # the p = 0 strategy cannot emit eta_m: no incumbent, every grid cell is searched
+        fallback = BoundResult(-math.inf)
     tables1 = _poisson_tables(mu)
 
     def search(eta1_axis, q_axis, delta_axis, best):
@@ -482,6 +489,10 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
             dd = (delta_axis[-1] - delta_axis[0]) / (grid_points - 1)
             delta_axis = np.linspace(max(at.delta - dd, 1e-6), min(at.delta + dd, 1.0), grid_points)
         best = search(eta1_axis, q_axis, delta_axis, best)
+    if best.bound == -math.inf:
+        raise ValueError(f"no strategy meets the output budget eta_m = {eta_m:g} at mu = {mu:g}, f_t = {f_t:g}, "
+                         f"eta_t = {eta_t:g}: no grid cell is feasible, and the p = 0 fallback needs "
+                         f"eta_m / (1 - eta_t) <= 1, got {eta_m2_fb:g}")
     return best
 
 

@@ -45,7 +45,7 @@ from .config import _parse_value, canonical_text, check_bound_budget, config_has
 from .errors import ConfigError
 from .memory import MemoryParams, StorageSchedule, fidelity_vs_photon_number
 from .montecarlo import ExperimentConfig, estimate_params, estimate_transmission, \
-    export_histogram, export_histograms, model_conditional_fidelity, model_mode_fidelity, simulate_run
+    export_histogram, export_histograms, model_fidelity, simulate_run
 from .polarization import STATE_LABELS, fidelity, orthogonal_label, standard_state
 from .refdata import CHI00_MEASURED, EXPECTED_VERDICTS, F_C_MEAN, MODE_SCAN, MU1_MEAN, \
     MU_SCAN, STATE_SCAN, TRANSMITTED_MODES, matched_noise_floor
@@ -290,7 +290,7 @@ def _stage_table1(cfg, seed, meta, check):
             fig2 = functools.partial(simulate_run, exp, "D", seed=par.seed)
         mu1_row = rec.p_n / rec.eta
         f_row = fidelity_vs_photon_number(rec.mu, mu1_row, mem.f_c)
-        f_model = model_conditional_fidelity(exp, par.analysis, orth.analysis)
+        f_model = model_fidelity(exp)[1]
         del par, orth, noise  # the next row's runs are drawn with this row's released
         f_glob = fidelity_vs_photon_number(rec.mu, MU1_MEAN, F_C_MEAN)
         rows.append((rec.mu, rec.eta, est.eta_hat, est.eta_err, rec.p_n, est.p_n_hat,
@@ -315,7 +315,7 @@ def _stage_table_a1(cfg, seed, meta, check):
                       tuple(replace(mem, eta=r.eta, p_n=r.p_n) for r in MODE_SCAN))
     par, orth, noise = _triple_run(exp, seed, 200)
     est = estimate_params(par, orth, noise)
-    f_model = model_mode_fidelity(exp, par.analysis, orth.analysis)
+    f_model = model_fidelity(exp)[0]
     rows = []
     for m, r in enumerate(MODE_SCAN):
         mu1_row = r.p_n / r.eta

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .memory import MemoryParams, StorageSchedule
-from .polarization import STATE_LABELS, expectation, orthogonal_label, standard_state
+from .polarization import STATE_LABELS, fidelity, orthogonal_label, standard_state
 from .tableio import format_float, write_csv_lines
 
 _REL_TOL = 1e-9
@@ -51,11 +51,11 @@ _EXPORT_CHUNK = 256
 # process, 20,850 to 166,800 bins): two runs' counts, and three arrays while it
 # draws the third run; so does reproduce-paper, which holds one row's runs at a
 # time. Its first call in a process adds about 0.93 MB that does not grow with
-# the bins. The cap budgets 64 B per bin and _FIXED_BYTES, so the 128 MiB of
-# bins at the cap are at most 128.7 MiB in all; they measure about 81 MiB
+# the bins. The cap budgets 64 B per bin, 128 MiB of bins; they measure about 81 MiB
 _BYTES_PER_BIN = 64
-_FIXED_BYTES = 730_000
 _MAX_BINS = (128 << 20) // _BYTES_PER_BIN
+# largest Poisson mean of one bin: numpy's draw refuses means above about 9.22e18
+_MAX_BIN_MEAN = 9.2e18
 
 
 def _as_tuple(value, n: int, name: str) -> tuple:
@@ -77,7 +77,9 @@ class ExperimentConfig:
     divide the mode duration; 0.0, the default and the INI's value, stands
     for a fifth of it. n_bins, the bins over total storage plus one mode
     train, may not exceed _MAX_BINS. Each mu_per_mode and dark_rate must be
-    finite and nonnegative and trials an integer >= 1, else ValueError.
+    finite and nonnegative and trials an integer from 1 to 2**63 - 1, and
+    no bin's Poisson mean in simulate_run may exceed _MAX_BIN_MEAN, else
+    ValueError.
     """
 
     input_state: str = "D"
@@ -107,8 +109,8 @@ class ExperimentConfig:
             raise ValueError("transmission_to_detector * detector_efficiency underflows to 0")
         if not 0.0 <= self.dark_rate < math.inf:
             raise ValueError(f"dark_rate must be finite and nonnegative, got {self.dark_rate}")
-        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (isinstance(self.trials, (int, np.integer)) and 1 <= self.trials < 2 ** 63):
+            raise ValueError(f"trials must be an integer from 1 to 2**63 - 1, got {self.trials!r}")
         bw = self.schedule.mode_duration / 5.0 if self.bin_width == 0.0 else float(self.bin_width)
         if not 0.0 < bw < math.inf:
             raise ValueError(f"bin_width must be finite and positive, got {bw}")
@@ -119,9 +121,13 @@ class ExperimentConfig:
         bins = span / bw
         if not bins <= _MAX_BINS:
             raise ValueError(f"bin_width {bw:g} us over the {span:g} us sequence span gives {bins:.3g} "
-                             f"histogram bins, more than the {_MAX_BINS} allowed ({_BYTES_PER_BIN} B each and "
-                             f"{_FIXED_BYTES / 1e6:.2f} MB more, "
-                             f"{(_MAX_BINS * _BYTES_PER_BIN + _FIXED_BYTES) / 2 ** 20:.1f} MiB in all)")
+                             f"histogram bins, more than the {_MAX_BINS} allowed")
+        # a mode window's rate, at most the one at unit port contrast, spread over its bins
+        rate = max(max(mu * par.eta + par.p_n, mu * par.eta_t) * self.t_det for mu, par in zip(mus, self.params))
+        mean = float(self.trials) * (rate + self.dark_per_gate) / round(ratio)
+        if not mean <= _MAX_BIN_MEAN:
+            raise ValueError(f"trials = {self.trials} at mu_per_mode up to {max(mus):g} gives a Poisson mean of "
+                             f"{mean:.3g} counts in one bin, more than the {_MAX_BIN_MEAN:.3g} allowed")
         object.__setattr__(self, "bin_width", bw)
         object.__setattr__(self, "n_bins", int(round(bins)))
 
@@ -137,7 +143,7 @@ class ExperimentConfig:
 
     @property
     def windows(self) -> tuple[tuple[Window, slice], ...]:
-        """Each window of sequence_windows with its bins, those whose centre lies in [start, stop);
+        """Each window of _sequence_windows with its bins, those whose centre lies in [start, stop);
         configs with an equal schedule and bin_width share one tuple (_window_bins)."""
         return _window_bins(self.schedule, self.bin_width, self.n_bins)
 
@@ -153,7 +159,7 @@ def _window_bins(schedule: StorageSchedule, bin_width: float, n_bins: int) -> tu
     edges = np.arange(n_bins + 1) * bin_width  # bin k spans [k, k + 1) * bin_width from 0 us
     centers = 0.5 * (edges[:-1] + edges[1:])
     return tuple((w, slice(bisect_left(centers, w.start), bisect_left(centers, w.stop)))
-                 for w in sequence_windows(schedule))
+                 for w in _sequence_windows(schedule))
 
 
 @dataclass(frozen=True)
@@ -186,7 +192,7 @@ class CountHistogram:
         return sum(int(self.counts[bins].sum()) for win, bins in self.config.windows if win.label == label)
 
 
-def sequence_windows(schedule: StorageSchedule) -> tuple[Window, ...]:
+def _sequence_windows(schedule: StorageSchedule) -> tuple[Window, ...]:
     """Input modes, CP1, CP2 and output modes on the common time axis."""
     dm = schedule.mode_duration
     wins = [Window("input", m * dm, (m + 1) * dm, mode=m) for m in range(schedule.n_modes)]
@@ -201,7 +207,7 @@ def sequence_windows(schedule: StorageSchedule) -> tuple[Window, ...]:
 
 def _mode_rates(config: ExperimentConfig, analysis: str) -> tuple[np.ndarray, np.ndarray]:
     """Mean detected counts per trial in each (input, output) mode window at the port analysis."""
-    e_sig = expectation(standard_state(config.input_state), analysis)
+    e_sig = fidelity(standard_state(config.input_state), standard_state(analysis))
     t_det = config.t_det
     dark = config.dark_per_gate
     lam_in = np.empty(config.schedule.n_modes)
@@ -214,23 +220,17 @@ def _mode_rates(config: ExperimentConfig, analysis: str) -> tuple[np.ndarray, np
     return lam_in, lam_out
 
 
-def model_mode_fidelity(config: ExperimentConfig, parallel: str, orthogonal: str) -> np.ndarray:
-    """Exact per-mode mean of the count-ratio fidelity, dark counts included.
+def model_fidelity(config: ExperimentConfig) -> tuple[np.ndarray, float]:
+    """Exact mean of the count-ratio fidelity, dark counts included, per mode and for the
+    whole train, at the ports along and against config.input_state.
 
     This is what the estimator converges to as trials grow; it differs
     from the noise-model prediction by the dark-count dilution of both
     analyzer ports.
     """
-    _, lam_p = _mode_rates(config, parallel)
-    _, lam_o = _mode_rates(config, orthogonal)
-    return lam_p / (lam_p + lam_o)
-
-
-def model_conditional_fidelity(config: ExperimentConfig, parallel: str, orthogonal: str) -> float:
-    """Exact mean of the train-summed count-ratio fidelity for this configuration."""
-    _, lam_p = _mode_rates(config, parallel)
-    _, lam_o = _mode_rates(config, orthogonal)
-    return float(lam_p.sum() / (lam_p.sum() + lam_o.sum()))
+    _, lam_p = _mode_rates(config, config.input_state)
+    _, lam_o = _mode_rates(config, orthogonal_label(config.input_state))
+    return lam_p / (lam_p + lam_o), float(lam_p.sum() / (lam_p.sum() + lam_o.sum()))
 
 
 def simulate_run(config: ExperimentConfig, analysis: str, *, seed: int) -> CountHistogram:

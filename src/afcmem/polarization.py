@@ -92,12 +92,6 @@ def orthogonal_label(label: str) -> str:
     return STATE_LABELS[STATE_LABELS.index(_known(label)) ^ 1]
 
 
-def expectation(state: PolarizationState, port: str) -> float:
-    """Detection probability of the state at the analyzer port of that label, in [0, 1]."""
-    val = float(np.trace(state.rho @ projector(port)).real)
-    return min(max(val, 0.0), 1.0)
-
-
 def _require_pure(target: PolarizationState) -> None:
     """Raise ValueError unless the target of a fidelity is pure (purity at least 1 - 1e-9)."""
     if target.purity < 1.0 - _PURITY_TOL:

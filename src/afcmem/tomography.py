@@ -371,7 +371,7 @@ def _project_psd(chi: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def project_process_matrix(chi: np.ndarray) -> tuple[np.ndarray, int]:
+def _project_process_matrix(chi: np.ndarray) -> tuple[np.ndarray, int]:
     """Alternate between the TP affine subspace and the positive cone.
 
     Stops when successive iterates move by less than _PROJ_TOL in
@@ -394,7 +394,7 @@ def process_tomography(inputs: Sequence[PolarizationState],
     Four linearly independent inputs determine the map exactly; extra
     pairs are used in the least-squares sense. With project=True the
     inversion is pushed to a trace-preserving positive chi by
-    project_process_matrix.
+    _project_process_matrix.
     """
     if len(inputs) != len(outputs):
         raise ValueError("inputs and outputs must pair up")
@@ -410,7 +410,7 @@ def process_tomography(inputs: Sequence[PolarizationState],
     chi_lin = x.reshape(4, 4)
     if not project:
         return ProcessMatrix(0.5 * (chi_lin + chi_lin.conj().T), projected=False)
-    chi_proj, iters = project_process_matrix(chi_lin)
+    chi_proj, iters = _project_process_matrix(chi_lin)
     return ProcessMatrix(chi_proj, projected=True, iterations=iters)
 
 

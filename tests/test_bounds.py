@@ -93,15 +93,18 @@ def _ref_p_emit(mu, eta_m, matching):
 
 
 def _reference_transmitted(mu, f_t, eta_t, eta_m, grid_points, refine_rounds, matching):
-    eta_m2_fb = min(eta_m / (1.0 - eta_t), 1.0)
+    """The search cell by cell, or None where no strategy meets the output budget."""
+    eta_m2_fb = eta_m / (1.0 - eta_t)
     mu_fb = (1.0 - eta_t) * mu
-    fb, fb_n, fb_g, fb_deg = _ref_threshold(mu_fb, _ref_p_emit(mu_fb, eta_m2_fb, matching))
-    best = BoundResult(
-        float(fb[0]),
-        StrategyParams(p=0.0, eta_bs=eta_t, q=2.0 * f_t - 1.0, delta=0.0,
-                       eta_m1=float("nan"), eta_m2=eta_m2_fb, n_min=int(fb_n[0]), gamma=float(fb_g[0])),
-        degenerate=bool(fb_deg[0]),
-    )
+    best = BoundResult(-math.inf)
+    if eta_m2_fb <= 1.0:
+        fb, fb_n, fb_g, fb_deg = _ref_threshold(mu_fb, _ref_p_emit(mu_fb, eta_m2_fb, matching))
+        best = BoundResult(
+            float(fb[0]),
+            StrategyParams(p=0.0, eta_bs=eta_t, q=2.0 * f_t - 1.0, delta=0.0,
+                           eta_m1=float("nan"), eta_m2=eta_m2_fb, n_min=int(fb_n[0]), gamma=float(fb_g[0])),
+            degenerate=bool(fb_deg[0]),
+        )
 
     def search(eta1_axis, q_axis, delta_axis, incumbent):
         best_local, best_grid = incumbent, None
@@ -160,7 +163,7 @@ def _reference_transmitted(mu, f_t, eta_t, eta_m, grid_points, refine_rounds, ma
         best, new_center = search(eta1_axis, q_axis, delta_axis, best)
         if new_center is not None:
             center = new_center
-    return best
+    return None if best.bound == -math.inf else best
 
 
 def test_closed_form_matches_series_oracle():
@@ -342,11 +345,17 @@ _SMALL_MU = st.floats(math.log(2.3e-308), 0.0).map(math.exp)
 def test_bound_ordering_property(mu, eta_m, f_t, eta_t, matching):
     plain = poisson_conditional_bound(mu)
     thr = threshold_bound(mu, eta_m, matching=matching).bound
-    tra = transmitted_constrained_bound(mu, f_t, eta_t, eta_m, grid_points=6, refine_rounds=1,
-                                        matching=matching).bound
     assert plain <= thr + 1e-12
     assert thr <= 1.0
-    assert min(plain, thr, tra) >= 2.0 / 3.0 - 1e-12
+    assert min(plain, thr) >= 2.0 / 3.0 - 1e-12
+    try:
+        tra = transmitted_constrained_bound(mu, f_t, eta_t, eta_m, grid_points=6, refine_rounds=1,
+                                            matching=matching).bound
+    except ValueError as err:
+        # only where the p = 0 fallback cannot emit eta_m, and then no grid cell can either
+        assert eta_m / (1.0 - eta_t) > 1.0 and "no strategy meets the output budget" in str(err)
+        return
+    assert tra >= 2.0 / 3.0 - 1e-12
     if matching == "linear":  # exp matching breaks this; see the test below
         assert tra <= thr + 1e-12
 
@@ -386,7 +395,7 @@ def test_transmitted_bound_reaches_independent_oracle(mu, f_t, eta_t, eta_m, mat
 def test_transmitted_bound_between_fallback_and_threshold():
     for mu in (0.8, 1.4, 3.6, 8.2):
         res = transmitted_constrained_bound(mu)
-        fallback = threshold_bound((1.0 - 0.296) * mu, min(0.0385 / (1.0 - 0.296), 1.0)).bound
+        fallback = threshold_bound((1.0 - 0.296) * mu, 0.0385 / (1.0 - 0.296)).bound
         assert res.bound >= fallback - 1e-12
         assert res.bound <= threshold_bound(mu, 0.0385).bound + 1e-12
         assert res.bound >= 2.0 / 3.0
@@ -466,8 +475,13 @@ _TRANSMITTED_INPUTS = dict(
 def test_batched_search_equals_cell_by_cell_reference(mu, f_t, eta_t, eta_m, grid_points,
                                                       refine_rounds, matching):
     kwargs = dict(grid_points=grid_points, refine_rounds=refine_rounds, matching=matching)
-    got = transmitted_constrained_bound(mu, f_t, eta_t, eta_m, **kwargs)
     ref = _reference_transmitted(mu, f_t, eta_t, eta_m, **kwargs)
+    if ref is None:
+        assert eta_m / (1.0 - eta_t) > 1.0
+        with pytest.raises(ValueError, match="no strategy meets the output budget"):
+            transmitted_constrained_bound(mu, f_t, eta_t, eta_m, **kwargs)
+        return
+    got = transmitted_constrained_bound(mu, f_t, eta_t, eta_m, **kwargs)
     # NaN fields (the fallback's eta_m1) compare unequal, so match the reprs
     assert repr(got) == repr(ref)
 
@@ -481,14 +495,52 @@ def test_block_size_never_changes_the_result(mu, f_t, eta_t, eta_m, grid_points,
     # No exact tie inside a level is known since the p = 0 cells left the search,
     # so this is the check of that rule
     def run():
-        return repr(transmitted_constrained_bound(mu, f_t, eta_t, eta_m, grid_points=grid_points,
-                                                  refine_rounds=refine_rounds, matching=matching))
+        try:
+            return repr(transmitted_constrained_bound(mu, f_t, eta_t, eta_m, grid_points=grid_points,
+                                                      refine_rounds=refine_rounds, matching=matching))
+        except ValueError as err:
+            assert eta_m / (1.0 - eta_t) > 1.0
+            return f"ValueError: {err}"
     assert afcmem.bounds._BLOCK_CELLS == 80
     expected = run()
     for cells in (1, 7, 10_000):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(afcmem.bounds, "_BLOCK_CELLS", cells)
             assert run() == expected, cells
+
+
+def test_transmitted_reports_no_strategy_below_the_output_budget():
+    # eta_m / (1 - eta_t) = 5 and 1.28: the p = 0 fallback with eta_m2 clipped at 1 gave
+    # 0.672525 and 0.708402 though it emits (1 - eta_t) < eta_m, and no grid cell is feasible
+    for args, ratio in (((1.4, 0.97, 0.9, 0.5), "5"), ((1.4, 0.972, 0.296, 0.9), "1.27841")):
+        for matching in ("exp", "linear"):
+            with pytest.raises(ValueError, match=r"^no strategy meets the output budget eta_m = .* f_t = .* "
+                                                 rf"eta_t = .*eta_m / \(1 - eta_t\) <= 1, got {ratio}$"):
+                transmitted_constrained_bound(*args, matching=matching)
+    # past the fallback's reach a feasible grid cell still gives the bound
+    assert transmitted_constrained_bound(3.6, 0.972, 0.6, 0.45).bound == pytest.approx(0.749224, abs=1e-6)
+    assert transmitted_constrained_bound(3.6, 0.972, 0.6, 0.45, matching="linear").bound == \
+        pytest.approx(0.757595, abs=1e-6)
+
+
+@settings(deadline=None, max_examples=30)
+@given(**_TRANSMITTED_INPUTS)
+@example(mu=3.6, f_t=0.972, eta_t=0.6, eta_m=0.45, grid_points=25, refine_rounds=2, matching="exp")
+@example(mu=1.4, f_t=0.97, eta_t=0.9, eta_m=0.5, grid_points=25, refine_rounds=2, matching="linear")
+def test_transmitted_strategy_meets_the_output_budget(mu, f_t, eta_t, eta_m, grid_points, refine_rounds,
+                                                      matching):
+    # strategy 1's share w1 = p delta eta_m1 (0 for the fallback, whose eta_m1 is NaN) and
+    # strategy 2's (1 - p)(1 - eta_bs) eta_m2 add up to the measured efficiency
+    try:
+        res = transmitted_constrained_bound(mu, f_t, eta_t, eta_m, grid_points=grid_points,
+                                            refine_rounds=refine_rounds, matching=matching)
+    except ValueError:
+        assert eta_m / (1.0 - eta_t) > 1.0
+        return
+    s = res.params
+    w1 = 0.0 if s.p == 0.0 else s.p * s.delta * s.eta_m1
+    assert 0.0 < s.eta_m2 <= 1.0
+    assert abs(w1 + (1.0 - s.p) * (1.0 - s.eta_bs) * s.eta_m2 - eta_m) <= 1e-12
 
 
 # 0, and the smallest normal float to 600 both uniform and log-uniform

@@ -227,6 +227,18 @@ def test_bad_flags_rejected(tmp_path):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--trials", "1" + "0" * 400], "trials must be an integer from 1 to 2**63 - 1"),
+    (["--mu", "1e300"], "trials = 1000000 at mu_per_mode up to 1e+300 gives a Poisson mean"),
+], ids=["trials-1e400", "mu-1e300"])
+def test_simulate_rejects_what_the_poisson_draw_cannot_take(tmp_path, capsys, flags, message):
+    # an OverflowError traceback with exit 1, and numpy's "lam value too large", naming no input
+    out = os.path.join(tmp_path, "o")
+    err = _exits_cleanly(["simulate", "--seed", "1", *flags, "--out", out], 2, capsys)
+    assert message in err
+    assert not os.path.exists(out)
+
+
 def test_mu_flag_rejects_non_finite(tmp_path, capsys):
     out = os.path.join(tmp_path, "m")
     for argv in (["predict", "--mu", "nan"], ["predict", "--mu", "1,inf"], ["bounds", "--mu", "nan"],
@@ -480,6 +492,17 @@ def test_bounds_command_rejects_underflowing_emission_budget(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv", [["bounds"], ["reproduce-paper", "--seed", "1"]])
+def test_bound_commands_reject_an_output_budget_no_strategy_meets(tmp_path, capsys, argv):
+    # eta_m / (1 - eta_t) = 5: the p = 0 fallback, with eta_m2 clipped at 1, emitted
+    # a tenth of eta_m and was written as the transmitted bound
+    out = os.path.join(tmp_path, "o")
+    err = _exits_cleanly(argv + ["--config", _ini(tmp_path, "[bounds]\neta_t = 0.9\neta_m = 0.5\n"),
+                                 "--out", out], 2, capsys)
+    assert "no strategy meets the output budget eta_m = 0.5" in err and "got 5" in err
+    assert not os.path.exists(out)
+
+
 def _counts(inputs, n=100):
     return "".join(f"{inp},{s},{n}\n" for inp in inputs for s in "HVDARL")
 
@@ -647,7 +670,7 @@ def test_reproduce_table1_holds_one_row_of_runs(tmp_path, monkeypatch):
     # each row's three runs stayed alive while the next row drew its own: 112 B per
     # bin at 417,000 bins against simulate's 66, where _MAX_BINS budgets 64. Both
     # commands hold the same bins, so their peaks compare per bin. The exporter
-    # streams 64 bins at a time and peaks below the draws (the same peaks with it at
+    # streams 256 bins at a time and peaks below the draws (the same peaks with it at
     # 20,850 to 83,400 bins), but 417,000 rows under tracemalloc take seconds. The
     # stubs record how many histograms each export got, so that neither goes unused
     exported = []

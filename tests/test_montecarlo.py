@@ -25,9 +25,8 @@ from afcmem.montecarlo import (
     estimate_transmission,
     export_histogram,
     export_histograms,
-    model_conditional_fidelity,
-    model_mode_fidelity,
-    sequence_windows,
+    _sequence_windows,
+    model_fidelity,
     simulate_run,
 )
 from afcmem.polarization import STATE_LABELS, orthogonal_label
@@ -49,7 +48,7 @@ def _triple(exp, seed):
 
 
 def test_sequence_windows_layout():
-    wins = sequence_windows(StorageSchedule())
+    wins = _sequence_windows(StorageSchedule())
     labels = [w.label for w in wins]
     assert labels == ["input"] * 5 + ["CP1", "CP2"] + ["output"] * 5
     outs = [w for w in wins if w.label == "output"]
@@ -64,8 +63,8 @@ def test_sequence_windows_layout():
 def test_equal_configs_share_windows_computed_once(monkeypatch):
     # configs with an equal schedule and bin_width share one tuple of windows
     calls = []
-    monkeypatch.setattr(montecarlo, "sequence_windows",
-                        lambda schedule: calls.append(schedule) or sequence_windows(schedule))
+    monkeypatch.setattr(montecarlo, "_sequence_windows",
+                        lambda schedule: calls.append(schedule) or _sequence_windows(schedule))
     montecarlo._window_bins.cache_clear()
     a = ExperimentConfig(schedule=StorageSchedule(), bin_width=0.125, trials=1000)
     b = ExperimentConfig(input_state="H", mu_per_mode=0.0, schedule=StorageSchedule(),
@@ -112,7 +111,7 @@ def test_output_ratio_near_measured_working_point():
     par, orth, noise = _triple(exp, 25)
     est = estimate_params(par, orth, noise)
     assert abs(est.fidelity_hat - 0.855) < 3.0 * est.fidelity_err
-    model = model_conditional_fidelity(exp, "D", "A")
+    model = model_fidelity(exp)[1]
     assert abs(est.fidelity_hat - model) < 3.0 * est.fidelity_err
 
 
@@ -170,7 +169,7 @@ def test_estimator_closure_over_random_configs(eta, p_n, f_c, mus, label, seed):
     est = estimate_params(par, orth, noise)
     assert abs(est.eta_hat - eta) < 5.0 * est.eta_err
     assert abs(est.p_n_hat - p_n) < 5.0 * est.p_n_err
-    model = model_conditional_fidelity(exp, par.analysis, orth.analysis)
+    model = model_fidelity(exp)[1]
     assert abs(est.fidelity_hat - model) < 5.0 * est.fidelity_err
 
 
@@ -441,23 +440,40 @@ def test_config_validation():
             ExperimentConfig(params=mem, **kwargs)
 
 
+def test_config_refuses_what_the_poisson_draw_cannot_take():
+    # trials * lam overflowed (OverflowError), and numpy's draw refused lam above
+    # about 9.22e18 with a message that names no input
+    with pytest.raises(ValueError, match=r"^trials must be an integer from 1 to 2\*\*63 - 1, got 10{30}$"):
+        ExperimentConfig(trials=10**30)
+    with pytest.raises(ValueError, match=r"^trials = 1000 at mu_per_mode up to 1e\+300 gives a Poisson mean of "
+                                         r"2.36e\+300 counts in one bin, more than the 9.2e\+18 allowed$"):
+        ExperimentConfig(mu_per_mode=1e300, trials=1000)
+    assert ExperimentConfig(trials=2**63 - 1, mu_per_mode=0.0).trials == 2**63 - 1
+    # the largest mean is a transmitted input bin's, mu eta_t T_det trials over the 5 bins
+    # of a mode, where f_t = 1 puts all of it in the parallel port
+    edge = 9.2e18 * 5 / (1000 * ETA_T_MEAN * 0.07 * 0.57)
+    mem = MemoryParams(f_t=1.0)
+    with pytest.raises(ValueError, match="counts in one bin, more than the 9.2e\\+18 allowed"):
+        ExperimentConfig(mu_per_mode=edge * 1.000001, params=mem, trials=1000)
+    exp = ExperimentConfig(mu_per_mode=edge * 0.999999, params=mem, trials=1000)
+    assert 9.19e18 < simulate_run(exp, "D", seed=1).counts.max() < 2**63
+
+
 def test_bin_count_comes_from_the_config():
     exp = ExperimentConfig(trials=1000)
     assert exp.n_bins == 2085  # 521.25 us of sequence in 0.25 us bins
     assert len(simulate_run(exp, "D", seed=1).counts) == exp.n_bins
     # 5.2e14 bins: rejected as the config is built, before any array is sized
     with pytest.raises(ValueError, match=r"^bin_width 1e-12 us over the 521.25 us sequence span gives 5.21e\+14 "
-                                         r"histogram bins, more than the 2097152 allowed \(64 B each and 0.73 MB "
-                                         r"more, 128.7 MiB in all\)$"):
+                                         r"histogram bins, more than the 2097152 allowed$"):
         ExperimentConfig(bin_width=1e-12)
 
 
 def test_model_fidelity_helpers_consistent():
     exp = _row_config(MU_SCAN[1])
-    d, a = "D", "A"
-    per_mode = model_mode_fidelity(exp, d, a)
+    per_mode, whole_train = model_fidelity(exp)
     assert per_mode.shape == (5,)
-    assert np.allclose(per_mode, model_conditional_fidelity(exp, d, a), atol=1e-12)
+    assert np.allclose(per_mode, whole_train, atol=1e-12)
     # dark-free, noise-free limit reduces to the analyzer overlap contrast
     clean = replace(exp, params=MemoryParams(eta=0.036, p_n=0.0, f_c=F_C_MEAN), dark_rate=0.0)
-    assert model_conditional_fidelity(clean, d, a) == pytest.approx(F_C_MEAN, abs=1e-12)
+    assert model_fidelity(clean)[1] == pytest.approx(F_C_MEAN, abs=1e-12)

@@ -5,7 +5,6 @@ from afcmem.polarization import (
     PAULIS,
     STATE_LABELS,
     PolarizationState,
-    expectation,
     fidelity,
     orthogonal_label,
     projector,
@@ -28,8 +27,6 @@ def test_unknown_label_rejected():
         standard_state("Q")
     with pytest.raises(ValueError):
         projector("x")
-    with pytest.raises(ValueError):
-        expectation(standard_state("D"), "x")
 
 
 def test_standard_states_are_one_read_only_table():
@@ -107,12 +104,13 @@ def test_fidelity_mixed_state_uhlmann():
 
 
 def test_expectation_examples():
+    # the detection probability at a port is the fidelity to that port's standard state
     d = standard_state("D")
-    assert expectation(d, "D") == pytest.approx(1.0, abs=1e-12)
-    assert expectation(d, "A") == pytest.approx(0.0, abs=1e-12)
+    assert fidelity(d, standard_state("D")) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(d, standard_state("A")) == pytest.approx(0.0, abs=1e-12)
     mixed = PolarizationState(np.eye(2) / 2.0)
     for label in STATE_LABELS:
-        assert expectation(mixed, label) == pytest.approx(0.5, abs=1e-12)
+        assert fidelity(mixed, standard_state(label)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_expectation_pairs_sum_to_one():
@@ -120,7 +118,7 @@ def test_expectation_pairs_sum_to_one():
     for _ in range(20):
         psi = PolarizationState.from_ket(rng.normal(size=2) + 1j * rng.normal(size=2))
         for a, b in MUB_PAIRS:
-            s = expectation(psi, a) + expectation(psi, b)
+            s = fidelity(psi, standard_state(a)) + fidelity(psi, standard_state(b))
             assert s == pytest.approx(1.0, abs=1e-12)
 
 

@@ -18,13 +18,13 @@ from afcmem.tomography import (
     _design,
     _fit_rows,
     _linear_inversion,
+    _project_process_matrix,
     _projectors,
     _project_tp,
     _tp_map,
     mle_state,
     monte_carlo_errors,
     process_tomography,
-    project_process_matrix,
 )
 from oracles import apply_process, ascent_mle, chi_to_choi, choi_to_chi, closed_form_rho, \
     random_process_matrix, trace_distance
@@ -322,12 +322,12 @@ def test_projection_gives_cptp_and_is_idempotent():
     rng = np.random.default_rng(8)
     chi = random_process_matrix(3).chi + 0.05 * rng.normal(size=(4, 4))
     chi = 0.5 * (chi + chi.conj().T)
-    proj, iters = project_process_matrix(chi)
+    proj, iters = _project_process_matrix(chi)
     assert iters >= 1
     wrapped = ProcessMatrix(proj, projected=True)
     assert wrapped.min_eigenvalue() > -1e-9
     assert wrapped.tp_defect() < 1e-6
-    again, _ = project_process_matrix(proj)
+    again, _ = _project_process_matrix(proj)
     assert np.abs(again - proj).max() < 1e-8
 
 
@@ -340,11 +340,11 @@ def test_projection_cptp_and_idempotent_over_random_inputs(near, channel, scale,
     chi = scale * 0.5 * (g + g.conj().T)
     if near:
         chi = chi + random_process_matrix(channel).chi
-    proj, _ = project_process_matrix(chi)
+    proj, _ = _project_process_matrix(chi)
     wrapped = ProcessMatrix(proj, projected=True)
     assert wrapped.min_eigenvalue() > -1e-9
     assert wrapped.tp_defect() < 1e-6
-    again, _ = project_process_matrix(proj)
+    again, _ = _project_process_matrix(proj)
     assert np.abs(again - proj).max() < 1e-8
 
 
