@@ -112,14 +112,12 @@ def _poisson_tables(mus) -> tuple:
     of its largest n >= 1 term (every bound conditions on at least one
     photon, so for mu < 1 the n = 0 peak must not set the cut); entries
     past the cut are 0.0, so every row reads as the table of its own mu
-    alone. Means above 600 are refused: exp(-mu), the first term of the
-    recurrence, heads for underflow.
+    alone. Each mean must lie in [0, 600], unchecked here: _check_mu
+    guards the public bounds' mu, and each mean they tabulate, mu,
+    (1 - eta) mu with eta in [0, 1] or a ladder rung between such, lies
+    in [0, mu]. Above 600 exp(-mu) heads for underflow.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    if mus.min() < 0:
-        raise ValueError("mu must be nonnegative")
-    if mus.max() > _MU_MAX:
-        raise ValueError("mu too large for the direct pmf recurrence")
     n_max = np.ceil(mus + 20.0 * np.sqrt(mus + 1.0) + 25.0)
     n = _N[: int(n_max.max()) + 1]
     # the ratios of the recurrence, turned into the pmf in place
@@ -186,17 +184,13 @@ def _row_keys(offsets, x):
 
 def _p_emit(mu, eta_m, matching: str, out=None):
     """Emission probability at efficiency eta_m for input mean mu (the two
-    broadcast), written to out when it is given."""
+    broadcast), written to out if given; every bound's one matching check."""
     if matching == "exp":
         x = np.multiply(np.negative(eta_m, out=out), mu, out=out)
         return np.negative(np.expm1(x, out=out), out=out)
     if matching == "linear":
         return np.multiply(eta_m, -np.expm1(-mu), out=out)
-    raise _matching_error(matching)
-
-
-def _matching_error(matching) -> ValueError:
-    return ValueError(f"matching must be 'exp' or 'linear', got {matching!r}")
+    raise ValueError(f"matching must be 'exp' or 'linear', got {matching!r}")
 
 
 def _check_mu(mu: float) -> None:
@@ -422,8 +416,6 @@ def transmitted_constrained_bound(mu: float, f_t: float = F_T_MEAN, eta_t: float
         raise ValueError("grid_points must be >= 2")
     if not refine_rounds >= 0:
         raise ValueError(f"refine_rounds must be >= 0, got {refine_rounds}")
-    if matching not in ("exp", "linear"):
-        raise _matching_error(matching)
     eta_m2_fb = eta_m / (1.0 - eta_t)
     if eta_m2_fb <= 1.0:
         fallback = _threshold((1.0 - eta_t) * mu, eta_m2_fb, matching, "fallback emission budget")

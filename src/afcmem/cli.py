@@ -1,10 +1,10 @@
 """Command-line front end: reproducible runs from INI configs.
 
-Every command is a pure function of (config file, seed). Output CSVs
-carry the tool version, the seed and a hash of the effective config in
-their '#' preamble, and a re-run with the same arguments is byte
-identical. Commands that draw random numbers refuse to run without an
-explicit --seed.
+Every command is a pure function of (config file, seed, --mu, --trials).
+Output CSVs carry the tool version, the seed, a hash of the effective
+config and the --mu and --trials given in their '#' preamble, and a
+re-run with the same arguments is byte identical. Commands that draw
+random numbers refuse to run without an explicit --seed.
 
 reproduce-paper runs one stage per reference table: table1 (with fig2),
 tableA1, tableB1 (with fig3b), tableC1, fig3a, and figD1 with verdicts. Each
@@ -63,8 +63,14 @@ def _derived_seed(*parts: int) -> int:
 
 
 def _metadata(args, cfg, **extra):
-    return {"tool": f"afcmem {__version__}", "command": args.command,
-            "seed": "-" if args.seed is None else int(args.seed), "config_sha256": config_hash(cfg), **extra}
+    meta = {"tool": f"afcmem {__version__}", "command": args.command,
+            "seed": "-" if args.seed is None else int(args.seed), "config_sha256": config_hash(cfg)}
+    # the --mu and --trials given, which override the config the hash is taken of
+    if getattr(args, "mu", None) is not None:
+        meta["mu"] = ", ".join(map(repr, args.mu))
+    if getattr(args, "trials", None) is not None:
+        meta["trials"] = args.trials
+    return {**meta, **extra}
 
 
 def _mu_grid(section, mu_list):
@@ -135,13 +141,10 @@ def _triple_run(exp: ExperimentConfig, seed: int, stream: int):
 
 def _six_settings(exp: ExperimentConfig, seed: int, stream: int) -> TomographyData:
     """Output-window counts in the six analyzer settings, with their dark backgrounds."""
-    counts, backgrounds = {}, {}
+    counts = [int(simulate_run(exp, s, seed=_derived_seed(seed, stream, j)).mode_counts("output").sum())
+              for j, s in enumerate(STATE_LABELS)]
     bg = exp.trials * exp.dark_per_gate * exp.schedule.n_modes
-    for j, s in enumerate(STATE_LABELS):
-        hist = simulate_run(exp, s, seed=_derived_seed(seed, stream, j))
-        counts[s] = hist.window_counts("output")
-        backgrounds[s] = bg
-    return TomographyData.from_counts(counts, backgrounds=backgrounds)
+    return TomographyData(STATE_LABELS, counts, [bg] * len(STATE_LABELS))
 
 
 def _fit_state(data: TomographyData, label: str, resamples: int, seed: int):
@@ -178,9 +181,8 @@ def cmd_simulate(cfg, args) -> int:
     rows += [(f"fidelity_mode_{m + 1}", float(est.mode_fidelity[m]), float(est.mode_fidelity_err[m]))
              for m in range(exp.schedule.n_modes)]
     write_csv(os.path.join(out, "estimate.csv"), meta, ["quantity", "value", "error"], rows)
-    trows = [(m + 1, float(tr.transmission[m]), float(tr.transmission_err[m]),
-              float(tr.fidelity[m]), float(tr.fidelity_err[m]))
-             for m in range(exp.schedule.n_modes)]
+    trows = [(m + 1, *map(float, cols)) for m, cols in
+             enumerate(zip(tr.transmission, tr.transmission_err, tr.fidelity, tr.fidelity_err))]
     write_csv(os.path.join(out, "transmitted.csv"), meta,
               ["mode", "transmission", "transmission_err", "fidelity", "fidelity_err"], trows)
     print(f"simulate: eta_hat={est.eta_hat:.5f}+-{est.eta_err:.5f} "
@@ -221,8 +223,7 @@ def _read_counts_file(path: str):
 def cmd_tomography(cfg, args) -> int:
     tomo, seed, out = cfg["tomography"], args.seed, args.out
     labels = tomo["input_labels"]
-    unknown = [l for l in labels if l not in STATE_LABELS]
-    if unknown or len(set(labels)) != len(labels):
+    if not set(labels) <= set(STATE_LABELS) or len(set(labels)) != len(labels):
         raise ConfigError(f"input_labels must be distinct members of {STATE_LABELS}")
     span = np.stack([standard_state(l).rho.reshape(4) for l in labels])
     if np.linalg.matrix_rank(span, tol=1e-9) < 4:
@@ -264,8 +265,7 @@ def cmd_bounds(cfg, args) -> int:
     points, source = (b["n_points"], "[bounds] n_points") if args.mu is None else (len(args.mu), "--mu")
     check_bound_budget(points, source, b)
     curve, vrows = _bound_rows(b, _mu_grid(b, args.mu))
-    meta = _metadata(args, cfg, eta_m=b["eta_m"], f_t=b["f_t"], eta_t=b["eta_t"],
-                     matching=b["matching"])
+    meta = _metadata(args, cfg, **{k: b[k] for k in ("eta_m", "f_t", "eta_t", "matching")})
     rows = [(mu, plain, thr.bound, tra.bound, thr.params.n_min, thr.params.gamma,
              tra.params.p, tra.params.q, tra.params.delta, tra.params.eta_m1, tra.params.eta_m2)
             for mu, plain, thr, tra in curve]
@@ -435,7 +435,7 @@ def cmd_reproduce_paper(cfg, args) -> int:
               ["table", "quantity", "value", "reference", "tolerance", "abs_error", "status"], summary)
     with open(os.path.join(out, "effective_config.ini"), "w", newline="\n") as fh:
         fh.write(canonical_text(cfg))
-    n_fail = sum(1 for row in summary if row[6] == "FAIL")
+    n_fail = sum(row[6] == "FAIL" for row in summary)
     print(f"reproduce-paper: {len(summary)} comparisons, {n_fail} out of tolerance; outputs in {out}")
     return 0
 
@@ -450,21 +450,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"afcmem {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="INI config file; defaults are built in")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (required for stochastic commands)")
+    common.add_argument("--config", help="INI config file; defaults are built in")
+    common.add_argument("--seed", type=int, help="RNG seed (required for stochastic commands)")
     common.add_argument("--out", default="afcmem_out", help="output directory")
     sub.add_parser("show-defaults", help="print the built-in configuration")
     p = sub.add_parser("predict", parents=[common], help="fidelity vs photon number from the noise model")
-    p.add_argument("--mu", default=None, help="comma-separated photon numbers overriding the grid")
+    p.add_argument("--mu", help="comma-separated photon numbers overriding the grid")
     p.set_defaults(run=cmd_predict, seeded=False)
     p = sub.add_parser("simulate", parents=[common], help="counting histograms and parameter estimates")
-    p.add_argument("--mu", default=None, help="per-mode mean photon number(s)")
-    p.add_argument("--trials", type=int, default=None, help="number of storage-and-retrieval trials")
+    p.add_argument("--mu", help="per-mode mean photon number(s)")
+    p.add_argument("--trials", type=int, help="number of storage-and-retrieval trials")
     p.set_defaults(run=cmd_simulate, seeded=True)
     sub.add_parser("tomography", parents=[common], help="state and process reconstruction") \
         .set_defaults(run=cmd_tomography, seeded=True)
     p = sub.add_parser("bounds", parents=[common], help="classical benchmarks and verdicts")
-    p.add_argument("--mu", default=None, help="comma-separated photon numbers overriding the grid")
+    p.add_argument("--mu", help="comma-separated photon numbers overriding the grid")
     p.set_defaults(run=cmd_bounds, seeded=False)
     sub.add_parser("reproduce-paper", parents=[common], help="regenerate the reference tables and figures") \
         .set_defaults(run=cmd_reproduce_paper, seeded=True)

@@ -54,8 +54,10 @@ _EXPORT_CHUNK = 256
 # the bins. The cap budgets 64 B per bin, 128 MiB of bins; they measure about 81 MiB
 _BYTES_PER_BIN = 64
 _MAX_BINS = (128 << 20) // _BYTES_PER_BIN
-# largest Poisson mean of one bin: numpy's draw refuses means above about 9.22e18
-_MAX_BIN_MEAN = 9.2e18
+# largest expected count of a whole run: numpy's Poisson draw refuses a bin mean above
+# about 9.22e18, and an int64 sum of counts wraps at 2**63 = 9.22e18; a run's total, which
+# bounds every bin, window, mode and train sum, then stays about 7e6 standard deviations below
+_MAX_RUN_MEAN = 9.2e18
 
 
 def _as_tuple(value, n: int, name: str) -> tuple:
@@ -78,8 +80,9 @@ class ExperimentConfig:
     for a fifth of it. n_bins, the bins over total storage plus one mode
     train, may not exceed _MAX_BINS. Each mu_per_mode and dark_rate must be
     finite and nonnegative and trials an integer from 1 to 2**63 - 1, and
-    no bin's Poisson mean in simulate_run may exceed _MAX_BIN_MEAN, else
-    ValueError.
+    the run's expected count at unit port contrast, trials times the sum over
+    modes of (mu (eta + eta_t) + p_n) T_det + 2 d, may not exceed
+    _MAX_RUN_MEAN, else ValueError.
     """
 
     input_state: str = "D"
@@ -122,12 +125,13 @@ class ExperimentConfig:
         if not bins <= _MAX_BINS:
             raise ValueError(f"bin_width {bw:g} us over the {span:g} us sequence span gives {bins:.3g} "
                              f"histogram bins, more than the {_MAX_BINS} allowed")
-        # a mode window's rate, at most the one at unit port contrast, spread over its bins
-        rate = max(max(mu * par.eta + par.p_n, mu * par.eta_t) * self.t_det for mu, par in zip(mus, self.params))
-        mean = float(self.trials) * (rate + self.dark_per_gate) / round(ratio)
-        if not mean <= _MAX_BIN_MEAN:
-            raise ValueError(f"trials = {self.trials} at mu_per_mode up to {max(mus):g} gives a Poisson mean of "
-                             f"{mean:.3g} counts in one bin, more than the {_MAX_BIN_MEAN:.3g} allowed")
+        # each mode's input and output windows, at most their rates at unit port contrast
+        rate = sum((mu * (par.eta + par.eta_t) + par.p_n) * self.t_det + 2.0 * self.dark_per_gate
+                   for mu, par in zip(mus, self.params))
+        mean = float(self.trials) * rate
+        if not mean <= _MAX_RUN_MEAN:
+            raise ValueError(f"trials = {self.trials} at mu_per_mode up to {max(mus):g} gives a run of "
+                             f"{mean:.3g} expected counts, more than the {_MAX_RUN_MEAN:.3g} allowed")
         object.__setattr__(self, "bin_width", bw)
         object.__setattr__(self, "n_bins", int(round(bins)))
 
@@ -186,10 +190,6 @@ class CountHistogram:
         """Counts in each mode window of 'input' or 'output', in mode order."""
         return np.array([int(self.counts[bins].sum()) for win, bins in self.config.windows
                          if win.label == label and win.mode is not None], dtype=np.int64)
-
-    def window_counts(self, label: str) -> int:
-        """Counts summed over every window of label: 'input', 'CP1', 'CP2' or 'output'."""
-        return sum(int(self.counts[bins].sum()) for win, bins in self.config.windows if win.label == label)
 
 
 def _sequence_windows(schedule: StorageSchedule) -> tuple[Window, ...]:
@@ -322,7 +322,7 @@ def estimate_params(parallel: CountHistogram, orthogonal: CountHistogram, noise:
     n_modes = config.schedule.n_modes
     trials = config.trials
 
-    n_noise = noise.window_counts("output")
+    n_noise = int(noise.mode_counts("output").sum())
     noise_exposure = trials * n_modes  # gate windows observed
     p_n_hat = (n_noise - noise_exposure * dark) / (noise_exposure * t_det)
     p_n_err = np.sqrt(max(n_noise, 1)) / (noise_exposure * t_det)
@@ -436,7 +436,7 @@ def export_histograms(hists: Sequence[CountHistogram], paths: Sequence[str],
         raise ValueError(f"{len(hists)} histograms but {len(paths)} paths")
     axis = hists[0].config
     if any(hist.config.schedule != axis.schedule or hist.config.bin_width != axis.bin_width for hist in hists):
-        raise ValueError("histograms exported in one pass must share bin_edges and windows")
+        raise ValueError("histograms exported in one pass must share the schedule and bin_width of the first")
     metas = []
     for hist in hists:
         meta = dict(metadata or {})

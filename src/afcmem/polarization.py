@@ -81,11 +81,6 @@ def standard_state(label: str) -> PolarizationState:
     return PolarizationState.from_ket(_KETS[_known(label)])
 
 
-def projector(label: str) -> np.ndarray:
-    """Read-only projector of the analyzer port with a standard label: its standard state's rho."""
-    return standard_state(label).rho
-
-
 def orthogonal_label(label: str) -> str:
     """Label of the port orthogonal to the standard label (ValueError for any other label);
     STATE_LABELS holds the pairs next to each other: H V, D A, R L."""

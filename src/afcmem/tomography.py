@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EstimationError
-from .polarization import PAULIS, STATE_LABELS, PolarizationState, _require_pure, projector
+from .polarization import PAULIS, STATE_LABELS, PolarizationState, _require_pure, standard_state
 from .tableio import write_csv
 
 # a fit row stops once |grad LL| |t| / (2 sum n) falls to _GRAD_TOL; that is
@@ -119,8 +119,8 @@ class BootstrapSigma(float):
 
 
 def _projectors(settings: Sequence[str]) -> np.ndarray:
-    """The (k, 2, 2) projectors of the ports labeled settings."""
-    return np.stack([projector(s) for s in settings])
+    """The (k, 2, 2) projectors of the ports labeled settings: their standard states' rho."""
+    return np.stack([standard_state(s).rho for s in settings])
 
 
 def _design(projectors: np.ndarray) -> np.ndarray:

@@ -5,9 +5,10 @@ channels, the trace distance and the Bloch vector; the closed-form
 six-setting state MLE, and the normalized gradient ascent that the
 state fit used before its Newton fitter; the out-of-place build of the
 bounds' Poisson tables and the comparison form of their threshold
-evaluator; and two values of the transmitted cheat found
+evaluator; and three values of the transmitted cheat found
 apart from the search, from scipy's Poisson distribution: its
-eta_m2 = 0 face and a dense grid of its objective. The tests use them to
+eta_m2 = 0 face, a dense grid of its objective, and the linear program
+over mixtures of its strategies (scipy's HiGHS). The tests use them to
 check the reconstructions in afcmem against known answers, the in-place
 table build against the one it replaced, and the search's value against
 strategies it should not miss.
@@ -17,6 +18,7 @@ import math
 
 import numpy as np
 from scipy import stats
+from scipy.optimize import linprog
 
 from afcmem.bounds import _MP, _MU_MAX, _N, _PMF_REL_CUTOFF
 from afcmem.errors import EstimationError
@@ -258,3 +260,36 @@ def transmitted_dense(mu, f_t, eta_t, eta_m, matching="exp", points=12):
                 f2 = threshold(mu2, p_emit(mu2, eta_m2[ok], matching))
                 best = max(best, float(np.max((w1[ok] * f1 + (eta_m - w1[ok]) * f2) / eta_m)))
     return best
+
+
+def transmitted_lp(mu, f_t, eta_t, eta_m, matching="exp"):
+    """The best mixture of transmitted cheats, a linear program solved by
+    scipy's HiGHS. A cheat may draw its strategy at random on each pulse, and
+    what it shows, its transmission eta_t, transmitted fidelity times
+    transmission f_t eta_t and output budget eta_m, is then the weighted mean
+    of what each strategy (atom) shows. Strategy-1 atoms are 200 log-spaced
+    eta_m1 in [1e-4, 1] with delta in {0, 1}: column (1, eta_m1, eta_m1 f1,
+    delta eta_m1), gain delta eta_m1 f1. Strategy-2 atoms are 40 x 40 evenly
+    spaced eta and eta_m2 in [0, 1] with q in {0, 1}: column (1, eta,
+    eta (1 + q) / 2, (1 - eta) eta_m2), gain (1 - eta) eta_m2 fm2, fm2 the
+    threshold fidelity at mean (1 - eta) mu. Delta and q enter the columns
+    linearly, so their ends span every value between. Returns the largest
+    mean gain over eta_m, with the search's eta-share accounting; -inf where
+    no mixture meets the four rows."""
+    eta1 = np.geomspace(1e-4, 1.0, 200)
+    f1 = threshold(mu, p_emit(mu, eta1, matching))
+    cols = [np.stack([np.ones(200), eta1, eta1 * f1, delta * eta1]) for delta in (0.0, 1.0)]
+    gains = [np.zeros(200), eta1 * f1]
+    grid = np.linspace(0.0, 1.0, 40)
+    for eta in grid:
+        out = (1.0 - eta) * grid
+        gain = np.zeros(40)  # eta = 1 and eta_m2 = 0 emit nothing
+        if eta < 1.0:
+            gain[1:] = out[1:] * threshold((1.0 - eta) * mu, p_emit((1.0 - eta) * mu, grid[1:], matching))
+        for q in (0.0, 1.0):
+            cols.append(np.stack([np.ones(40), np.full(40, eta), np.full(40, eta * (1.0 + q) / 2.0), out]))
+            gains.append(gain)
+    res = linprog(-np.concatenate(gains), A_eq=np.concatenate(cols, axis=1),
+                  b_eq=[1.0, eta_t, f_t * eta_t, eta_m], method="highs")
+    assert res.status in (0, 2), res.message  # solved, or infeasible
+    return -res.fun / eta_m if res.status == 0 else -math.inf

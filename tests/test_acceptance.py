@@ -117,7 +117,7 @@ def test_tomography_round_trip_and_measured_channel():
         exp = ExperimentConfig(input_state=rec.label, mu_per_mode=rec.mu,
                                params=mem, trials=200_000, dark_rate=0.0)
         seed = 500 + 100 * j
-        counts = {s: simulate_run(exp, s, seed=seed + k).window_counts("output")
+        counts = {s: int(simulate_run(exp, s, seed=seed + k).mode_counts("output").sum())
                   for k, s in enumerate(STATE_LABELS)}
         data = TomographyData.from_counts(counts)
         est = mle_state(data)

@@ -128,3 +128,26 @@ def test_perfbench_reads_names_that_exist():
     assert proc["projection_iterations"] >= 0
     bound = spans._bound((), {}, afcmem.transmitted_constrained_bound(1.4, grid_points=6))
     assert 2 / 3 <= bound["bound"] <= 1
+
+
+def test_every_function_is_used_by_the_package_or_public():
+    # API that nothing uses but its own tests is deleted, private helpers included: every
+    # function and method of the package, dunders aside, is named somewhere in it outside
+    # its own definition, or is public
+    package = os.path.dirname(afcmem.__file__)
+    defined, uses = [], {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((name, node))
+                elif isinstance(node, (ast.Name, ast.Attribute)):
+                    ident = node.id if isinstance(node, ast.Name) else node.attr
+                    uses.setdefault(ident, []).append((name, node.lineno))
+    assert len(defined) > 100
+    unused = [f"{name}:{node.lineno} {node.name}" for name, node in defined if node.name not in afcmem.__all__
+              and all(f == name and node.lineno <= line <= node.end_lineno for f, line in uses.get(node.name, ()))]
+    assert unused == []

@@ -4,12 +4,13 @@ The closed-form Poisson-averaged bound and the threshold bound are
 checked against brute-force series built from scipy's Poisson pmf; the
 attack-strategy bounds are checked through their ordering and limit
 properties, the batched transmitted-bound search against a
-cell-by-cell reference kept here and its value against the face and dense
-grid of oracles, and the in-place Poisson tables and the sorted-search
-threshold evaluator against their out-of-place build and comparison
-form in oracles. The search's prune is checked through the two monotone
-facts it rests on, the share of cells it evaluates, the ends of each
-cell's run of valid deltas against a brute-force mask, and the reference.
+cell-by-cell reference kept here and its value against the face, the
+dense grid and the linear program over mixtures of oracles, and the
+in-place Poisson tables and the sorted-search threshold evaluator
+against their out-of-place build and comparison form in oracles. The
+search's prune is checked through the two monotone facts it rests on,
+the share of cells it evaluates, the ends of each cell's run of valid
+deltas against a brute-force mask, and the reference.
 """
 
 import math
@@ -32,7 +33,7 @@ from afcmem.bounds import (
     transmitted_constrained_bound,
 )
 from afcmem.refdata import ETA_M_BENCH, ETA_T_MEAN, F_T_MEAN
-from oracles import poisson_tables, threshold_eval, transmitted_dense, transmitted_face
+from oracles import poisson_tables, threshold_eval, transmitted_dense, transmitted_face, transmitted_lp
 
 
 def _series_bound(mu, n_terms=100):
@@ -299,8 +300,14 @@ def test_matching_conventions_ordered():
             b_exp = threshold_bound(mu, eta, matching="exp").bound
             b_lin = threshold_bound(mu, eta, matching="linear").bound
             assert b_exp <= b_lin + 1e-12
-    with pytest.raises(ValueError):
+    # one check of matching, with one message, for every bound, with the transmitted
+    # bound's p = 0 fallback (eta_m / (1 - eta_t) <= 1) and without it
+    message = "^matching must be 'exp' or 'linear', got 'quadratic'$"
+    with pytest.raises(ValueError, match=message):
         threshold_bound(1.4, 0.0385, matching="quadratic")
+    for eta_t, eta_m in ((0.296, 0.0385), (0.9, 0.5)):
+        with pytest.raises(ValueError, match=message):
+            transmitted_constrained_bound(1.4, 0.97, eta_t, eta_m, matching="quadratic")
 
 
 def test_threshold_input_validation():
@@ -373,7 +380,8 @@ def test_transmitted_never_above_threshold_with_exp_matching():
                    "(0.868134 on a 4,001-point q grid) against the search's 0.846510, and the face "
                    "beats it at all four working points (ROADMAP item 1); away from the face, at "
                    "mu = 5.63, f_t = 0.609, eta_t = 0.663, eta_m = 0.2296 (face infeasible), the "
-                   "dense grid gives 0.8550303 against the search's 0.8550199")
+                   "dense grid gives 0.8550303 and the linear program over mixtures of strategies "
+                   "0.866360 against the search's 0.8550199 (ROADMAP item 18)")
 @settings(deadline=None, max_examples=20)
 @given(mu=st.floats(math.log(0.1), math.log(30.0)).map(math.exp), f_t=st.floats(0.6, 0.99),
        eta_t=st.floats(0.05, 0.9), eta_m=st.floats(0.005, 0.3), matching=st.sampled_from(["exp", "linear"]))
@@ -385,10 +393,11 @@ def test_transmitted_never_above_threshold_with_exp_matching():
 @example(mu=5.63, f_t=0.609, eta_t=0.663, eta_m=0.2296, matching="exp")
 def test_transmitted_bound_reaches_independent_oracle(mu, f_t, eta_t, eta_m, matching):
     # the search is a lower estimate of its maximum, so it must not fall below a
-    # strategy of the same model found another way
+    # strategy of the same model, or a mixture of them, found another way
     got = transmitted_constrained_bound(mu, f_t, eta_t, eta_m, matching=matching).bound
     oracle = max(transmitted_face(mu, f_t, eta_t, eta_m, matching),
-                 transmitted_dense(mu, f_t, eta_t, eta_m, matching))
+                 transmitted_dense(mu, f_t, eta_t, eta_m, matching),
+                 transmitted_lp(mu, f_t, eta_t, eta_m, matching))
     assert got >= oracle - 1e-9
 
 

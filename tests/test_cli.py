@@ -62,6 +62,22 @@ def test_simulate_bytes_pinned(tmp_path):
     }
 
 
+def test_preamble_stamps_the_mu_and_trials_given(tmp_path):
+    # the config hash does not see --mu or --trials: runs that differed only there
+    # wrote different data under one preamble
+    def preamble(*flags):
+        out = os.path.join(tmp_path, str(len(os.listdir(tmp_path))))
+        assert main(["simulate", "--seed", "1", *flags, "--out", out]) == 0
+        return [l for l in _read(os.path.join(out, "estimate.csv")).decode().splitlines() if l.startswith("#")]
+
+    plain = preamble()
+    assert not [l for l in plain if l.startswith(("# mu:", "# trials:"))]
+    assert preamble("--trials", "5000") == plain + ["# trials: 5000"]
+    assert preamble("--trials", "6000") == plain + ["# trials: 6000"]
+    assert preamble("--mu", "2,3.5,1,1,1", "--trials", "5000") == plain + ["# mu: 2.0, 3.5, 1.0, 1.0, 1.0",
+                                                                           "# trials: 5000"]
+
+
 def test_tomography_bytes_pinned(tmp_path):
     # the simulated six-setting path with its nonzero dark backgrounds, which
     # reproduce-paper's tableB1 (dark_rate = 0) does not reach
@@ -229,7 +245,7 @@ def test_bad_flags_rejected(tmp_path):
 
 @pytest.mark.parametrize("flags, message", [
     (["--trials", "1" + "0" * 400], "trials must be an integer from 1 to 2**63 - 1"),
-    (["--mu", "1e300"], "trials = 1000000 at mu_per_mode up to 1e+300 gives a Poisson mean"),
+    (["--mu", "1e300"], "trials = 1000000 at mu_per_mode up to 1e+300 gives a run of"),
 ], ids=["trials-1e400", "mu-1e300"])
 def test_simulate_rejects_what_the_poisson_draw_cannot_take(tmp_path, capsys, flags, message):
     # an OverflowError traceback with exit 1, and numpy's "lam value too large", naming no input
@@ -386,8 +402,8 @@ def test_bounds_command_outputs(tmp_path):
     digests = {name: hashlib.sha256(_read(os.path.join(out, name))).hexdigest()
                for name in sorted(os.listdir(out))}
     assert digests == {
-        "bound_curve.csv": "a7c0cb52451ae4943332c01014f833097c042587f6f68dd7222dd623dd98d840",
-        "verdicts.csv": "5596f4b39b9119a7ea9ede8db641cbce71f4c851cca1a2a6d70657ae3bd4ba30",
+        "bound_curve.csv": "e49828cc8e1cbc57d1b5bb807e4d1e30f7c12497bace51301fea46b1870148a9",
+        "verdicts.csv": "12272d0c319607c11bafb9f233bde530e2c09dae869bfcc0130358af7d78c544",
     }
 
 

@@ -123,7 +123,7 @@ def test_noise_run_rate_convention():
     noise = simulate_run(replace(exp, mu_per_mode=0.0), "A", seed=31)
     lam = 5.0 * (rec.p_n * exp.t_det + exp.dark_per_gate)
     mean = lam * exp.trials
-    assert abs(noise.window_counts("output") - mean) < 4.0 * np.sqrt(mean)
+    assert abs(int(noise.mode_counts("output").sum()) - mean) < 4.0 * np.sqrt(mean)
 
 
 def test_modes_scale_independently():
@@ -133,7 +133,7 @@ def test_modes_scale_independently():
                            params=mem, trials=10**6)
     hist = simulate_run(exp, "D", seed=77)
     per_mode = hist.mode_counts("output").astype(float)
-    assert per_mode.sum() == hist.window_counts("output")
+    assert per_mode.sum() == sum(int(hist.counts[bins].sum()) for w, bins in exp.windows if w.label == "output")
     # rates contain a mu-independent noise term, so normalize by the model
     e = 1.0  # D analyzed along D
     lam = (np.array(exp.mu_per_mode) * 0.036 * (0.991 * e + (1 - 0.991) * (1 - e))
@@ -193,7 +193,7 @@ def test_one_error_rule_where_one_port_counts_nothing():
     assert orth.counts.sum() == 0
     est = estimate_params(par, orth, noise)
     tr = estimate_transmission(par, orth)
-    assert est.fidelity_err == 1.0 / par.window_counts("output")
+    assert est.fidelity_err == 1.0 / int(par.mode_counts("output").sum())
     assert np.array_equal(est.mode_fidelity, np.ones(5)) and np.array_equal(tr.fidelity, np.ones(5))
     assert np.array_equal(est.mode_fidelity_err, 1.0 / par.mode_counts("output"))
     assert np.array_equal(tr.fidelity_err, 1.0 / par.mode_counts("input"))
@@ -283,8 +283,10 @@ def test_window_counts_sum_every_window_of_a_label():
     # 5 us transfer and retrieval pulse of 20 bins each
     exp = ExperimentConfig(trials=1000)
     hist = CountHistogram(exp, np.ones(exp.n_bins, dtype=np.int64), "D", 0)
-    assert hist.window_counts("CP1") == hist.window_counts("CP2") == 20
-    assert hist.window_counts("input") == hist.window_counts("output") == 25
+    cp = {w.label: int(hist.counts[bins].sum()) for w, bins in exp.windows if w.label in ("CP1", "CP2")}
+    assert cp == {"CP1": 20, "CP2": 20}
+    assert int(hist.mode_counts("input").sum()) == int(hist.mode_counts("output").sum()) == 25
+    assert hist.mode_counts("input").tolist() == [5] * 5
     assert hist.mode_counts("output").tolist() == [5] * 5
     assert hist.mode_counts("CP1").size == 0
 
@@ -383,10 +385,13 @@ def test_histogram_export_matches_per_cell_reference(n_modes, k, noise, spin_sto
         for path, run in zip(paths, triple):
             _export_per_cell(run, old, metadata)
             assert _read_bytes(path) == _read_bytes(old)
-    assert hist.window_counts("CP1") == hist.window_counts("CP2") == 0  # blanked
+    for w, bins in hist.config.windows:
+        if w.label in ("CP1", "CP2"):  # blanked
+            assert int(hist.counts[bins].sum()) == 0 == int(hist.counts[_mask_bins(hist, w)].sum())
     for name in {w.label for w, _ in hist.config.windows}:
         wins = [w for w, _ in hist.config.windows if w.label == name]
-        assert hist.window_counts(name) == sum(int(hist.counts[_mask_bins(hist, w)].sum()) for w in wins)
+        assert int(hist.mode_counts(name).sum()) == sum(int(hist.counts[_mask_bins(hist, w)].sum())
+                                                        for w in wins if w.mode is not None)
         modes = sorted({w.mode for w in wins if w.mode is not None})
         expected = [sum(int(hist.counts[_mask_bins(hist, w)].sum()) for w in wins if w.mode == m)
                     for m in modes]
@@ -403,7 +408,7 @@ def test_histograms_exported_together_share_one_time_axis(tmp_path):
     assert other_cp.counts.size == par.counts.size
     paths = [os.path.join(tmp_path, f"{name}.csv") for name in ("parallel", "orthogonal", "noise")]
     for runs in ((par, finer, noise), (par, other_cp, noise)):
-        with pytest.raises(ValueError, match="must share bin_edges and windows"):
+        with pytest.raises(ValueError, match="must share the schedule and bin_width of the first"):
             export_histograms(runs, paths)
     with pytest.raises(ValueError, match="3 histograms but 2 paths"):
         export_histograms((par, orth, noise), paths[:2])
@@ -445,18 +450,29 @@ def test_config_refuses_what_the_poisson_draw_cannot_take():
     # about 9.22e18 with a message that names no input
     with pytest.raises(ValueError, match=r"^trials must be an integer from 1 to 2\*\*63 - 1, got 10{30}$"):
         ExperimentConfig(trials=10**30)
-    with pytest.raises(ValueError, match=r"^trials = 1000 at mu_per_mode up to 1e\+300 gives a Poisson mean of "
-                                         r"2.36e\+300 counts in one bin, more than the 9.2e\+18 allowed$"):
+    with pytest.raises(ValueError, match=r"^trials = 1000 at mu_per_mode up to 1e\+300 gives a run of "
+                                         r"6.62e\+301 expected counts, more than the 9.2e\+18 allowed$"):
         ExperimentConfig(mu_per_mode=1e300, trials=1000)
     assert ExperimentConfig(trials=2**63 - 1, mu_per_mode=0.0).trials == 2**63 - 1
-    # the largest mean is a transmitted input bin's, mu eta_t T_det trials over the 5 bins
-    # of a mode, where f_t = 1 puts all of it in the parallel port
-    edge = 9.2e18 * 5 / (1000 * ETA_T_MEAN * 0.07 * 0.57)
-    mem = MemoryParams(f_t=1.0)
-    with pytest.raises(ValueError, match="counts in one bin, more than the 9.2e\\+18 allowed"):
-        ExperimentConfig(mu_per_mode=edge * 1.000001, params=mem, trials=1000)
-    exp = ExperimentConfig(mu_per_mode=edge * 0.999999, params=mem, trials=1000)
-    assert 9.19e18 < simulate_run(exp, "D", seed=1).counts.max() < 2**63
+    assert ExperimentConfig(trials=2**63 - 1).trials == 2**63 - 1  # about 8.7e17 expected counts
+    # each bin passed the old per-bin limit, but its window sums wrapped past 2**63 in
+    # int64: mode_counts("input") read 5.58e18 per mode where 4.25e19 were drawn
+    with pytest.raises(ValueError, match=r"gives a run of 2.45e\+20 expected counts"):
+        ExperimentConfig(mu_per_mode=3.7e18, trials=1000)
+    # with no noise, dark counts or flips the parallel port counts the whole run's mean,
+    # mu (eta + eta_t) T_det trials in each of the 5 modes
+    mem = MemoryParams(p_n=0.0, f_c=1.0, f_t=1.0)
+    edge = 9.2e18 / (5 * 1000 * (mem.eta + mem.eta_t) * 0.07 * 0.57)
+    with pytest.raises(ValueError, match="expected counts, more than the 9.2e\\+18 allowed"):
+        ExperimentConfig(mu_per_mode=edge * 1.000001, params=mem, trials=1000, dark_rate=0.0)
+    for scale in (0.999999, 0.5):
+        exp = ExperimentConfig(mu_per_mode=edge * scale, params=mem, trials=1000, dark_rate=0.0)
+        hist = simulate_run(exp, "D", seed=1)
+        drawn = sum(hist.counts.tolist())  # Python ints: no wrap
+        assert 0.99 * scale * 9.2e18 < drawn < 2**63
+        for label in ("input", "output"):
+            assert hist.mode_counts(label).tolist() == [sum(hist.counts[bins].tolist()) for w, bins in exp.windows
+                                                        if w.label == label]
 
 
 def test_bin_count_comes_from_the_config():

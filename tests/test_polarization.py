@@ -7,7 +7,6 @@ from afcmem.polarization import (
     PolarizationState,
     fidelity,
     orthogonal_label,
-    projector,
     standard_state,
 )
 from oracles import bloch, trace_distance
@@ -26,7 +25,7 @@ def test_unknown_label_rejected():
     with pytest.raises(ValueError):
         standard_state("Q")
     with pytest.raises(ValueError):
-        projector("x")
+        standard_state("x").rho
 
 
 def test_standard_states_are_one_read_only_table():
@@ -34,7 +33,7 @@ def test_standard_states_are_one_read_only_table():
     for label in STATE_LABELS:
         state = standard_state(label)
         assert standard_state(label) is state
-        assert projector(label) is state.rho
+        assert standard_state(label).rho is state.rho
         assert not state.rho.flags.writeable
         with pytest.raises(ValueError):
             state.rho[0, 0] = 0.5
@@ -52,15 +51,15 @@ def test_state_invariants():
 
 def test_projector_invariants():
     for label in STATE_LABELS:
-        p = projector(label)
+        p = standard_state(label).rho
         assert np.allclose(p @ p, p, atol=1e-12)
         assert abs(np.trace(p) - 1.0) < 1e-12
 
 
 def test_projectors_shared_and_read_only():
     for label in STATE_LABELS:
-        p = projector(label)
-        assert p is projector(label)
+        p = standard_state(label).rho
+        assert p is standard_state(label).rho
         assert np.array_equal(p, standard_state(label).rho)
         with pytest.raises(ValueError):
             p[0, 0] = 0.0

@@ -10,7 +10,7 @@ from afcmem import tomography
 from afcmem.errors import EstimationError
 from afcmem.memory import MemoryParams
 from afcmem.montecarlo import ExperimentConfig, simulate_run
-from afcmem.polarization import PAULIS, STATE_LABELS, fidelity, projector, standard_state
+from afcmem.polarization import PAULIS, STATE_LABELS, fidelity, standard_state
 from afcmem.refdata import F_C_MEAN, STATE_SCAN, matched_noise_floor
 from afcmem.tomography import (
     ProcessMatrix,
@@ -38,7 +38,7 @@ def _simulated_data(label, trials=200_000, seed=800):
     mem = MemoryParams(eta=rec.eta, p_n=p_n, f_c=F_C_MEAN)
     exp = ExperimentConfig(input_state=label, mu_per_mode=rec.mu,
                            params=mem, trials=trials, dark_rate=0.0)
-    counts = {s: simulate_run(exp, s, seed=seed + k).window_counts("output")
+    counts = {s: int(simulate_run(exp, s, seed=seed + k).mode_counts("output").sum())
               for k, s in enumerate(STATE_LABELS)}
     return TomographyData.from_counts(counts), rec
 
@@ -84,11 +84,11 @@ def test_mle_log_likelihood_monotone():
     est = mle_state(data)
     n = data.counts.astype(float)
     rho0 = _linear_inversion(_design(_projectors(data.settings)), data.counts[None, :], data.backgrounds)[0]
-    m0 = np.array([np.trace(rho0 @ projector(s)).real for s in data.settings]) + data.backgrounds
+    m0 = np.array([np.trace(rho0 @ standard_state(s).rho).real for s in data.settings]) + data.backgrounds
     assert est.log_likelihood >= np.sum(n * np.log(m0) - m0)
 
     def at_best_flux(rho):  # the data have no background
-        m = np.array([np.trace(rho @ projector(s)).real for s in data.settings])
+        m = np.array([np.trace(rho @ standard_state(s).rho).real for s in data.settings])
         m *= n.sum() / m.sum()
         return np.sum(n * np.log(m) - m)
 
